@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from .rootdata import (
     DimensionMismatch,
-    NotDominant,
     dot,
     mat_inv,
     mat_mul,
@@ -36,7 +35,6 @@ from .rootdata import (
     vec_add,
     vec_mat,
     vec_scale,
-    vec_sub,
 )
 
 
@@ -89,11 +87,8 @@ class AffineWeylElement:
         return -1 if self.length() % 2 else 1
 
     def act(self, cowt):
-        """Affine action on a coweight: lambda + wbar(v)."""
+        """Affine action lambda + wbar(v) on a coweight or an exact rational point."""
         return vec_add(self.trans, mat_vec(self.fin, cowt))
-
-    def is_translation(self):
-        return self.fin == self.group.datum.identity
 
     def encode(self):
         return self.group.encode(self)

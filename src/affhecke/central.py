@@ -23,13 +23,15 @@ obeys g_y = eps_d eps_y q^{-d} q_y^{-1} bar(g_y) coefficientwise.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from . import rootdata
 from .affweyl import group
 from .hecke import HeckeElement, context
 from .laurent import LaurentPoly
-from .rootdata import NotDominant, vec_add, vec_scale, vec_sub
+from .rootdata import vec_add, vec_scale, vec_sub
 
 
 def minimal_dominant_pair(datum, lam):
@@ -94,20 +96,16 @@ def shifted_dominant_pair(datum, lam):
     return cur, vec_scale(delta, n)
 
 
-def theta(datum, lam, decomposition="minimal"):
+def theta(datum, lam, decomposition=minimal_dominant_pair):
     """The Bernstein function Theta_lambda as a Hecke element.
 
-    decomposition: "minimal" (default) or "shift"; both give the same
+    decomposition(datum, lam) returns the dominant pair (lam1, lam2), by
+    default minimal_dominant_pair; every valid pair gives the same
     element, which the test suite verifies.
     """
     hctx = context(datum)
     g = hctx.group
-    if decomposition == "minimal":
-        lam1, lam2 = minimal_dominant_pair(datum, lam)
-    elif decomposition == "shift":
-        lam1, lam2 = shifted_dominant_pair(datum, lam)
-    else:
-        lam1, lam2 = decomposition(datum, lam)
+    lam1, lam2 = decomposition(datum, lam)
     t1 = g.translation(lam1)
     t2 = g.translation(lam2)
     # T~_{t1} T~^{-1}_{t2} = v^{l(t2)-l(t1)} T_{t1} T_{t2}^{-1}
@@ -115,46 +113,36 @@ def theta(datum, lam, decomposition="minimal"):
     return h.scale(LaurentPoly.v_power(t2.length() - t1.length()))
 
 
-def _z_worker(args):
+def _theta_terms(args):
+    """Worker: the T-coefficients of Theta_nu (elements re-intern on unpickling)."""
     family, rank, nu = args
-    datum = rootdata.create(family, rank)
-    h = theta(datum, nu)
-    return [
-        (x.trans, x.fin, tuple(sorted(c.terms.items())))
-        for x, c in h.terms.items()
-    ]
+    return theta(rootdata.create(family, rank), nu).terms
 
 
 def bernstein_central(datum, lam, jobs=1):
     """z_lambda = sum_{nu in W lambda} Theta_nu; lam must be dominant.
 
     The orbit summands are independent; with jobs > 1 they are computed
-    in worker processes and merged in a fixed order, so the result is
+    in min(jobs, |W lambda|, CPU count) worker processes, and a pool that
+    cannot start or loses a worker falls back to the serial sum.  Either
+    way one loop adds the summands in orbit order, so the result is
     identical for every parallelism degree.
     """
     lam = datum.require_dominant(lam)
     hctx = context(datum)
     orbit = datum.weyl_orbit(lam)
-    if jobs > 1 and len(orbit) > 1:
+    parts = (theta(datum, nu).terms for nu in orbit)
+    workers = min(jobs, len(orbit), os.cpu_count() or 1)
+    if workers > 1:
         args = [(datum.family, datum.rank, nu) for nu in orbit]
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(_z_worker, args))
-        except OSError:
-            parts = None
-        if parts is not None:
-            g = hctx.group
-            acc = {}
-            for part in parts:
-                for trans, fin, terms in part:
-                    x = g.element(trans, fin)
-                    c = acc.get(x)
-                    p = LaurentPoly(dict(terms))
-                    acc[x] = p if c is None else c + p
-            return HeckeElement(hctx, acc)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(_theta_terms, args))
+        except (BrokenProcessPool, OSError):
+            pass  # keep the serial generator
     out = hctx.zero()
-    for nu in orbit:
-        out = out + theta(datum, nu)
+    for terms in parts:
+        out = out + HeckeElement(hctx, terms)
     return out
 
 

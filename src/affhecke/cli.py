@@ -59,6 +59,11 @@ def _cache_dir(args):
     return os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE)
 
 
+def _require_jobs(args):
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+
+
 def _emit(args, text):
     out = getattr(args, "out", None)
     if out:
@@ -76,6 +81,7 @@ def _parse_element(datum, text):
 
 
 def cmd_table(args):
+    _require_jobs(args)
     datum = parse_group(args.group)
     mu = datum.parse_coweight(args.mu)
     cache = _cache_dir(args)
@@ -215,6 +221,7 @@ def cmd_query(args):
 
 
 def cmd_check(args):
+    _require_jobs(args)
     results = []
     if args.suite == "oracles":
         results = checks.oracle_checks(
@@ -269,7 +276,7 @@ def build_parser():
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_table.add_argument("--out", help="write output to a file instead of stdout")
     p_table.add_argument("--cache-dir", help=f"KL cache directory (default {DEFAULT_CACHE}, or ${CACHE_ENV_VAR})")
-    p_table.add_argument("--jobs", type=int, default=1, help="parallel workers for orbit sums")
+    p_table.add_argument("--jobs", type=int, default=1, help="parallel workers for orbit sums (at least 1; capped at the orbit size and CPU count)")
     p_table.set_defaults(fn=cmd_table)
 
     p_query = sub.add_parser("query", help="compute a single object")

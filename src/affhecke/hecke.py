@@ -46,6 +46,15 @@ _QINV = LaurentPoly.q_power(-1)
 _QINVM1 = LaurentPoly({-2: 1, 0: -1})    # q^{-1} - 1
 
 
+def _add_into(terms, x, c):
+    """terms[x] += c, dropping x when the sum is zero."""
+    n = terms.get(x, _ZERO) + c
+    if n:
+        terms[x] = n
+    else:
+        terms.pop(x, None)
+
+
 class InvariantViolation(AssertionError):
     """An internal exact identity failed; indicates a convention bug."""
 
@@ -75,23 +84,11 @@ class HeckeElement:
         self._check(other)
         t = dict(self.terms)
         for x, c in other.terms.items():
-            n = t.get(x, _ZERO) + c
-            if n:
-                t[x] = n
-            else:
-                t.pop(x, None)
+            _add_into(t, x, c)
         return HeckeElement(self.hctx, t)
 
     def __sub__(self, other):
-        self._check(other)
-        t = dict(self.terms)
-        for x, c in other.terms.items():
-            n = t.get(x, _ZERO) - c
-            if n:
-                t[x] = n
-            else:
-                t.pop(x, None)
-        return HeckeElement(self.hctx, t)
+        return self + -other
 
     def __neg__(self):
         return HeckeElement(self.hctx, {x: -c for x, c in self.terms.items()})
@@ -116,9 +113,6 @@ class HeckeElement:
 
     def support(self):
         return tuple(sorted(self.terms, key=self.hctx.group.sort_key))
-
-    def map_coeffs(self, f):
-        return HeckeElement(self.hctx, {x: f(c) for x, c in self.terms.items()})
 
     def _check(self, other):
         if self.hctx is not other.hctx:
@@ -145,7 +139,6 @@ class HeckeContext:
         self.group = group(datum)
         self._r_cache = {}
         self._p_cache = {}
-        self._p_dirty = []
         self._q_cache = {}
         self._col_done = set()
 
@@ -170,80 +163,36 @@ class HeckeContext:
 
     # -- products -------------------------------------------------------
 
-    def mul_gen_T(self, h, i):
-        """h * T_{s_i}."""
+    def _gen_step(self, h, i, left, inverse):
+        """T_{s_i}^e * h if `left`, else h * T_{s_i}^e; e = -1 if `inverse`.
+
+        Per term, with y = s_i x (left) or x s_i (right): T_y alone when
+        the step changes the length by e, otherwise the quadratic relation
+        q^e T_y + (q^e - 1) T_x.
+        """
         g = self.group
+        step, q, qm1 = (-1, _QINV, _QINVM1) if inverse else (1, _Q, _QM1)
         out = {}
         for x, c in h.terms.items():
-            xs = g.mul_gen(x, i)
-            if xs.length() > x.length():
-                n = out.get(xs, _ZERO) + c
-                if n:
-                    out[xs] = n
-                else:
-                    del out[xs]
+            y = g.gen_mul(i, x) if left else g.mul_gen(x, i)
+            if y.length() - x.length() == step:
+                _add_into(out, y, c)
             else:
-                n = out.get(xs, _ZERO) + c * _Q
-                if n:
-                    out[xs] = n
-                else:
-                    del out[xs]
-                n = out.get(x, _ZERO) + c * _QM1
-                if n:
-                    out[x] = n
-                else:
-                    del out[x]
+                _add_into(out, y, c * q)
+                _add_into(out, x, c * qm1)
         return HeckeElement(self, out)
+
+    def mul_gen_T(self, h, i):
+        """h * T_{s_i}."""
+        return self._gen_step(h, i, left=False, inverse=False)
 
     def mul_gen_T_inv(self, h, i):
         """h * T_{s_i}^{-1}."""
-        g = self.group
-        out = {}
-        for x, c in h.terms.items():
-            xs = g.mul_gen(x, i)
-            if xs.length() < x.length():
-                n = out.get(xs, _ZERO) + c
-                if n:
-                    out[xs] = n
-                else:
-                    del out[xs]
-            else:
-                n = out.get(xs, _ZERO) + c * _QINV
-                if n:
-                    out[xs] = n
-                else:
-                    del out[xs]
-                n = out.get(x, _ZERO) + c * _QINVM1
-                if n:
-                    out[x] = n
-                else:
-                    del out[x]
-        return HeckeElement(self, out)
+        return self._gen_step(h, i, left=False, inverse=True)
 
     def gen_mul_T(self, i, h):
         """T_{s_i} * h."""
-        g = self.group
-        out = {}
-        for x, c in h.terms.items():
-            sx = g.gen_mul(i, x)
-            if sx.length() > x.length():
-                n = out.get(sx, _ZERO) + c
-                if n:
-                    out[sx] = n
-                else:
-                    del out[sx]
-            else:
-                n = out.get(sx, _ZERO) + c * _Q
-                if n:
-                    out[sx] = n
-                else:
-                    del out[sx]
-                n = out.get(x, _ZERO) + c * _QM1
-                if n:
-                    out[x] = n
-                else:
-                    del out[x]
-        return HeckeElement(self, out)
+        return self._gen_step(h, i, left=True, inverse=False)
 
     def mul_omega(self, h, omega):
         """h * T_omega for a length-zero omega (group translation of support)."""
@@ -263,7 +212,7 @@ class HeckeContext:
         omega, word = self.group.reduced_word(y)
         out = self.mul_omega(h, omega)
         for i in word:
-            out = self.mul_gen_T(out, i)
+            out = self._gen_step(out, i, left=False, inverse=False)
         return out
 
     def mul_T_inv(self, h, y):
@@ -271,7 +220,7 @@ class HeckeContext:
         omega, word = self.group.reduced_word(y)
         out = h
         for i in reversed(word):
-            out = self.mul_gen_T_inv(out, i)
+            out = self._gen_step(out, i, left=False, inverse=True)
         return self.mul_omega(out, self.group.inv(omega))
 
     def mul(self, a, b):
@@ -280,11 +229,7 @@ class HeckeContext:
         for y, c in sorted(b.terms.items(), key=lambda kv: self.group.sort_key(kv[0])):
             part = self.mul_T(a, y)
             for x, d in part.terms.items():
-                n = out.get(x, _ZERO) + d * c
-                if n:
-                    out[x] = n
-                else:
-                    del out[x]
+                _add_into(out, x, d * c)
         return HeckeElement(self, out)
 
     def inv_T(self, w):
@@ -294,33 +239,8 @@ class HeckeContext:
         omega, word = self.group.reduced_word(w)
         h = self.T(self.group.inv(omega))
         for i in word:
-            h = self._gen_mul_T_inv(i, h)
+            h = self._gen_step(h, i, left=True, inverse=True)
         return h
-
-    def _gen_mul_T_inv(self, i, h):
-        """T_{s_i}^{-1} * h."""
-        g = self.group
-        out = {}
-        for x, c in h.terms.items():
-            sx = g.gen_mul(i, x)
-            if sx.length() < x.length():
-                n = out.get(sx, _ZERO) + c
-                if n:
-                    out[sx] = n
-                else:
-                    del out[sx]
-            else:
-                n = out.get(sx, _ZERO) + c * _QINV
-                if n:
-                    out[sx] = n
-                else:
-                    del out[sx]
-                n = out.get(x, _ZERO) + c * _QINVM1
-                if n:
-                    out[x] = n
-                else:
-                    del out[x]
-        return HeckeElement(self, out)
 
     def bar(self, h):
         """The Kazhdan-Lusztig involution: bar coefficients, T_y -> T^{-1}_{y^{-1}}."""
@@ -399,15 +319,7 @@ class HeckeContext:
                 )
             col[x] = p
             self._p_cache[(x, w)] = p
-            self._p_dirty.append((x, w, p))
         self._col_done.add(w)
-
-    def mu_coeff(self, x, w):
-        """The KL mu-coefficient: coefficient of q^{(l(w)-l(x)-1)/2} in P_{x,w}."""
-        gap = w.length() - x.length()
-        if gap <= 0 or gap % 2 == 0:
-            return 0
-        return self.kl_poly(x, w).q_coeff((gap - 1) // 2)
 
     # -- inverse KL polynomials --------------------------------------------
 
@@ -492,12 +404,27 @@ class HeckeContext:
 _CONVENTION_TAG = "base-alcove=dominant"
 
 
+def _plausible(x, w, p):
+    """Structural checks every stored P_{x,w} passes: l(x) < l(w), P is a
+    polynomial in q with constant term 1, and 2 deg_q P <= l(w) - l(x) - 1.
+    x <= w is not checked: a Bruhat test per record costs more than the
+    KL work the cache saves."""
+    gap = w.length() - x.length()
+    return (
+        gap > 0
+        and p.is_q_polynomial()
+        and p.q_coeff(0) == 1
+        and 2 * p.q_degree() <= gap - 1
+    )
+
+
 class KLCache:
     """Versioned line cache of P-polynomials.
 
     Header "klcache v1 <label> <convention>"; one record per line:
     "<x> <w> <poly>" in the canonical text encodings.  Unknown versions,
-    wrong labels or garbled lines are ignored and rebuilt, never trusted.
+    wrong labels, garbled lines or records that fail `_plausible` are
+    ignored and rebuilt, never trusted.
     """
 
     def __init__(self, directory):
@@ -525,6 +452,8 @@ class KLCache:
                         p = LaurentPoly.decode(parts[2])
                     except (ValueError, DatumMismatch):
                         return 0
+                    if not _plausible(x, w, p):
+                        return 0
                     staged[(x, w)] = p
         except OSError:
             return 0
@@ -532,7 +461,7 @@ class KLCache:
         return len(staged)
 
     def save_from(self, hctx):
-        if not hctx._p_dirty and not hctx._p_cache:
+        if not hctx._p_cache:
             return
         os.makedirs(self.directory, exist_ok=True)
         path = self.path(hctx.datum)
@@ -545,7 +474,6 @@ class KLCache:
             for xe, we, pe in records:
                 fh.write(f"{xe} {we} {pe}\n")
         os.replace(tmp, path)
-        hctx._p_dirty.clear()
 
 
 _CONTEXTS = {}

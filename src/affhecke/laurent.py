@@ -179,12 +179,6 @@ class LaurentPoly:
 
     # -- degree bookkeeping -------------------------------------------
 
-    def min_exp(self):
-        return min(self.terms) if self.terms else None
-
-    def max_exp(self):
-        return max(self.terms) if self.terms else None
-
     def is_q_polynomial(self):
         """True iff all v-exponents are even and nonnegative."""
         return all(e >= 0 and e % 2 == 0 for e in self.terms)
@@ -209,9 +203,6 @@ class LaurentPoly:
             return [0] * ((upto + 1) if upto is not None else 1)
         d = max(self.terms) // 2 if upto is None else upto
         return [self.terms.get(2 * i, 0) for i in range(d + 1)]
-
-    def has_nonneg_coeffs(self):
-        return all(c > 0 for c in self.terms.values())
 
     # -- Q-expansion ----------------------------------------------------
 

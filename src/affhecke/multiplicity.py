@@ -24,7 +24,7 @@ from .affweyl import group
 from .central import kottwitz_function
 from .hecke import InvariantViolation, context
 from .laurent import LaurentPoly
-from .rootdata import NotDominant
+from .rootdata import mat_vec
 
 
 class NotInAdm(KeyError):
@@ -121,28 +121,6 @@ class MultiplicityTable:
         }
         return per_w, summary
 
-    def bruhat_fingerprints(self):
-        """Group elements by the isomorphism-type fingerprint of their upper
-        Bruhat cone: multiset of (length, up-degree) pairs plus the
-        configuration vector.  Reported only; never asserted."""
-        g = group(self.datum)
-        adm = self.adm
-        out = {}
-        for w in adm:
-            above = [x for x in adm if x is not w and g.leq(w, x)]
-            covers = {}
-            for x in above:
-                ups = sum(
-                    1
-                    for y in above
-                    if y.length() == x.length() + 1 and g.leq(x, y)
-                )
-                key = (x.length(), ups)
-                covers[key] = covers.get(key, 0) + 1
-            fp = (self.bruhat_config(w), tuple(sorted(covers.items())))
-            out.setdefault((w.length(), fp), []).append(w)
-        return out
-
 
 def compute(datum, mu, jobs=1, cache_dir=None):
     """Multiplicity table of the nearby-cycles trace function at mu."""
@@ -212,28 +190,17 @@ def minuscule_poincare(datum, mu):
     mu = datum.require_dominant(mu)
     if not is_minuscule(datum, mu):
         raise NotMinuscule(f"{mu} is not minuscule for {datum.label}")
-    from .rootdata import mat_vec
-
+    g = group(datum)
     best = {}
     for m, _sign in datum.finite_weyl():
         img = mat_vec(m, mu)
-        length = sum(
-            1
-            for f in datum.pos_roots
-            if _root_negated(datum, f, m)
-        )
+        length = g.finite(m).length()
         if img not in best or length < best[img]:
             best[img] = length
     out = {}
     for length in best.values():
         out[2 * length] = out.get(2 * length, 0) + 1
     return LaurentPoly(out)
-
-
-def _root_negated(datum, f, m):
-    from .rootdata import vec_mat
-
-    return vec_mat(f, m) not in datum.pos_root_set
 
 
 def base_change_consistency(table):

@@ -242,9 +242,6 @@ class RootDatum:
 
     # basic structure -------------------------------------------------
 
-    def simple_roots(self):
-        return tuple(self.pos_roots[i] for i in self.simple_idx)
-
     def simple_coroots(self):
         return tuple(self.pos_coroots[i] for i in self.simple_idx)
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from .affweyl import group
 from .hecke import context
 from .laurent import LaurentPoly, NotExpandable
-from .rootdata import dot, vec_add
+from .rootdata import dot
 
 
 class NotMinimal(ValueError):
@@ -154,7 +154,6 @@ def min_expr_degree_check(factors):
     if not factors:
         raise NotMinimal("empty factor list")
     g = factors[0][0].group
-    hctx = context(g.datum)
     total = 0
     underlying = g.identity
     for el, e in factors:
@@ -167,14 +166,7 @@ def min_expr_degree_check(factors):
             f"factor lengths sum to {total} but the underlying product has "
             f"length {underlying.length()}"
         )
-    h = hctx.T(g.identity)
-    for el, e in factors:
-        if e == 1:
-            h = hctx.mul_T(h, el)
-            h = h.scale(LaurentPoly.v_power(-el.length()))
-        else:
-            h = hctx.mul_T_inv(h, el)
-            h = h.scale(LaurentPoly.v_power(el.length()))
+    h = evaluate_factors(g.datum, factors)
     for x, c in tilde_coefficients(h).items():
         try:
             expansion = c.q_expansion()
@@ -203,10 +195,10 @@ def theta_walk_factors(datum, lam):
     point = tuple(Fraction(c, bound) for c in two_rho_covee)
     factors = [(omega, 1)]
     cur = omega
-    prev_pt = _act_fraction(cur, point)
+    prev_pt = cur.act(point)
     for i in word:
         cur = g.mul_gen(cur, i)
-        cur_pt = _act_fraction(cur, point)
+        cur_pt = cur.act(point)
         sign = None
         for f in datum.pos_roots:
             a = dot(f, prev_pt)
@@ -221,15 +213,6 @@ def theta_walk_factors(datum, lam):
         factors.append((g.simple_reflection(i), sign))
         prev_pt = cur_pt
     return factors
-
-
-def _act_fraction(x, point):
-    """Affine action lambda + wbar(p) on an exact rational point."""
-    moved = tuple(
-        sum(row[k] * point[k] for k in range(len(point)))
-        for row in x.fin
-    )
-    return vec_add(tuple(Fraction(t) for t in x.trans), moved)
 
 
 def evaluate_factors(datum, factors):

@@ -200,7 +200,9 @@ def test_criterion_6_structural(tables):
 
             assert base == central.theta(datum, lam, decomposition=shifted), (fam, lam)
             if small:
-                assert base == central.theta(datum, lam, "shift"), (fam, lam)
+                assert base == central.theta(
+                    datum, lam, central.shifted_dominant_pair
+                ), (fam, lam)
     # property (P) for the trace function, every reference case
     for fam, n, mu, _ in REFERENCE_CASES:
         datum = create(fam, n)

@@ -1,4 +1,5 @@
 import random
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 import pytest
@@ -26,9 +27,9 @@ def test_theta_decomposition_strategies_agree():
         datum = create(fam, n)
         for _ in range(8):
             lam = tuple(rng.randint(-2, 2) for _ in range(dim))
-            assert central.theta(datum, lam, "minimal") == central.theta(
-                datum, lam, "shift"
-            ), (fam, lam)
+            assert central.theta(
+                datum, lam, central.minimal_dominant_pair
+            ) == central.theta(datum, lam, central.shifted_dominant_pair), (fam, lam)
 
 
 def test_theta_independent_of_valid_decomposition():
@@ -205,3 +206,33 @@ def test_z_parallel_merge_matches_serial():
     z1 = central.bernstein_central(datum, (1, 1, 0), jobs=1)
     z2 = central.bernstein_central(datum, (1, 1, 0), jobs=4)
     assert z1 == z2
+
+
+@pytest.mark.parametrize("error", [BrokenProcessPool, OSError], ids=lambda e: e.__name__)
+def test_z_pool_capped_and_failure_falls_back_to_serial(monkeypatch, error):
+    requested = []
+
+    class FailingPool:
+        """Starts no process; records its size and fails like a killed worker."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, args):
+            raise error("a worker was killed")
+
+    datum = create("GL", 3)
+    lam = (1, 1, 0)  # orbit of size 3
+    serial = central.bernstein_central(datum, lam, jobs=1)
+    monkeypatch.setattr(central, "ProcessPoolExecutor", FailingPool)
+    for cpus, jobs, workers in [(4, 2, 2), (4, 8, 3), (2, 8, 2), (None, 8, None), (4, 1, None)]:
+        monkeypatch.setattr(central.os, "cpu_count", lambda n=cpus: n)
+        requested.clear()
+        assert central.bernstein_central(datum, lam, jobs=jobs) == serial
+        assert requested == ([workers] if workers else []), (cpus, jobs)

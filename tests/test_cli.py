@@ -37,6 +37,17 @@ def test_table_nondominant_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("table", "GL3", "--mu", "1,0,0"), ("check", "golden", "GL3", "--mu", "2,2,0")],
+)
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_2(tmp_path, capsys, argv, jobs):
+    code, out, err = run(capsys, *argv, "--jobs", jobs, "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert "--jobs" in err and out == ""
+
+
 def test_table_json_and_csv(tmp_path, capsys):
     code, out, _ = run(
         capsys,

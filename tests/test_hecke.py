@@ -237,8 +237,48 @@ def test_kl_cache_corruption_ignored(tmp_path):
         fh.write("\n".join(content))
     H3 = HeckeContext(create("GL", 3))
     assert KLCache(str(tmp_path)).load_into(H3) == 0
+    # a well-formed record with a wrong value (constant term 2) is rejected
+    tampered = tmp_path / "tampered"
+    H.save_cache(str(tampered))
+    tpath = KLCache(str(tampered)).path(H.datum)
+    lines = open(tpath).read().splitlines()
+    x_enc, w_enc, poly = lines[1].split()
+    assert poly.startswith("1*v^0")
+    lines[1] = f"{x_enc} {w_enc} 2*v^0{poly[len('1*v^0'):]}"
+    with open(tpath, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert KLCache(str(tampered)).load_into(HeckeContext(create("GL", 3))) == 0
     # and computation still works from scratch
     assert H3.kl_poly(G.identity, t) == H.kl_poly(G.identity, t)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda x, w, p, gap: (w, x, p),  # l(x) > l(w)
+        lambda x, w, p, gap: (x, x, "1*v^0"),  # l(x) = l(w)
+        lambda x, w, p, gap: (x, w, p + "+1*v^-2"),  # negative q-power
+        lambda x, w, p, gap: (x, w, p + "+1*v^1"),  # odd v-power
+        lambda x, w, p, gap: (x, w, f"1*v^0+1*v^{gap + gap % 2}"),  # 2 deg_q P >= gap
+    ],
+    ids=["x-longer", "same-length", "negative-power", "odd-power", "degree"],
+)
+def test_kl_cache_rejects_implausible_records(tmp_path, mutate):
+    from affhecke.hecke import HeckeContext
+
+    H = ctx("GL", 3)
+    G = H.group
+    H._kl_column(G.translation((2, 1, 0)))
+    H.save_cache(str(tmp_path))
+    path = KLCache(str(tmp_path)).path(H.datum)
+    lines = open(path).read().splitlines()
+    assert KLCache(str(tmp_path)).load_into(HeckeContext(create("GL", 3))) == len(lines) - 1
+    x_enc, w_enc, poly = lines[-1].split()
+    gap = G.decode(w_enc).length() - G.decode(x_enc).length()
+    lines[-1] = " ".join(mutate(x_enc, w_enc, poly, gap))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert KLCache(str(tmp_path)).load_into(HeckeContext(create("GL", 3))) == 0
 
 
 def test_hecke_element_encoding():
