@@ -17,7 +17,8 @@ permutes the walls of the base alcove; reduced words are written
 x = omega * s_{i_1} ... s_{i_k}.
 
 The Bruhat order extends the Coxeter order coset-wise over Omega and is
-computed by the standard lifting recursion.  The admissible set
+read off cached lower intervals [e, y], built as subword closures of
+canonical reduced words (Bjorner-Brenti, Thm. 2.2.2).  The admissible set
 
     Adm(mu) = {x : x <= t_lambda for some lambda in W mu}
 
@@ -115,7 +116,7 @@ class AffineWeylGroup:
     def __init__(self, datum):
         self.datum = datum
         self._intern = {}
-        self._leq = {}
+        self._intervals = {}
         self._below = {}
         self._adm = {}
         d = datum
@@ -252,58 +253,38 @@ class AffineWeylGroup:
 
     # -- Bruhat order -----------------------------------------------------
 
+    def _interval(self, y):
+        """[e, y] as a frozenset, cached for y and each prefix of its word.
+
+        Canonical words are prefix-closed, so [e, ys.s] = [e, ys] u [e, ys].s
+        builds the interval along the word of y, without recursion.
+        """
+        cache = self._intervals
+        got = cache.get(y)
+        if got is None:
+            z, word = self.reduced_word(y)
+            got = cache.setdefault(z, frozenset((z,)))
+            for i in word:
+                z = self.mul_gen(z, i)
+                got = cache.get(z) or got.union([self.mul_gen(u, i) for u in got])
+                cache[z] = got
+        return got
+
     def leq(self, x, y):
-        """Bruhat order via the lifting recursion; False across Omega-cosets."""
+        """Bruhat order: membership in [e, y]; False across Omega-cosets."""
         if x.group is not y.group:
             raise DatumMismatch("elements from different groups")
         if x is y:
             return True
-        lx, ly = x.length(), y.length()
-        if lx > ly or (lx == ly and x is not y):
+        if x.length() >= y.length() or self.omega_class(x) != self.omega_class(y):
             return False
-        if self.omega_class(x) != self.omega_class(y):
-            return False
-        memo = self._leq
-        stack = []
-        cur = (x, y)
-        while True:
-            val = memo.get(cur)
-            if val is None:
-                cx, cy = cur
-                if cx is cy:
-                    val = True
-                elif cx.length() >= cy.length():
-                    val = False
-                else:
-                    i = self.first_right_descent(cy)
-                    cys = self.mul_gen(cy, i)
-                    cxs = self.mul_gen(cx, i)
-                    nxt = (cxs, cys) if cxs.length() < cx.length() else (cx, cys)
-                    if nxt in memo:
-                        val = memo[nxt]
-                    else:
-                        stack.append(cur)
-                        cur = nxt
-                        continue
-            memo[cur] = val
-            if not stack:
-                return val
-            cur = stack.pop()
+        return x in self._interval(y)
 
     def below(self, y):
-        """All x <= y, sorted by (length, encoding); cached.
-
-        Computed as the subword closure of the canonical reduced word:
-        products of arbitrary subwords of a reduced word sweep out the
-        full lower Bruhat interval.
-        """
+        """The lower interval [e, y], sorted by (length, encoding); cached."""
         got = self._below.get(y)
         if got is None:
-            omega, word = self.reduced_word(y)
-            close = {omega}
-            for i in word:
-                close |= {self.mul_gen(z, i) for z in close}
-            got = tuple(sorted(close, key=self.sort_key))
+            got = tuple(sorted(self._interval(y), key=self.sort_key))
             self._below[y] = got
         return got
 
@@ -319,7 +300,7 @@ class AffineWeylGroup:
         if got is None:
             seen = set()
             for lam in self.datum.weyl_orbit(mu):
-                seen.update(self.below(self.translation(lam)))
+                seen.update(self._interval(self.translation(lam)))
             got = tuple(sorted(seen, key=self.sort_key))
             self._adm[mu] = got
         return got

@@ -34,6 +34,54 @@ def ball(g, radius):
     return sorted(out, key=g.sort_key)
 
 
+def lifting_leq(g, x, y):
+    """x <= y by the lifting property, unmemoised: an oracle for `leq`.
+
+    For a right descent s of y, x <= y iff xs <= ys when s is also a
+    descent of x, and iff x <= ys otherwise (Bjorner-Brenti Prop. 2.2.7).
+    """
+    while x is not y:
+        if x.length() >= y.length():
+            return False
+        i = g.first_right_descent(y)
+        xs = g.mul_gen(x, i)
+        if xs.length() < x.length():
+            x = xs
+        y = g.mul_gen(y, i)
+    return True
+
+
+#: groups and coweights for the sweeps over ball(g, depth) u Adm(mu)
+BRUHAT_CASES = (("GL", 3, (2, 1, 0)), ("GSp", 2, (2, 1, 2)), ("G2", 2, (0, 1)))
+
+
+def bruhat_pool(g, depth, mu):
+    """ball(g, depth) u Adm(mu), sorted: pairs from two Omega-cosets when
+    mu is not in the coroot lattice."""
+    return sorted(set(ball(g, depth)) | set(g.adm(mu)), key=g.sort_key)
+
+
+def bruhat_oracle_checks(depth=5):
+    """`leq` against `lifting_leq` on all pairs of ball(g, depth) u Adm(mu)."""
+    results = []
+    for fam, n, mu in BRUHAT_CASES:
+        g = group(create(fam, n))
+        pool = bruhat_pool(g, depth, mu)
+        bad = cross = 0
+        for y in pool:
+            for x in pool:
+                cross += g.omega_class(x) != g.omega_class(y)
+                bad += g.leq(x, y) != lifting_leq(g, x, y)
+        results.append(
+            (
+                f"bruhat-lifting-vs-interval-{g.datum.label}",
+                bad == 0,
+                f"{len(pool) ** 2} pairs ({cross} across Omega-cosets), {bad} mismatches",
+            )
+        )
+    return results
+
+
 def _r_extraction(hctx, x, y, inv=None):
     """R_{x,y} read off from the expansion of T^{-1}_{y^{-1}}."""
     if inv is None:
@@ -44,7 +92,7 @@ def _r_extraction(hctx, x, y, inv=None):
 
 def oracle_checks(seed=42, depth=5, samples=50):
     """Exact cross-oracle identities on GL_3 and GSp_4."""
-    results = []
+    results = bruhat_oracle_checks(depth)
 
     # (a) R recursion vs bar-expansion extraction, exhaustive in a ball
     for fam, n in (("GL", 3), ("GSp", 2)):

@@ -174,7 +174,8 @@ def cmd_query(args):
     if kind in ("kl", "invkl", "rpoly"):
         if len(args.elements) != 2:
             raise DimensionMismatch(f"query {kind} requires two element arguments")
-        hctx.load_cache(cache)
+        if kind != "rpoly":  # R-polynomials never read P
+            hctx.load_cache(cache)
         x = _parse_element(datum, args.elements[0])
         w = _parse_element(datum, args.elements[1])
         fn = {

@@ -137,11 +137,11 @@ def compute(datum, mu, jobs=1, cache_dir=None):
         )
     ell_mu = g.translation(mu).length()
     adm_desc = tuple(reversed(adm))  # descending length order
-    # leq matrix restricted to Adm
+    # Adm is lower-closed, so the intervals below its elements give every x > w
     above = {w: [] for w in adm}
-    for i, w in enumerate(adm):
-        for x in adm:
-            if x.length() > w.length() and g.leq(w, x):
+    for x in adm:
+        for w in g.below(x):
+            if w is not x:
                 above[w].append(x)
     m_polys = {}
     for w in adm_desc:
@@ -154,12 +154,8 @@ def compute(datum, mu, jobs=1, cache_dir=None):
         m_polys[w] = acc if w.sign() == 1 else -acc
     configs = {}
     for w in adm:
-        counts = [0] * (ell_mu - w.length())
-        for x in above[w]:
-            counts[x.length() - w.length() - 1] += 1
-        while counts and counts[-1] == 0:
-            counts.pop()
-        configs[w] = tuple(counts)
+        gaps = [x.length() - w.length() for x in above[w]]
+        configs[w] = tuple(gaps.count(d) for d in range(1, max(gaps, default=0) + 1))
     if cache_dir:
         hctx.save_cache(cache_dir)
     return MultiplicityTable(datum, mu, adm, ell_mu, m_polys, configs)
@@ -169,11 +165,11 @@ def epsilon_sum_identity(table):
     """For minuscule mu: sum_{w >= x, w in Adm} eps_w = eps_mu for all x."""
     g = group(table.datum)
     eps_mu = -1 if table.ell_mu % 2 else 1
-    for x in table.adm:
-        s = sum(w.sign() for w in table.adm if g.leq(x, w))
-        if s != eps_mu:
-            return False
-    return True
+    sums = dict.fromkeys(table.adm, 0)
+    for w in table.adm:
+        for x in g.below(w):
+            sums[x] += w.sign()
+    return all(s == eps_mu for s in sums.values())
 
 
 def is_minuscule(datum, mu):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from affhecke.affweyl import DatumMismatch, group
+from affhecke import checks
 from affhecke.checks import ball
 from affhecke.rootdata import NotDominant, create, mat_vec
 
@@ -106,6 +107,20 @@ def test_bruhat_vs_subword_oracle():
         for _ in range(150):
             x, y = rng.choice(pool), rng.choice(pool)
             assert G.leq(x, y) == (x in set(G.below(y)))
+
+
+def test_bruhat_vs_lifting_oracle():
+    # leq (interval membership) against the unmemoised lifting recursion
+    results = checks.bruhat_oracle_checks(depth=5)
+    assert [name for name, _, _ in results] == [
+        f"bruhat-lifting-vs-interval-{label}" for label in ("GL3", "GSp4", "G2")
+    ]
+    for name, ok, detail in results:
+        assert ok, (name, detail)
+        assert detail.endswith(", 0 mismatches"), detail
+    # GL3 and GSp4 pools straddle two Omega-cosets
+    for _, _, detail in results[:2]:
+        assert "(0 across" not in detail
 
 
 def test_bruhat_across_omega_cosets():

@@ -181,6 +181,26 @@ def test_check_oracles_quick(capsys):
     assert all(line.startswith("PASS") for line in out.strip().splitlines())
 
 
+def test_query_rpoly_skips_kl_cache(tmp_path, capsys, monkeypatch):
+    from affhecke import hecke
+    from affhecke.rootdata import create
+
+    cache = str(tmp_path)
+    x, y = "t[0,0,0]*w[]", "t[1,0,-1]*w[]"
+    code, _, _ = run(capsys, "query", "kl", "GL3", x, y, "--cache-dir", cache)
+    assert code == 0 and os.listdir(cache)  # the KL cache is not empty
+
+    def fail(cache, hctx):
+        raise AssertionError("query rpoly read the KL cache")
+
+    monkeypatch.setattr(hecke.KLCache, "load_into", fail)
+    code, out, _ = run(capsys, "query", "rpoly", "GL3", x, y, "--cache-dir", cache)
+    assert code == 0
+    H = hecke.HeckeContext(create("GL", 3))
+    r = H.r_poly(H.group.decode(x), H.group.decode(y))
+    assert r and out == r.encode() + "\n"
+
+
 def test_cache_reused_and_rebuilt(tmp_path, capsys):
     cache = str(tmp_path / "klc")
     code, out1, _ = run(capsys, "table", "GL3", "--mu", "2,2,0", "--cache-dir", cache)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from affhecke import checks
 from affhecke.affweyl import group
 from affhecke.checks import ball, _r_extraction
 from affhecke.hecke import KLCache, context
@@ -105,6 +106,24 @@ def test_r_recursion_vs_extraction(fam, n):
     for y in ball(G, 4):
         for x in G.below(y):
             assert H.r_poly(x, y) == _r_extraction(H, x, y)
+
+
+@pytest.mark.parametrize("case", checks.BRUHAT_CASES, ids=["GL3", "GSp4", "G2"])
+def test_r_poly_all_pairs_vs_extraction(case):
+    # every pair, x <= y or not: r_poly decides its zeros without a Bruhat test
+    fam, n, mu = case
+    H = ctx(fam, n)
+    G = H.group
+    pool = checks.bruhat_pool(G, 5, mu)
+    zeros = 0
+    for y in pool:
+        inv = H.inv_T(G.inv(y))
+        for x in pool:
+            r = H.r_poly(x, y)
+            assert r == _r_extraction(H, x, y, inv), (x, y)
+            assert bool(r) == G.leq(x, y), (x, y)
+            zeros += not r
+    assert zeros > 0
 
 
 def test_kl_trivial_gaps():
@@ -276,6 +295,36 @@ def test_kl_cache_rejects_implausible_records(tmp_path, mutate):
     x_enc, w_enc, poly = lines[-1].split()
     gap = G.decode(w_enc).length() - G.decode(x_enc).length()
     lines[-1] = " ".join(mutate(x_enc, w_enc, poly, gap))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert KLCache(str(tmp_path)).load_into(HeckeContext(create("GL", 3))) == 0
+
+
+def test_kl_cache_rejects_record_not_below(tmp_path):
+    # a record whose x is not <= w, though shorter and in the same coset
+    from affhecke.hecke import HeckeContext
+
+    H = ctx("GL", 3)
+    G = H.group
+    H._kl_column(G.translation((2, 1, 0)))
+    H.save_cache(str(tmp_path))
+    path = KLCache(str(tmp_path)).path(H.datum)
+    lines = open(path).read().splitlines()
+    k, (x_enc, w_enc, poly) = max(
+        enumerate(line.split() for line in lines[1:]),
+        key=lambda r: G.decode(r[1][0]).length(),
+    )
+    x, w = G.decode(x_enc), G.decode(w_enc)
+    below_w = set(G.below(w))
+    omega = G.reduced_word(w)[0]
+    x_bad = next(
+        z
+        for z in (G.mul(omega, b) for b in ball(G, x.length() - 1))
+        if z not in below_w
+    )
+    assert x_bad.length() < x.length()
+    assert G.omega_class(x_bad) == G.omega_class(w)
+    lines[k + 1] = f"{x_bad.encode()} {w_enc} {poly}"
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     assert KLCache(str(tmp_path)).load_into(HeckeContext(create("GL", 3))) == 0
