@@ -2,7 +2,15 @@
 
 Elements are stored in the canonical form t_lambda * wbar with lambda a
 coweight and wbar a finite Weyl matrix, so (lambda, wbar) is a unique
-key.  The Coxeter structure is taken with respect to the dominant base
+key.  Each group indexes its finite Weyl matrices lazily: a matrix gets
+an integer id the first time it appears, and per-id tables hold its
+positive-root inversion flags, wbar(theta^vee), its inverse and its
+products with each generator on either side, each computed on first
+lookup.  The group law, lengths and encodings read these tables instead
+of multiplying matrices, and elements are interned on (lambda, id).  Ids
+follow the order of first appearance, so they differ between processes:
+pickles carry the matrix, never the id, and no output depends on them.
+The Coxeter structure is taken with respect to the dominant base
 alcove {0 < <alpha, x> < 1 for all positive roots alpha}: the simple
 affine reflections are the finite simple reflections s_1..s_r together
 with s_0 = t_{theta^vee} s_theta for the highest root theta.  Lengths
@@ -44,19 +52,27 @@ class DatumMismatch(ValueError):
 
 
 class AffineWeylElement:
-    """t_lambda * wbar; hashable, immutable, interned per group."""
+    """t_lambda * wbar; hashable, immutable, interned per group.
 
-    __slots__ = ("group", "trans", "fin", "_len", "_rdesc", "_hash", "_word", "_enc")
+    `fin` is the matrix of wbar and `_fi` its id in the group's finite
+    Weyl index; ids are private to one process, so equality, hashing and
+    interning key on (trans, _fi) but pickling carries the matrix.
+    """
 
-    def __init__(self, group, trans, fin):
+    __slots__ = (
+        "group", "trans", "fin", "_fi", "_len", "_rdesc", "_hash", "_word", "_enc"
+    )
+
+    def __init__(self, group, trans, fi):
         self.group = group
         self.trans = trans
-        self.fin = fin
+        self.fin = group._fmat[fi]
+        self._fi = fi
         self._len = None
         self._rdesc = None
         self._word = None
         self._enc = None
-        self._hash = hash((trans, fin))
+        self._hash = hash((trans, fi))
 
     def __hash__(self):
         return self._hash
@@ -68,8 +84,8 @@ class AffineWeylElement:
             return NotImplemented
         return (
             self.group is other.group
+            and self._fi == other._fi
             and self.trans == other.trans
-            and self.fin == other.fin
         )
 
     def __mul__(self, other):
@@ -80,7 +96,7 @@ class AffineWeylElement:
 
     def length(self):
         if self._len is None:
-            self._len = self.group._length(self.trans, self.fin)
+            self._len = self.group._length(self.trans, self._fi)
         return self._len
 
     def sign(self):
@@ -119,6 +135,7 @@ class AffineWeylGroup:
         self._intervals = {}
         self._below = {}
         self._adm = {}
+        self._weyl = None
         d = datum
         zero = (0,) * d.dim
         # generator 0 is the affine reflection through <theta, x> = 1
@@ -129,79 +146,125 @@ class AffineWeylGroup:
         for i, s in enumerate(d.simple_reflections):
             self.gens.append((zero, s))
         self.n_gens = len(self.gens)
-        self.identity = self.element(zero, d.identity)
-        self._inv_mat = {d.identity: d.identity}
+        # the finite Weyl index: id k stands for the matrix _fmat[k]; every
+        # per-id list grows when a matrix is first seen, and the products
+        # and inverses are filled in on their first lookup
+        self._fmat = []
+        self._fidx = {}
+        self._pos_img = []  # [f.wbar > 0 for f in pos_roots]
+        self._g0 = []  # wbar(theta^vee), the translation part of wbar * s_0
+        self._finv = []
+        self._rmul = [[] for _ in range(self.n_gens)]  # id of wbar * s_i
+        self._lmul = [[] for _ in range(self.n_gens)]  # id of s_i * wbar
+        self.identity = self._make(zero, self._fid(d.identity))
+
+    # -- the finite Weyl index ---------------------------------------------
+
+    def _fid(self, m):
+        """The id of the finite Weyl matrix m, registered on first sight."""
+        k = self._fidx.get(m)
+        if k is None:
+            d = self.datum
+            k = len(self._fmat)
+            self._fidx[m] = k
+            self._fmat.append(m)
+            pos = d.pos_root_set
+            self._pos_img.append(tuple(vec_mat(f, m) in pos for f in d.pos_roots))
+            self._g0.append(mat_vec(m, self.gens[0][0]))
+            self._finv.append(None)
+            for row in self._rmul:
+                row.append(None)
+            for row in self._lmul:
+                row.append(None)
+        return k
+
+    def _fin_right(self, k, i):
+        """The id of _fmat[k] * s_i."""
+        j = self._rmul[i][k]
+        if j is None:
+            j = self._rmul[i][k] = self._fid(mat_mul(self._fmat[k], self.gens[i][1]))
+        return j
+
+    def _fin_len(self, k):
+        return self._pos_img[k].count(False)
 
     # -- construction --------------------------------------------------
 
-    def element(self, trans, fin):
-        key = (trans, fin)
+    def _make(self, trans, fi):
+        key = (trans, fi)
         el = self._intern.get(key)
         if el is None:
-            el = AffineWeylElement(self, trans, fin)
-            self._intern[key] = el
+            el = self._intern[key] = AffineWeylElement(self, trans, fi)
         return el
 
+    def element(self, trans, fin):
+        """t_trans * fin; fin must be a matrix of the finite Weyl group."""
+        trans = self.datum.check_coweight(trans)
+        k = self._fidx.get(fin)
+        if k is None:
+            if self._weyl is None:
+                self._weyl = frozenset(m for m, _sign in self.datum.finite_weyl())
+            if fin not in self._weyl:
+                raise ValueError(
+                    f"{fin!r} is not in the finite Weyl group of {self.datum.label}"
+                )
+            k = self._fid(fin)
+        return self._make(trans, k)
+
     def translation(self, lam):
-        lam = self.datum.check_coweight(lam)
-        return self.element(lam, self.datum.identity)
+        return self._make(self.datum.check_coweight(lam), 0)
 
     def finite(self, mat):
         return self.element((0,) * self.datum.dim, mat)
 
     def simple_reflection(self, i):
         gamma, s = self.gens[i]
-        return self.element(gamma, s)
+        return self._make(gamma, self._fid(s))
 
     # -- group law -------------------------------------------------------
 
     def mul(self, a, b):
         if a.group is not b.group:
             raise DatumMismatch("elements from different groups")
-        return self.element(
-            vec_add(a.trans, mat_vec(a.fin, b.trans)), mat_mul(a.fin, b.fin)
+        return self._make(
+            vec_add(a.trans, mat_vec(a.fin, b.trans)),
+            self._fid(mat_mul(a.fin, b.fin)),
         )
 
     def mul_gen(self, a, i):
         """a * s_i without building the generator element."""
-        gamma, s = self.gens[i]
-        if i == 0:
-            tr = vec_add(a.trans, mat_vec(a.fin, gamma))
-        else:
-            tr = a.trans
-        return self.element(tr, mat_mul(a.fin, s))
+        k = a._fi
+        j = self._rmul[i][k]
+        if j is None:
+            j = self._fin_right(k, i)
+        return self._make(vec_add(a.trans, self._g0[k]) if i == 0 else a.trans, j)
 
     def gen_mul(self, i, a):
         """s_i * a."""
         gamma, s = self.gens[i]
-        return self.element(
-            vec_add(gamma, mat_vec(s, a.trans)), mat_mul(s, a.fin)
-        )
-
-    def _fin_inv(self, m):
-        inv = self._inv_mat.get(m)
-        if inv is None:
-            inv = mat_inv(m)
-            self._inv_mat[m] = inv
-        return inv
+        k = a._fi
+        j = self._lmul[i][k]
+        if j is None:
+            j = self._lmul[i][k] = self._fid(mat_mul(s, self._fmat[k]))
+        return self._make(vec_add(gamma, mat_vec(s, a.trans)), j)
 
     def inv(self, a):
-        minv = self._fin_inv(a.fin)
-        return self.element(vec_scale(mat_vec(minv, a.trans), -1), minv)
+        k = a._fi
+        j = self._finv[k]
+        if j is None:
+            j = self._finv[k] = self._fid(mat_inv(self._fmat[k]))
+            self._finv[j] = k
+        return self._make(vec_scale(mat_vec(self._fmat[j], a.trans), -1), j)
 
     # -- length and descents -----------------------------------------------
 
-    def _length(self, trans, fin):
-        d = self.datum
+    def _length(self, trans, fi):
         total = 0
-        pos = d.pos_root_set
-        for f in d.pos_roots:
+        for f, pos in zip(self.datum.pos_roots, self._pos_img[fi]):
             c = dot(f, trans)
-            if vec_mat(f, fin) in pos:
-                total += c if c >= 0 else -c
-            else:
+            if not pos:
                 c -= 1
-                total += c if c >= 0 else -c
+            total += c if c >= 0 else -c
         return total
 
     def right_descents(self, x):
@@ -315,14 +378,17 @@ class AffineWeylGroup:
         """Canonical text form "t[coords]*w[word]" with a finite reduced word."""
         if x._enc is not None:
             return x._enc
+        # strip the smallest finite right descent of wbar until it is e (id 0)
         fin_word = []
-        ident = self.datum.identity
-        y = self.finite(x.fin)
-        while y.fin != ident:
-            ds = self.right_descents(y)
-            i = next(d for d in ds if d != 0)
+        k = x._fi
+        while k:
+            n = self._fin_len(k)
+            for i in range(1, self.n_gens):
+                j = self._fin_right(k, i)
+                if self._fin_len(j) < n:
+                    break
             fin_word.append(i)
-            y = self.mul_gen(y, i)
+            k = j
         fin_word.reverse()
         lam = ",".join(str(c) for c in x.trans)
         word = ".".join(f"s{i}" for i in fin_word)

@@ -13,7 +13,17 @@ from . import central, multiplicity, wakimoto
 from .affweyl import group
 from .hecke import context
 from .laurent import LaurentPoly
-from .rootdata import create
+from .rootdata import (
+    create,
+    dot,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    parse_group,
+    vec_add,
+    vec_mat,
+    vec_scale,
+)
 
 
 def ball(g, radius):
@@ -82,6 +92,129 @@ def bruhat_oracle_checks(depth=5):
     return results
 
 
+#: groups for the finite-index sweep, each with a dominant regular and a
+#: non-dominant translation besides 0
+FINITE_INDEX_CASES = (
+    ("GL", 4, (3, 2, 1, 0), (0, 2, -1, 1)),
+    ("GSp", 3, (3, 2, 1, 0), (0, 2, -1, 1)),
+    ("G2", 2, (1, 1), (-1, 2)),
+)
+
+
+def matrix_length(datum, trans, fin):
+    """l(t_trans fin) by Iwahori-Matsumoto with vec_mat, no index."""
+    total = 0
+    for f in datum.pos_roots:
+        c = dot(f, trans)
+        if vec_mat(f, fin) not in datum.pos_root_set:
+            c -= 1
+        total += abs(c)
+    return total
+
+
+def finite_index_checks():
+    """The indexed group law against plain matrix arithmetic.
+
+    For every finite Weyl matrix m, translation lam of the case and
+    generator i, x = t_lam m is compared with x * s_i, s_i * x and x^{-1}
+    as (translation, matrix) pairs: the elements must be the interned ones
+    for those pairs, and their lengths the Iwahori-Matsumoto lengths.
+    """
+    results = []
+    for fam, n, regular, other in FINITE_INDEX_CASES:
+        d = create(fam, n)
+        g = group(d)
+        zero = (0,) * d.dim
+        theta_covee = d.highest_coroot()
+        gens = [(theta_covee, d.reflection(d.highest_root(), theta_covee))]
+        gens += [(zero, s) for s in d.simple_reflections]
+        bad = cases = 0
+        for m, _sign in d.finite_weyl():
+            m_inv = mat_inv(m)
+            for lam in (zero, regular, other):
+                x = g.element(lam, m)
+                # (element, its translation, its matrix) by plain arithmetic
+                want = [(x, lam, m)]
+                want.append((g.inv(x), vec_scale(mat_vec(m_inv, lam), -1), m_inv))
+                for i, (gamma, s) in enumerate(gens):
+                    want.append(
+                        (g.mul_gen(x, i), vec_add(lam, mat_vec(m, gamma)), mat_mul(m, s))
+                    )
+                    want.append(
+                        (g.gen_mul(i, x), vec_add(gamma, mat_vec(s, lam)), mat_mul(s, m))
+                    )
+                for y, trans, fin in want:
+                    cases += 1
+                    bad += (
+                        y.trans != trans
+                        or y.fin != fin
+                        or y is not g.element(trans, fin)
+                        or y.length() != matrix_length(d, trans, fin)
+                    )
+        results.append(
+            (
+                f"finite-index-vs-matrix-{d.label}",
+                bad == 0,
+                f"{cases} elements from {len(d.finite_weyl())} finite Weyl matrices, "
+                f"{bad} mismatches",
+            )
+        )
+    return results
+
+
+def longest_in_double_coset(g, lam):
+    """n_lambda: the longest element u t_lambda v over finite u, v (it is unique)."""
+    t = g.translation(lam)
+    fins = [g.finite(m) for m, _sign in g.datum.finite_weyl()]
+    return max((u * t * v for u in fins for v in fins), key=lambda x: x.length())
+
+
+#: (group, mu) for the q-analogue sweep
+Q_ANALOGUE_CASES = (
+    ("GL3", "2,1,0"),
+    ("GL3", "3,0,0"),
+    ("GSp4", "2,2,0,0"),
+    ("G2", "1,0"),
+    ("GL4", "2,1,1,0"),
+)
+
+
+def q_analogue_checks():
+    """P_{n_lambda, n_mu} against the dual weight multiplicities.
+
+    For dominant lambda <= mu, P_{n_lambda, n_mu} is Lusztig's q-analogue of
+    the weight multiplicity m_mu(lambda) (Lusztig 1983, Kato 1982): a
+    polynomial in q with constant term 1, nonnegative coefficients and
+    P(1) = m_mu(lambda), the last computed by the Freudenthal recursion.
+    """
+    results = []
+    for label, text in Q_ANALOGUE_CASES:
+        d = parse_group(label)
+        mu = d.parse_coweight(text)
+        hctx = context(d)
+        g = hctx.group
+        n_mu = longest_in_double_coset(g, mu)
+        lams = d.dominant_below(mu)
+        bad = 0
+        for lam in lams:
+            p = hctx.kl_poly(longest_in_double_coset(g, lam), n_mu)
+            bad += not (
+                p.is_q_polynomial()
+                and p.q_coeff(0) == 1
+                and all(c >= 0 for c in p.terms.values())
+                and p.eval_at("v=1") == d.weight_multiplicity(mu, lam)
+            )
+        results.append(
+            (
+                f"q-analogue-{label}-{text}",
+                bad == 0,
+                f"{len(lams)} dominant lambda <= mu, l(n_mu) = {n_mu.length()}, "
+                f"{bad} mismatches",
+            )
+        )
+    return results
+
+
 def _r_extraction(hctx, x, y, inv=None):
     """R_{x,y} read off from the expansion of T^{-1}_{y^{-1}}."""
     if inv is None:
@@ -91,8 +224,8 @@ def _r_extraction(hctx, x, y, inv=None):
 
 
 def oracle_checks(seed=42, depth=5, samples=50):
-    """Exact cross-oracle identities on GL_3 and GSp_4."""
-    results = bruhat_oracle_checks(depth)
+    """Exact cross-oracle identities, mostly on GL_3 and GSp_4."""
+    results = bruhat_oracle_checks(depth) + finite_index_checks()
 
     # (a) R recursion vs bar-expansion extraction, exhaustive in a ball
     for fam, n in (("GL", 3), ("GSp", 2)):
@@ -194,7 +327,7 @@ def oracle_checks(seed=42, depth=5, samples=50):
             if c.eval_at("v=1") != hctx.inv_kl_poly(w, t).eval_at("v=1"):
                 bad += 1
     results.append(("theta-q1-specialisation", bad == 0, f"{bad} mismatches"))
-    return results
+    return results + q_analogue_checks()
 
 
 def property_checks(datum, mu, jobs=1, cache_dir=None):

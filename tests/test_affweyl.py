@@ -1,11 +1,18 @@
+import os
+import pathlib
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
+from affhecke import affweyl, checks
 from affhecke.affweyl import DatumMismatch, group
-from affhecke import checks
 from affhecke.checks import ball
-from affhecke.rootdata import NotDominant, create, mat_vec
+from affhecke.rootdata import DimensionMismatch, NotDominant, create, mat_vec
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def gl(n):
@@ -227,3 +234,94 @@ def test_deterministic_ordering():
     keys = [G.sort_key(x) for x in adm]
     assert keys == sorted(keys)
     assert adm[0].length() == 0  # the base element comes first
+
+
+def test_finite_index_vs_matrix_oracle():
+    results = checks.finite_index_checks()
+    assert [name for name, _, _ in results] == [
+        f"finite-index-vs-matrix-{label}" for label in ("GL4", "GSp6", "G2")
+    ]
+    for name, ok, detail in results:
+        assert ok, (name, detail)
+        assert detail.endswith(", 0 mismatches"), detail
+    # the sweep's translations are a dominant regular and a non-dominant one
+    for fam, n, regular, other in checks.FINITE_INDEX_CASES:
+        datum = create(fam, n)
+        assert all(datum.pair(f, regular) > 0 for f in datum.pos_roots)
+        assert not datum.is_dominant(other)
+
+
+def test_index_fills_each_table_cell_once(monkeypatch):
+    # Adm, encode and decode read the finite Weyl index: at most one
+    # mat_mul per cell of the left and right generator tables
+    calls = []
+    real = affweyl.mat_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(affweyl, "mat_mul", counting)
+    datum = create("GL", 4)
+    G = affweyl.AffineWeylGroup(datum)
+    adm = G.adm((2, 1, 1, 0))
+    for x in adm:
+        assert G.decode(G.encode(x)) is x
+    assert 0 < len(calls) <= 2 * G.n_gens * len(datum.finite_weyl())
+
+
+def test_pickle_returns_the_interned_element():
+    for G in (gl(3), group(create("GSp", 2)), group(create("G2", 2))):
+        for x in ball(G, 3):
+            assert pickle.loads(pickle.dumps(x)) is x
+
+
+CHILD = """
+import pickle, sys
+from affhecke.affweyl import group
+from affhecke.rootdata import create
+for fam, n in (("GL", 3), ("GSp", 2), ("G2", 2)):
+    datum = create(fam, n)
+    for m, _sign in reversed(datum.finite_weyl()):
+        group(datum).finite(m)
+for x in pickle.loads(sys.stdin.buffer.read()):
+    print(x._fi, x.encode())
+"""
+
+
+def test_pickle_carries_the_matrix_across_processes():
+    # a fresh process numbers the finite Weyl matrices in another order,
+    # so an element must travel as its matrix, not as its id
+    pool = []
+    for G in (gl(3), group(create("GSp", 2)), group(create("G2", 2))):
+        pool += ball(G, 4)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD],
+        input=pickle.dumps(pool),
+        capture_output=True,
+        env=env,
+        check=True,
+    ).stdout.decode()
+    rows = [line.split(" ", 1) for line in out.splitlines()]
+    assert [enc for _, enc in rows] == [x.encode() for x in pool]
+    assert any(int(fi) != x._fi for (fi, _), x in zip(rows, pool))
+
+
+def test_element_rejects_non_weyl_matrix_and_wrong_length():
+    G = gl(3)
+    known = len(G._fmat)
+    shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    for make in (lambda: G.element((0, 0, 0), shear), lambda: G.finite(shear)):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert not isinstance(info.value, DimensionMismatch)
+    assert len(G._fmat) == known
+    ident = create("GL", 3).identity
+    for trans in ((0, 0), (1, 0, 0, 0)):
+        with pytest.raises(DimensionMismatch):
+            G.element(trans, ident)
+    assert G.element((0, 0, 0), ident) is G.identity

@@ -336,3 +336,24 @@ def test_hecke_element_encoding():
     h = H.T_tilde(G.translation((1, 0, 0)))
     enc = h.encode()
     assert H.from_encoding(enc) == h
+
+
+def test_lusztig_q_analogue_oracle():
+    results = checks.q_analogue_checks()
+    assert [name for name, _, _ in results] == [
+        "q-analogue-GL3-2,1,0",
+        "q-analogue-GL3-3,0,0",
+        "q-analogue-GSp4-2,2,0,0",
+        "q-analogue-G2-1,0",
+        "q-analogue-GL4-2,1,1,0",
+    ]
+    for name, ok, detail in results:
+        assert ok, (name, detail)
+        assert detail.endswith(", 0 mismatches"), detail
+    # the zero weight of the adjoint representation of PGL_3: m(q) = q + q^2
+    # (the exponents 1, 2), so P = q^2 m(1/q) = 1 + q
+    H = ctx()
+    n_lam, n_mu = (
+        checks.longest_in_double_coset(H.group, lam) for lam in ((1, 1, 1), (2, 1, 0))
+    )
+    assert H.kl_poly(n_lam, n_mu) == ONE + Q
