@@ -7,9 +7,10 @@ For a coweight lambda, the Bernstein function is
 for any decomposition lambda = lambda_1 - lambda_2 with both parts
 dominant (the result does not depend on the choice; T~_x = q_x^{-1/2} T_x).
 Summing over a Weyl orbit gives the central element
-z_lambda = sum_{nu in W lambda} Theta_nu, and the semisimple Frobenius
-trace of the nearby cycles on the local model attached to a dominant mu
-is the Kottwitz-conjecture function
+z_lambda = sum_{nu in W lambda} Theta_nu, added serially in orbit order
+(the orbit sums are too small to pay for worker processes).  The
+semisimple Frobenius trace of the nearby cycles on the local model
+attached to a dominant mu is the Kottwitz-conjecture function
 
     eps_mu q_mu^{1/2} sum_{lambda <= mu dominant} m_mu(lambda) z_lambda,
 
@@ -23,13 +24,8 @@ obeys g_y = eps_d eps_y q^{-d} q_y^{-1} bar(g_y) coefficientwise.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-
-from . import rootdata
 from .affweyl import group
-from .hecke import HeckeElement, context
+from .hecke import context
 from .laurent import LaurentPoly
 from .rootdata import vec_add, vec_scale, vec_sub
 
@@ -113,40 +109,16 @@ def theta(datum, lam, decomposition=minimal_dominant_pair):
     return h.scale(LaurentPoly.v_power(t2.length() - t1.length()))
 
 
-def _theta_terms(args):
-    """Worker: the T-coefficients of Theta_nu (elements re-intern on unpickling)."""
-    family, rank, nu = args
-    return theta(rootdata.create(family, rank), nu).terms
-
-
-def bernstein_central(datum, lam, jobs=1):
-    """z_lambda = sum_{nu in W lambda} Theta_nu; lam must be dominant.
-
-    The orbit summands are independent; with jobs > 1 they are computed
-    in min(jobs, |W lambda|, CPU count) worker processes, and a pool that
-    cannot start or loses a worker falls back to the serial sum.  Either
-    way one loop adds the summands in orbit order, so the result is
-    identical for every parallelism degree.
-    """
+def bernstein_central(datum, lam):
+    """z_lambda = sum_{nu in W lambda} Theta_nu in orbit order; lam must be dominant."""
     lam = datum.require_dominant(lam)
-    hctx = context(datum)
-    orbit = datum.weyl_orbit(lam)
-    parts = (theta(datum, nu).terms for nu in orbit)
-    workers = min(jobs, len(orbit), os.cpu_count() or 1)
-    if workers > 1:
-        args = [(datum.family, datum.rank, nu) for nu in orbit]
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_theta_terms, args))
-        except (BrokenProcessPool, OSError):
-            pass  # keep the serial generator
-    out = hctx.zero()
-    for terms in parts:
-        out = out + HeckeElement(hctx, terms)
+    out = context(datum).zero()
+    for nu in datum.weyl_orbit(lam):
+        out = out + theta(datum, nu)
     return out
 
 
-def kottwitz_function(datum, mu, jobs=1):
+def kottwitz_function(datum, mu):
     """The trace function eps_mu q_mu^{1/2} sum_{lam <= mu} m_mu(lam) z_lam.
 
     Every T-coefficient lies in Z[q, q^{-1}]; the support is Adm(mu).
@@ -159,7 +131,7 @@ def kottwitz_function(datum, mu, jobs=1):
     for lam in datum.dominant_below(mu):
         m = datum.weight_multiplicity(mu, lam)
         if m:
-            acc = acc + bernstein_central(datum, lam, jobs=jobs).scale(m)
+            acc = acc + bernstein_central(datum, lam).scale(m)
     sign = -1 if ell % 2 else 1
     return acc.scale(LaurentPoly.v_power(ell, sign))
 

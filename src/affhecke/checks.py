@@ -223,78 +223,57 @@ def _r_extraction(hctx, x, y, inv=None):
     return inv.coeff(x).scale(sign).shift(2 * y.length())
 
 
-def oracle_checks(seed=42, depth=5, samples=50):
-    """Exact cross-oracle identities, mostly on GL_3 and GSp_4."""
-    results = bruhat_oracle_checks(depth) + finite_index_checks()
-
-    # (a) R recursion vs bar-expansion extraction, exhaustive in a ball
+def r_recursion_checks(depth):
+    """R recursion against the bar-expansion extraction, every x <= y with
+    l(y) <= depth, on GL_3 and GSp_4."""
+    results = []
     for fam, n in (("GL", 3), ("GSp", 2)):
-        datum = create(fam, n)
-        g = group(datum)
-        hctx = context(datum)
-        bad = 0
-        pairs = 0
+        hctx = context(create(fam, n))
+        g = hctx.group
+        pairs = bad = 0
         for y in ball(g, depth):
             inv = hctx.inv_T(g.inv(y))
             for x in g.below(y):
                 pairs += 1
-                if hctx.r_poly(x, y) != _r_extraction(hctx, x, y, inv):
-                    bad += 1
-        results.append(
-            (
-                f"r-recursion-vs-extraction-{datum.label}",
-                bad == 0,
-                f"{pairs} pairs with l(y) <= {depth}, {bad} mismatches",
-            )
-        )
+                bad += hctx.r_poly(x, y) != _r_extraction(hctx, x, y, inv)
+        detail = f"{pairs} pairs with l(y) <= {depth}, {bad} mismatches"
+        results.append((f"r-recursion-vs-extraction-{g.datum.label}", bad == 0, detail))
+    return results
 
-    # (b,c,d) P*Q inversion, the inverse-KL recursion, and sum Q R = q^... Q(1/q)
-    for fam, n, mu in (("GL", 3, (1, 1, 0)), ("GSp", 2, (1, 1, 1))):
-        datum = create(fam, n)
-        g = group(datum)
-        hctx = context(datum)
-        adm = g.adm(mu)
-        bad_inv = bad_rec = bad_sum = 0
-        for w in adm:
-            bel = [z for z in g.below(w)]
-            for x in bel:
-                acc = LaurentPoly.zero()
-                rec = LaurentPoly.zero()
-                qr = LaurentPoly.zero()
-                for z in bel:
-                    if not g.leq(x, z):
-                        continue
-                    sgn = 1 if (z.length() - x.length()) % 2 == 0 else -1
-                    acc = acc + (hctx.kl_poly(x, z) * hctx.inv_kl_poly(z, w)).scale(sgn)
-                    rec = rec + hctx.r_poly(z, w) * hctx.inv_kl_poly(x, z)
-                    qr = qr + hctx.inv_kl_poly(x, z) * hctx.r_poly(z, w)
-                want = LaurentPoly.one() if x is w else LaurentPoly.zero()
-                if acc != want:
-                    bad_inv += 1
-                gap = 2 * (w.length() - x.length())
-                if rec != hctx.inv_kl_poly(x, w).bar().shift(gap):
-                    bad_rec += 1
-                if qr != hctx.inv_kl_poly(x, w).bar().shift(gap):
-                    bad_sum += 1
-        label = datum.label
-        results.append(
-            (f"pq-inversion-{label}", bad_inv == 0, f"{bad_inv} mismatches on Adm closure")
-        )
-        results.append(
-            (f"invkl-recursion-{label}", bad_rec == 0, f"{bad_rec} mismatches")
-        )
-        results.append(
-            (f"sum-QR-identity-{label}", bad_sum == 0, f"{bad_sum} mismatches")
-        )
 
-    # (e) Wakimoto closed form vs Hecke product
-    rng = random.Random(seed)
-    total = 0
-    bad = 0
+def sum_qr_checks():
+    """sum_{w<=x<=y} Q_{w,x} R_{x,y} = q^{l(y)-l(w)} bar(Q_{w,y}) for all
+    w <= y below the first length-6 element of ball(g, 6), GL_3 and GSp_4."""
+    results = []
     for fam, n in (("GL", 3), ("GSp", 2)):
-        datum = create(fam, n)
-        g = group(datum)
-        pool = ball(g, 4)
+        hctx = context(create(fam, n))
+        g = hctx.group
+        y0 = next(y for y in ball(g, 6) if y.length() == 6)
+        bel = g.below(y0)
+        pairs = bad = 0
+        for w in bel:
+            for y in bel:
+                if not g.leq(w, y):
+                    continue
+                acc = LaurentPoly.zero()
+                for x in bel:
+                    if g.leq(w, x) and g.leq(x, y):
+                        acc = acc + hctx.inv_kl_poly(w, x) * hctx.r_poly(x, y)
+                gap = 2 * (y.length() - w.length())
+                bad += acc != hctx.inv_kl_poly(w, y).bar().shift(gap)
+                pairs += 1
+        detail = f"{pairs} pairs below {y0.encode()}, {bad} mismatches"
+        results.append((f"sum-QR-identity-{g.datum.label}", bad == 0, detail))
+    return results
+
+
+def wakimoto_checks(seed, samples):
+    """The Wakimoto closed form against the Hecke product, on `samples`
+    random pairs (v, w) from ball(g, 4) with l(v) + l(w) <= 8 per family."""
+    rng = random.Random(seed)
+    total = bad = 0
+    for fam, n in (("GL", 3), ("GSp", 2)):
+        pool = ball(group(create(fam, n)), 4)
         done = 0
         while done < samples:
             v = rng.choice(pool)
@@ -303,13 +282,43 @@ def oracle_checks(seed=42, depth=5, samples=50):
                 continue
             raw, _ = wakimoto.wakimoto_function(v, w)
             for x, c in wakimoto.tilde_coefficients(raw).items():
-                if c != wakimoto.rv_poly_laurent(v, w, x):
-                    bad += 1
+                bad += c != wakimoto.rv_poly_laurent(v, w, x)
             done += 1
         total += done
-    results.append(
-        ("wakimoto-closed-form", bad == 0, f"{total} random (v,w) pairs, {bad} mismatches")
-    )
+    detail = f"{total} random (v,w) pairs, {bad} mismatches"
+    return [("wakimoto-closed-form", bad == 0, detail)]
+
+
+def oracle_checks(seed=42, depth=5, samples=50):
+    """Exact cross-oracle identities, mostly on GL_3 and GSp_4."""
+    results = bruhat_oracle_checks(depth) + finite_index_checks()
+    results += r_recursion_checks(depth)
+
+    # P*Q inversion and the inverse-KL recursion on Adm closures
+    for fam, n, mu in (("GL", 3, (1, 1, 0)), ("GSp", 2, (1, 1, 1))):
+        hctx = context(create(fam, n))
+        g = hctx.group
+        bad_inv = bad_rec = 0
+        for w in g.adm(mu):
+            bel = g.below(w)
+            for x in bel:
+                acc = LaurentPoly.zero()
+                rec = LaurentPoly.zero()
+                for z in bel:
+                    if not g.leq(x, z):
+                        continue
+                    sgn = 1 if (z.length() - x.length()) % 2 == 0 else -1
+                    acc = acc + (hctx.kl_poly(x, z) * hctx.inv_kl_poly(z, w)).scale(sgn)
+                    rec = rec + hctx.r_poly(z, w) * hctx.inv_kl_poly(x, z)
+                bad_inv += acc != (LaurentPoly.one() if x is w else LaurentPoly.zero())
+                gap = 2 * (w.length() - x.length())
+                bad_rec += rec != hctx.inv_kl_poly(x, w).bar().shift(gap)
+        label = g.datum.label
+        results.append(
+            (f"pq-inversion-{label}", bad_inv == 0, f"{bad_inv} mismatches on Adm closure")
+        )
+        results.append((f"invkl-recursion-{label}", bad_rec == 0, f"{bad_rec} mismatches"))
+    results += sum_qr_checks() + wakimoto_checks(seed, samples)
 
     # q = 1 specialisation: a_w(1) = Q_{w, t_lambda}(1)
     bad = 0
@@ -330,9 +339,9 @@ def oracle_checks(seed=42, depth=5, samples=50):
     return results + q_analogue_checks()
 
 
-def property_checks(datum, mu, jobs=1, cache_dir=None):
+def property_checks(datum, mu, cache_dir=None):
     """Empirical table properties for one (group, mu) case."""
-    table = multiplicity.compute(datum, mu, jobs=jobs, cache_dir=cache_dir)
+    table = multiplicity.compute(datum, mu, cache_dir=cache_dir)
     _, summary = table.property_report()
     results = [
         ("observation-A-degree-bound", summary["degree_bound"], ""),
@@ -420,13 +429,13 @@ def normalize_table(text):
     return tuple(lines)
 
 
-def golden_check(datum, mu, jobs=1, cache_dir=None):
+def golden_check(datum, mu, cache_dir=None):
     golden = golden_text(datum, mu)
     if golden is None:
         raise KeyError(
             f"no golden table for {datum.label} mu={datum.format_coweight(mu)}"
         )
-    table = multiplicity.compute(datum, mu, jobs=jobs, cache_dir=cache_dir)
+    table = multiplicity.compute(datum, mu, cache_dir=cache_dir)
     text = multiplicity.render_text(table)
     ok = normalize_table(text) == normalize_table(golden)
     return [

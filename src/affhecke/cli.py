@@ -8,8 +8,10 @@ query   KIND GROUP ...      single objects: adm, kl, invkl, rpoly, theta,
 check   SUITE ...           properties | oracles | golden
 
 Exit codes: 0 success, 2 usage or parse error, 3 failed check or internal
-invariant violation.  All output is deterministic: fixed orderings, no
-dependence on the parallelism degree.
+invariant violation.  All output is deterministic: the computation is
+serial and every ordering is fixed.  `table` and `check` accept
+`--jobs N` (N at least 1) for compatibility; it does not change the
+computation.
 """
 
 from __future__ import annotations
@@ -34,14 +36,14 @@ from .wakimoto import wakimoto_function
 
 DEFAULT_CACHE = "./.klcache"
 CACHE_ENV_VAR = "AFFHECKE_CACHE_DIR"
+JOBS_HELP = "accepted for compatibility (at least 1); does not change the computation"
 
 
 @dataclass
 class RunConfig:
     """Everything that determines the emitted artifact; echoed into JSON
-    outputs.  The parallelism degree is deliberately excluded: artifacts
-    are identical for every degree, and the header only records inputs
-    that could change the result."""
+    outputs.  `--jobs` is excluded: it does not change the computation,
+    and the header only records inputs that could change the result."""
 
     command: str
     group: str
@@ -85,7 +87,7 @@ def cmd_table(args):
     datum = parse_group(args.group)
     mu = datum.parse_coweight(args.mu)
     cache = _cache_dir(args)
-    table = multiplicity.compute(datum, mu, jobs=args.jobs, cache_dir=cache)
+    table = multiplicity.compute(datum, mu, cache_dir=cache)
     cfg = RunConfig(
         command="table",
         group=args.group,
@@ -236,12 +238,10 @@ def cmd_check(args):
         mu = datum.parse_coweight(args.mu)
         cache = _cache_dir(args)
         if args.suite == "properties":
-            results = checks.property_checks(
-                datum, mu, jobs=args.jobs, cache_dir=cache
-            )
+            results = checks.property_checks(datum, mu, cache_dir=cache)
         else:
             try:
-                results = checks.golden_check(datum, mu, jobs=args.jobs, cache_dir=cache)
+                results = checks.golden_check(datum, mu, cache_dir=cache)
             except KeyError as exc:
                 print(str(exc), file=sys.stderr)
                 return 2
@@ -277,7 +277,7 @@ def build_parser():
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_table.add_argument("--out", help="write output to a file instead of stdout")
     p_table.add_argument("--cache-dir", help=f"KL cache directory (default {DEFAULT_CACHE}, or ${CACHE_ENV_VAR})")
-    p_table.add_argument("--jobs", type=int, default=1, help="parallel workers for orbit sums (at least 1; capped at the orbit size and CPU count)")
+    p_table.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p_table.set_defaults(fn=cmd_table)
 
     p_query = sub.add_parser("query", help="compute a single object")
@@ -302,7 +302,7 @@ def build_parser():
     p_check.add_argument("--depth", type=int, default=5, help="ball radius for oracle sweeps")
     p_check.add_argument("--samples", type=int, default=50, help="random Wakimoto pairs per family")
     p_check.add_argument("--cache-dir")
-    p_check.add_argument("--jobs", type=int, default=1)
+    p_check.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p_check.set_defaults(fn=cmd_check)
     return parser
 

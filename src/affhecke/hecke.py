@@ -21,10 +21,14 @@ operations this module computes
                         q^{l(w)-l(x)} bar(P_{x,w}) = sum_{x<=z<=w} R_{x,z} P_{z,w},
                         which determines P_{x,w} from its degree bound
                         deg_q <= (l(w)-l(x)-1)/2;
+* base change           T <-> C''; to_ic_basis is the one downward solve
+                        of the unitriangular P-matrix, and both the
+                        multiplicity tables and the inverse KL
+                        polynomials read it;
 * inverse KL            Q_{x,w}: entries of the inverse base-change
-  polynomials           matrix, from the triangular system
-                        sum_{x<=z<=w} (-1)^{l(z)} P_{x,z} Q_{z,w} = (-1)^{l(w)} delta;
-* base change T <-> C''.
+  polynomials           matrix, sum_{x<=z<=w} (-1)^{l(z)} P_{x,z} Q_{z,w} = (-1)^{l(w)} delta,
+                        so eps_w T_w = sum_z Q_{z,w} C''_z and a column
+                        {Q_{z,w}}_z is to_ic_basis(eps_w T_w).
 
 P-polynomials are memoised in memory and optionally persisted to a
 versioned line-oriented cache file (see KLCache).
@@ -327,30 +331,19 @@ class HeckeContext:
     def inv_kl_poly(self, x, w):
         """Q_{x,w}(q): inverse base-change matrix entries.
 
-        Determined by sum_{x<=z<=w} (-1)^{l(z)-l(x)} P_{x,z} Q_{z,w} = delta_{x,w}.
+        sum_{x<=z<=w} (-1)^{l(z)-l(x)} P_{x,z} Q_{z,w} = delta_{x,w} says
+        T_w = sum_z eps_w Q_{z,w} C''_z, so the column {Q_{z,w}}_z is read
+        off to_ic_basis(T_w) and cached per w.
         """
         if x is w:
             return _ONE
-        g = self.group
-        if not g.leq(x, w):
+        if not self.group.leq(x, w):
             return _ZERO
-        key = (x, w)
-        got = self._q_cache.get(key)
-        if got is not None:
-            return got
-        acc = _ZERO
-        ex = x.sign()
-        for z in g.below(w):
-            if z is x or not g.leq(x, z):
-                continue
-            pz = self.kl_poly(x, z)
-            if not pz:
-                continue
-            term = pz * self.inv_kl_poly(z, w)
-            acc = acc + (term if z.sign() == ex else -term)
-        val = -acc
-        self._q_cache[key] = val
-        return val
+        col = self._q_cache.get(w)
+        if col is None:
+            ic = self.to_ic_basis(self.T(w))
+            col = self._q_cache[w] = {z: c.scale(w.sign()) for z, c in ic.items()}
+        return col.get(x, _ZERO)
 
     # -- base change -----------------------------------------------------------
 
@@ -366,24 +359,30 @@ class HeckeContext:
         return HeckeElement(self, terms)
 
     def to_ic_basis(self, h):
-        """Coefficients {w: c_w} with h = sum c_w C''_w."""
+        """Coefficients {w: c_w != 0} with h = sum c_w C''_w.
+
+        The downward solve over the lower closure U of supp h, by length:
+        eps_w c_w = h_w - sum_{x > w in U} eps_x c_x P_{w,x}.  P_{w,x} is
+        looked up for every pair w < x in U, whether or not c_x = 0, so the
+        KL columns solved depend on U alone.
+        """
         g = self.group
-        universe = set()
-        for x in h.terms:
-            universe.update(g.below(x))
-        order = sorted(universe, key=g.sort_key, reverse=True)
+        order = sorted(set().union(*map(g.below, h.terms)), key=g.sort_key)
+        above = {w: [] for w in order}
+        for x in order:
+            for w in g.below(x)[:-1]:  # x itself is last
+                above[w].append(x)
         coeffs = {}
-        for w in order:
-            acc = h.terms.get(w, _ZERO)
-            ew = w.sign()
-            for x, cx in coeffs.items():
+        for w in reversed(order):
+            acc = h.coeff(w)
+            for x in above[w]:
                 p = self.kl_poly(w, x)
-                if p:
+                cx = coeffs.get(x)
+                if p and cx:
                     t = cx * p
                     acc = acc - (t if x.sign() == 1 else -t)
-            val = acc if ew == 1 else -acc
-            if val:
-                coeffs[w] = val
+            if acc:
+                coeffs[w] = acc if w.sign() == 1 else -acc
         return coeffs
 
     def from_ic_basis(self, coeffs):

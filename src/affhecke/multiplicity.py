@@ -3,10 +3,9 @@
 For dominant mu, the trace function f of the nearby cycles decomposes in
 the self-dual basis as f = sum_{w in Adm(mu)} m(w) C''_w, and m(w) =
 sum_i m(w,i) q^i collects the Jordan-Holder multiplicities of the
-Tate-twisted intersection complexes IC_w(-i).  The coefficients are
-obtained by downward induction on length:
-
-    eps_w m(w) = f_w - sum_{x > w in Adm(mu)} eps_x m(x) P_{w,x}.
+Tate-twisted intersection complexes IC_w(-i).  The coefficients come
+from HeckeContext.to_ic_basis, the downward solve on length over the
+lower-closed set Adm(mu).
 
 Each table row also records the Bruhat configuration of w: how many
 admissible elements of each length lie strictly above it.  Rows are
@@ -122,7 +121,7 @@ class MultiplicityTable:
         return per_w, summary
 
 
-def compute(datum, mu, jobs=1, cache_dir=None):
+def compute(datum, mu, cache_dir=None):
     """Multiplicity table of the nearby-cycles trace function at mu."""
     mu = datum.require_dominant(mu)
     hctx = context(datum)
@@ -130,32 +129,22 @@ def compute(datum, mu, jobs=1, cache_dir=None):
     if cache_dir:
         hctx.load_cache(cache_dir)
     adm = g.adm(mu)
-    f = kottwitz_function(datum, mu, jobs=jobs)
+    f = kottwitz_function(datum, mu)
     if set(f.terms) != set(adm):
         raise InvariantViolation(
             "kottwitz function support differs from the admissible set"
         )
     ell_mu = g.translation(mu).length()
-    adm_desc = tuple(reversed(adm))  # descending length order
+    coeffs = hctx.to_ic_basis(f)
+    m_polys = {w: coeffs.get(w, LaurentPoly.zero()) for w in adm}
     # Adm is lower-closed, so the intervals below its elements give every x > w
-    above = {w: [] for w in adm}
+    gaps = {w: [] for w in adm}
     for x in adm:
-        for w in g.below(x):
-            if w is not x:
-                above[w].append(x)
-    m_polys = {}
-    for w in adm_desc:
-        acc = f.coeff(w)
-        for x in above[w]:
-            p = hctx.kl_poly(w, x)
-            if p:
-                t = m_polys[x] * p
-                acc = acc - (t if x.sign() == 1 else -t)
-        m_polys[w] = acc if w.sign() == 1 else -acc
-    configs = {}
-    for w in adm:
-        gaps = [x.length() - w.length() for x in above[w]]
-        configs[w] = tuple(gaps.count(d) for d in range(1, max(gaps, default=0) + 1))
+        for w in g.below(x)[:-1]:  # x itself is last
+            gaps[w].append(x.length() - w.length())
+    configs = {
+        w: tuple(d.count(k) for k in range(1, max(d, default=0) + 1)) for w, d in gaps.items()
+    }
     if cache_dir:
         hctx.save_cache(cache_dir)
     return MultiplicityTable(datum, mu, adm, ell_mu, m_polys, configs)

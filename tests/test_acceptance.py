@@ -24,6 +24,15 @@ def report(name, ok, detail=""):
     assert ok, f"criterion {name} failed: {detail}"
 
 
+def report_checks(name, results):
+    """report() over the (name, ok, detail) triples of a checks suite."""
+    report(
+        name,
+        all(ok for _, ok, _ in results),
+        "; ".join(f"{check}: {detail}" for check, _, detail in results),
+    )
+
+
 def test_criterion_1_admissible_cardinalities():
     for fam, n, mu, stem in REFERENCE_CASES:
         g = group(create(fam, n))
@@ -79,19 +88,7 @@ def test_criterion_4_minuscule_tau_poincare(tables):
 
 
 def test_criterion_5a_r_recursion_exhaustive():
-    total = 0
-    for fam, n in (("GL", 3), ("GSp", 2)):
-        hctx = context(create(fam, n))
-        g = hctx.group
-        for y in checks.ball(g, 6):
-            inv = hctx.inv_T(g.inv(y))
-            sign_y = y.sign()
-            qy = 2 * y.length()
-            for x in g.below(y):
-                extracted = inv.coeff(x).scale(sign_y * x.sign()).shift(qy)
-                assert hctx.r_poly(x, y) == extracted, (fam, x, y)
-                total += 1
-    report("5a R recursion == bar expansion", True, f"{total} pairs, l(y) <= 6")
+    report_checks("5a R recursion == bar expansion", checks.r_recursion_checks(6))
 
 
 def test_criterion_5bc_pq_identities():
@@ -120,43 +117,13 @@ def test_criterion_5bc_pq_identities():
 
 
 def test_criterion_5d_sum_QR_identity():
-    hctx = context(create("GL", 3))
-    g = hctx.group
-    tops = [y for y in checks.ball(g, 6) if y.length() == 6]
-    y0 = tops[0]
-    bel = g.below(y0)
-    count = 0
-    for w in bel:
-        for y in bel:
-            if not g.leq(w, y):
-                continue
-            acc = LaurentPoly.zero()
-            for x in bel:
-                if g.leq(w, x) and g.leq(x, y):
-                    acc = acc + hctx.inv_kl_poly(w, x) * hctx.r_poly(x, y)
-            gap = 2 * (y.length() - w.length())
-            assert acc == hctx.inv_kl_poly(w, y).bar().shift(gap), (w, y)
-            count += 1
-    report("5d sum Q_{w,x} R_{x,y} identity", True, f"{count} pairs in a length-6 interval")
+    report_checks("5d sum Q_{w,x} R_{x,y} identity", checks.sum_qr_checks())
 
 
 def test_criterion_5e_wakimoto_closed_form():
-    rng = random.Random(42)
-    total = 0
-    for fam, n in (("GL", 3), ("GSp", 2)):
-        g = group(create(fam, n))
-        pool = checks.ball(g, 4)
-        done = 0
-        while done < 100:
-            v, w = rng.choice(pool), rng.choice(pool)
-            if v.length() + w.length() > 8:
-                continue
-            raw, _ = wakimoto.wakimoto_function(v, w)
-            for x, c in wakimoto.tilde_coefficients(raw).items():
-                assert c == wakimoto.rv_poly_laurent(v, w, x), (fam, v, w, x)
-            done += 1
-        total += done
-    report("5e Wakimoto closed form == Hecke product", True, f"{total} random (v,w), l <= 8")
+    report_checks(
+        "5e Wakimoto closed form == Hecke product", checks.wakimoto_checks(42, 100)
+    )
 
 
 def test_criterion_6_structural(tables):

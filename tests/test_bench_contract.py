@@ -2,14 +2,17 @@
 
 perfbench/spans.py wraps the entry points it lists by attribute, and
 perfbench/child.py reads hecke._CONTEXTS and HeckeContext._col_done and
-patches hecke.KLCache.load_into.  A refactor that renames any of them
-would break the traced and warm-cache benchmark runs, not this suite.
+patches hecke.KLCache.load_into.  perfbench/bench.py runs `table` with
+`--cache-dir` and `--jobs 1` and compares stdout with a golden table.  A
+refactor that renames or removes any of them would break the benchmark
+runs, not this suite.
 """
 
+import importlib.resources
 import importlib.util
 import pathlib
 
-from affhecke import hecke
+from affhecke import cli, hecke
 from affhecke.rootdata import create
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -41,3 +44,10 @@ def test_warm_cache_hooks_resolve(monkeypatch):
     hctx = hecke.HeckeContext(create("GL", 3))
     hctx.load_cache("unused-directory")
     assert seen == [hctx]
+
+
+def test_table_argv_of_the_benchmark(tmp_path, capsys):
+    argv = ["table", "GL3", "--mu", "2,2,0", "--cache-dir", str(tmp_path / "klcache")]
+    assert cli.main(argv + ["--jobs", "1"]) == 0
+    golden = importlib.resources.files("affhecke").joinpath("golden", "GL3_2-2-0.txt")
+    assert capsys.readouterr().out == golden.read_text(encoding="ascii")

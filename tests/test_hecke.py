@@ -3,9 +3,10 @@ import random
 import pytest
 
 from affhecke import checks
-from affhecke.affweyl import group
+from affhecke.affweyl import DatumMismatch, group
+from affhecke.central import kottwitz_function
 from affhecke.checks import ball, _r_extraction
-from affhecke.hecke import KLCache, context
+from affhecke.hecke import HeckeContext, KLCache, context
 from affhecke.laurent import LaurentPoly
 from affhecke.rootdata import create
 
@@ -194,6 +195,38 @@ def test_pq_inversion_interval():
                     sgn = 1 if (z.length() - x.length()) % 2 == 0 else -1
                     acc = acc + (H.kl_poly(x, z) * H.inv_kl_poly(z, w)).scale(sgn)
             assert acc == (ONE if x is w else LaurentPoly.zero())
+
+
+def test_to_ic_basis_reads_each_pair_once(monkeypatch):
+    """The downward solve looks up P_{w,x} once per pair w < x of the lower
+    closure U of the support, and nothing else."""
+    H = ctx("GL", 4)
+    G = H.group
+    f = kottwitz_function(H.datum, (2, 1, 0, 0))
+    calls = []
+    kl_poly = HeckeContext.kl_poly
+
+    def counting(self, x, w):
+        calls.append((x, w))
+        return kl_poly(self, x, w)
+
+    monkeypatch.setattr(HeckeContext, "kl_poly", counting)
+    coeffs = H.to_ic_basis(f)
+    universe = set()
+    for x in f.terms:
+        universe.update(G.below(x))
+    pairs = sum(len(G.below(x)) - 1 for x in universe)
+    assert len(calls) == len(set(calls)) == pairs == 3234
+    assert H.from_ic_basis(coeffs) == f
+
+
+def test_inv_kl_poly_rejects_elements_of_two_groups():
+    x = group(create("GL", 3)).identity
+    w = group(create("GL", 4)).translation((1, 0, 0, 0))
+    with pytest.raises(DatumMismatch):
+        ctx("GL", 4).inv_kl_poly(x, w)
+    with pytest.raises(DatumMismatch):
+        ctx("GL", 3).inv_kl_poly(w, x)
 
 
 def test_base_change():
