@@ -11,7 +11,7 @@ import random
 
 from . import central, multiplicity, wakimoto
 from .affweyl import group
-from .hecke import context
+from .hecke import InvariantViolation, context
 from .laurent import LaurentPoly
 from .rootdata import (
     create,
@@ -215,6 +215,68 @@ def q_analogue_checks():
     return results
 
 
+def bar_fixed_column(hctx, w):
+    """{x: P_{x,w}} for x <= w from bar-fixedness alone: an oracle for the
+    recursion of HeckeContext._kl_column.
+
+    q^{l(w)-l(x)} bar(P_{x,w}) - P_{x,w} = sum_{x<z<=w} R_{x,z} P_{z,w}
+    determines P_{x,w} from its degree bound deg_q <= (l(w)-l(x)-1)/2, by
+    decreasing l(x).  The column lives in its own dict: hctx supplies
+    R-polynomials only, never _p_cache.
+    """
+    g = hctx.group
+    below = g.below(w)
+    lw = w.length()
+    col = {w: LaurentPoly.one()}
+    for x in reversed(below[:-1]):  # decreasing length, w excluded
+        s = LaurentPoly.zero()
+        for z, p_z in col.items():
+            if g.leq(x, z):
+                s = s + hctx.r_poly(x, z) * p_z
+        gap = lw - x.length()
+        p = LaurentPoly({2 * gap - e: c for e, c in s.terms.items() if e > gap})
+        if p.bar().shift(2 * gap) - p != s:
+            raise InvariantViolation(
+                f"KL bar-fixedness failed at x={x.encode()} w={w.encode()}"
+            )
+        col[x] = p
+    return col
+
+
+#: (group, mu) whose Adm closures the two KL solvers are compared on
+KL_SOLVER_CASES = (("GL4", "2,1,0,0"), ("GSp4", "2,1,1,0"), ("G2", "2,1,0"))
+
+
+def kl_solver_checks():
+    """kl_poly (the recursion) against bar_fixed_column on every pair of
+    Adm(mu), pairs x not <= w included; a pair whose solve raises
+    InvariantViolation counts as a mismatch."""
+    results = []
+    for label, text in KL_SOLVER_CASES:
+        d = parse_group(label)
+        hctx = context(d)
+        g = hctx.group
+        adm = g.adm(d.parse_coweight(text))
+        bad = below = 0
+        for w in adm:
+            col = bar_fixed_column(hctx, w)
+            below += len(col)
+            for x in adm:
+                try:
+                    bad += hctx.kl_poly(x, w) != col.get(x, LaurentPoly.zero())
+                except InvariantViolation:
+                    bad += 1
+        results.append(
+            (
+                f"kl-recursion-vs-bar-fixedness-{label}",
+                bad == 0,
+                f"{len(adm) ** 2} pairs of Adm({text}) ({below} with x <= w), "
+                f"{bad} mismatches",
+            )
+        )
+    return results
+
+
 def _r_extraction(hctx, x, y, inv=None):
     """R_{x,y} read off from the expansion of T^{-1}_{y^{-1}}."""
     if inv is None:
@@ -292,7 +354,7 @@ def wakimoto_checks(seed, samples):
 def oracle_checks(seed=42, depth=5, samples=50):
     """Exact cross-oracle identities, mostly on GL_3 and GSp_4."""
     results = bruhat_oracle_checks(depth) + finite_index_checks()
-    results += r_recursion_checks(depth)
+    results += r_recursion_checks(depth) + kl_solver_checks()
 
     # P*Q inversion and the inverse-KL recursion on Adm closures
     for fam, n, mu in (("GL", 3, (1, 1, 0)), ("GSp", 2, (1, 1, 1))):

@@ -16,11 +16,11 @@ operations this module computes
                         sum_x R_{x,y}(q) T_x, by the standard recursion;
 * Kazhdan-Lusztig       P_{x,w}: the coefficients of the self-dual basis
   polynomials           C''_w = eps_w sum_x P_{x,w} T_x.  A whole column
-                        {P_{x,w}}_x is solved at once from the
-                        bar-fixedness identity
-                        q^{l(w)-l(x)} bar(P_{x,w}) = sum_{x<=z<=w} R_{x,z} P_{z,w},
-                        which determines P_{x,w} from its degree bound
-                        deg_q <= (l(w)-l(x)-1)/2;
+                        {P_{x,w}}_x is solved at once by the recursion
+                        of Kazhdan-Lusztig (1979, (2.2.c)) along the first
+                        right descent s of w, from the columns of ws and
+                        of the z < ws with mu(z, ws) != 0 and zs < z; it
+                        needs no R-polynomial and no Bruhat test;
 * base change           T <-> C''; to_ic_basis is the one downward solve
                         of the unitriangular P-matrix, and both the
                         multiplicity tables and the inverse KL
@@ -294,37 +294,91 @@ class HeckeContext:
             got = self._p_cache[(x, w)]
         return got
 
-    def _kl_column(self, w):
-        """Solve the whole column {P_{x,w} : x <= w} from bar-fixedness."""
-        if w in self._col_done:
-            return
+    def _kl_column(self, y):
+        """Solve the column {P_{x,y} : x < y} by the Kazhdan-Lusztig recursion.
+
+        With s the first right descent of y, v = ys and c = 1 if xs < x,
+        else 0 (Kazhdan-Lusztig 1979, (2.2.c); du Cloux 2002):
+
+            P_{x,y} = q^{1-c} P_{xs,v} + q^c P_{x,v}
+                      - sum_{z < v, zs < z} mu(z,v) q^{(l(y)-l(z))/2} P_{x,z},
+
+        where mu(z,v) is the coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v}.
+        The columns of v and of each such z with mu(z,v) != 0 are solved
+        first, on an explicit stack.  A column in _col_done has every
+        P_{x,v}, x < v, in _p_cache, so a missing key is 0 and the solve
+        makes no Bruhat test and no R-polynomial.  Every new entry must be
+        a q-polynomial with constant term 1 and 2 deg_q <= l(y) - l(x) - 1,
+        or InvariantViolation is raised.
+        """
         g = self.group
-        below = g.below(w)
-        lw = w.length()
-        col = {w: _ONE}
-        for x in reversed(below[:-1]):  # decreasing length, w excluded
-            if (x, w) in self._p_cache:
-                col[x] = self._p_cache[(x, w)]
+        done = self._col_done
+        mus = {}
+        stack = [y]
+        while stack:
+            w = stack[-1]
+            if w in done:
+                stack.pop()
                 continue
-            s = _ZERO
-            for z in below:
-                if z is not x and z in col and g.leq(x, z):
-                    s = s + self.r_poly(x, z) * col[z]
-            gap = lw - x.length()
-            # q^gap bar(P) - P = s  with deg_q P <= (gap-1)/2
-            p_terms = {}
-            for e, c in s.terms.items():
-                if e > gap:  # q-exponent e/2 > gap/2
-                    p_terms[2 * gap - e] = c
-            p = LaurentPoly(p_terms)
-            check = p.bar().shift(2 * gap) - p
-            if check != s:
+            s = g.first_right_descent(w)
+            if s is None:  # length 0: the column is {w: 1}
+                done.add(w)
+                continue
+            v = g.mul_gen(w, s)
+            if v not in done:
+                stack.append(v)
+                continue
+            mu = mus.get(w)
+            if mu is None:
+                mu = mus[w] = self._mu_terms(w, s, v)
+            todo = [z for z, _ in mu if z not in done]
+            if todo:
+                stack.extend(todo)
+                continue
+            self._p_cache.update(self._solve_column(w, s, v, mu))
+            done.add(w)
+
+    def _mu_terms(self, y, s, v):
+        """[(z, mu(z,v) q^{(l(y)-l(z))/2})] over z < v with zs < z and
+        mu(z,v) != 0, which needs l(v) - l(z) odd."""
+        g = self.group
+        ly, lv = y.length(), v.length()
+        out = []
+        for z in g._interval(v):
+            gap = lv - z.length()
+            if gap % 2 and g.mul_gen(z, s).length() < z.length():
+                c = self._p_cache[(z, v)].terms.get(gap - 1, 0)
+                if c:
+                    out.append((z, LaurentPoly.v_power(ly - z.length(), c)))
+        return out
+
+    def _solve_column(self, y, s, v, mu):
+        """{(x, y): P_{x,y}} for every x < y, from the columns of v = ys and
+        of the z in mu; returned whole, so a failed check stores nothing."""
+        g = self.group
+        pc = self._p_cache
+        ly = y.length()
+        col = {}
+        for x in g._interval(y):
+            if x is y:
+                continue
+            xs = g.mul_gen(x, s)
+            p_xs = _ONE if xs is v else pc.get((xs, v), _ZERO)
+            p_x = _ONE if x is v else pc.get((x, v), _ZERO)
+            if xs.length() < x.length():
+                p = p_xs + p_x.shift(2)
+            else:
+                p = p_xs.shift(2) + p_x
+            for z, m in mu:
+                p_xz = _ONE if x is z else pc.get((x, z))
+                if p_xz is not None:
+                    p = p - p_xz * m
+            if not _kl_shape(p, ly - x.length()):
                 raise InvariantViolation(
-                    f"KL bar-fixedness failed at x={x.encode()} w={w.encode()}"
+                    f"KL recursion gave P = {p.encode()} at x={x.encode()} y={y.encode()}"
                 )
-            col[x] = p
-            self._p_cache[(x, w)] = p
-        self._col_done.add(w)
+            col[(x, y)] = p
+        return col
 
     # -- inverse KL polynomials --------------------------------------------
 
@@ -404,18 +458,16 @@ class HeckeContext:
 _CONVENTION_TAG = "base-alcove=dominant"
 
 
+def _kl_shape(p, gap):
+    """P is a polynomial in q with constant term 1 and 2 deg_q P <= gap - 1."""
+    return p.is_q_polynomial() and p.q_coeff(0) == 1 and 2 * p.q_degree() <= gap - 1
+
+
 def _plausible(x, w, p):
     """Structural checks every stored P_{x,w} passes: l(x) < l(w), x <= w,
-    P is a polynomial in q with constant term 1, and
-    2 deg_q P <= l(w) - l(x) - 1."""
+    and the shape of _kl_shape for gap = l(w) - l(x)."""
     gap = w.length() - x.length()
-    return (
-        gap > 0
-        and x.group.leq(x, w)
-        and p.is_q_polynomial()
-        and p.q_coeff(0) == 1
-        and 2 * p.q_degree() <= gap - 1
-    )
+    return gap > 0 and x.group.leq(x, w) and _kl_shape(p, gap)
 
 
 class KLCache:

@@ -1,12 +1,13 @@
 import random
+import sys
 
 import pytest
 
-from affhecke import checks
+from affhecke import checks, hecke, multiplicity
 from affhecke.affweyl import DatumMismatch, group
 from affhecke.central import kottwitz_function
 from affhecke.checks import ball, _r_extraction
-from affhecke.hecke import HeckeContext, KLCache, context
+from affhecke.hecke import HeckeContext, InvariantViolation, KLCache, context
 from affhecke.laurent import LaurentPoly
 from affhecke.rootdata import create
 
@@ -246,6 +247,80 @@ def test_base_change():
             )
         coeffs = H.to_ic_basis(h)
         assert H.from_ic_basis(coeffs) == h
+
+
+def test_kl_recursion_vs_bar_fixedness_oracle():
+    results = checks.kl_solver_checks()
+    assert [name for name, _, _ in results] == [
+        "kl-recursion-vs-bar-fixedness-GL4",
+        "kl-recursion-vs-bar-fixedness-GSp4",
+        "kl-recursion-vs-bar-fixedness-G2",
+    ]
+    for name, ok, detail in results:
+        assert ok, (name, detail)
+        assert detail.endswith(", 0 mismatches"), detail
+
+
+def test_table_computes_no_r_polynomials(monkeypatch):
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    datum = create("GL", 4)
+    multiplicity.compute(datum, (2, 1, 0, 0))
+    H = context(datum)
+    assert len(H._p_cache) == 3234
+    assert H._r_cache == {}
+
+
+def test_single_q_computes_no_r_polynomials():
+    H = HeckeContext(create("G2", 2))
+    G = H.group
+    n_mu = checks.longest_in_double_coset(G, (2, 0))
+    x = G.mul_gen(n_mu, G.first_right_descent(n_mu))
+    assert H.inv_kl_poly(x, n_mu) == ONE
+    assert H._r_cache == {}
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_kl_column_solve_is_iterative():
+    # l(t) = 28: a solve that recursed along a reduced word would need a
+    # stack frame per generator
+    H = HeckeContext(create("GL", 3))
+    G = H.group
+    t = G.translation((7, 0, -7))
+    assert t.length() == 28
+    x = G.below(t)[0]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 15)
+    try:
+        p = H.kl_poly(x, t)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert p.is_q_polynomial() and p.q_coeff(0) == 1
+
+
+def test_kl_column_rejects_a_corrupted_dependency():
+    # P_{x,v} with xs > x enters P_{x,y} with coefficient 1, so a constant
+    # term of 2 there must raise, not give a wrong P_{x,y}
+    H = HeckeContext(create("GL", 3))
+    G = H.group
+    y = G.translation((2, 1, 0))
+    s = G.first_right_descent(y)
+    v = G.mul_gen(y, s)
+    x = G.reduced_word(v)[0]  # the length-0 element below v
+    assert G.mul_gen(x, s).length() > x.length()
+    H._kl_column(v)
+    H._p_cache[(x, v)] = H._p_cache[(x, v)] + ONE
+    with pytest.raises(InvariantViolation):
+        H._kl_column(y)
+    assert y not in H._col_done
+    assert not any(w is y for _, w in H._p_cache)
+    with pytest.raises(InvariantViolation):
+        H.kl_poly(x, y)
 
 
 def test_kl_cache_roundtrip(tmp_path):
