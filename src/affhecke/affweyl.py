@@ -2,14 +2,17 @@
 
 Elements are stored in the canonical form t_lambda * wbar with lambda a
 coweight and wbar a finite Weyl matrix, so (lambda, wbar) is a unique
-key.  Each group indexes its finite Weyl matrices lazily: a matrix gets
-an integer id the first time it appears, and per-id tables hold its
-positive-root inversion flags, wbar(theta^vee), its inverse and its
-products with each generator on either side, each computed on first
-lookup.  The group law, lengths and encodings read these tables instead
-of multiplying matrices, and elements are interned on (lambda, id).  Ids
-follow the order of first appearance, so they differ between processes:
-pickles carry the matrix, never the id, and no output depends on them.
+key.  Each group indexes its finite Weyl elements lazily: an element gets
+an integer id the first time it appears, together with its permutation
+of the 2 * n_pos roots (perm[a] is the index of f_a o wbar, so the
+product wbar_1 wbar_2 has perm_2[perm_1[a]] and the inverse has the
+inverse permutation).  Products and inverses compose permutations and
+look the result up; a matrix is multiplied (or inverted) only when the
+result is a new id, so at most once per finite Weyl element.  Per-id
+tables hold the root permutation, wbar(theta^vee) and the ascent data
+below, and elements are interned on (lambda, id).  Ids follow the order
+of first appearance, so they differ between processes: pickles carry
+the matrix, never the id, and no output depends on them.
 The Coxeter structure is taken with respect to the dominant base
 alcove {0 < <alpha, x> < 1 for all positive roots alpha}: the simple
 affine reflections are the finite simple reflections s_1..s_r together
@@ -20,9 +23,17 @@ come from the Iwahori-Matsumoto formula
                      + sum_{alpha > 0, wbar^{-1} alpha < 0} |<alpha, lambda> - 1|,
 
 so l(t_lambda) = <2 rho, lambda_dom> and each simple affine reflection
-has length 1.  Elements of length zero form the subgroup Omega that
-permutes the walls of the base alcove; reduced words are written
-x = omega * s_{i_1} ... s_{i_k}.
+has length 1.  A length step needs one pairing instead (Bjorner-Brenti,
+Sect. 4.4 and Ch. 8): write the affine simple root as alpha_i = b_i + c_i
+with b_0 = -theta, c_0 = 1 and b_i = alpha_i, c_i = 0 for i >= 1.  For
+x = t_lambda wbar and beta = b_i o wbar^{-1},
+
+    l(x s_i) = l(x) + 1  iff  c_i - <beta, lambda> >= (0 if beta > 0 else 1),
+
+and l(x s_i) = l(x) - 1 otherwise; right descents and the lengths that
+x * s_i inherits from x are read off this test.  Elements of length zero
+form the subgroup Omega that permutes the walls of the base alcove;
+reduced words are written x = omega * s_{i_1} ... s_{i_k}.
 
 The Bruhat order extends the Coxeter order coset-wise over Omega and is
 read off cached lower intervals [e, y], built as subword closures of
@@ -45,6 +56,14 @@ from .rootdata import (
     vec_mat,
     vec_scale,
 )
+
+
+def _inverse(perm):
+    """The inverse of a permutation given as a tuple of images."""
+    inv = [0] * len(perm)
+    for a, p in enumerate(perm):
+        inv[p] = a
+    return tuple(inv)
 
 
 class DatumMismatch(ValueError):
@@ -146,47 +165,81 @@ class AffineWeylGroup:
         for i, s in enumerate(d.simple_reflections):
             self.gens.append((zero, s))
         self.n_gens = len(self.gens)
-        # the finite Weyl index: id k stands for the matrix _fmat[k]; every
-        # per-id list grows when a matrix is first seen, and the products
-        # and inverses are filled in on their first lookup
+        # the roots: index a < n_pos is pos_roots[a], a + n_pos its negative
+        n = d.n_pos
+        self._roots = d.pos_roots + tuple(vec_scale(f, -1) for f in d.pos_roots)
+        self._root_idx = {f: a for a, f in enumerate(self._roots)}
+        # (index of b_i, c_i) for the affine simple roots alpha_i = b_i + c_i
+        self._aff_simple = [(d.theta_idx + n, 1)] + [(a, 0) for a in d.simple_idx]
+        self._gperm = [self._perm_of(s) for _gamma, s in self.gens]
+        # the finite Weyl index: id k stands for the matrix _fmat[k] with the
+        # root permutation _perm[k]; every per-id list grows when an element
+        # is first seen, and the products and inverses are filled in on
+        # their first lookup
         self._fmat = []
-        self._fidx = {}
-        self._pos_img = []  # [f.wbar > 0 for f in pos_roots]
+        self._fidx = {}  # matrix -> id
+        self._pidx = {}  # root permutation -> id
+        self._perm = []
         self._g0 = []  # wbar(theta^vee), the translation part of wbar * s_0
+        self._asc = []  # per generator (beta, bound): x s_i > x iff <beta, lambda> <= bound
         self._finv = []
         self._rmul = [[] for _ in range(self.n_gens)]  # id of wbar * s_i
         self._lmul = [[] for _ in range(self.n_gens)]  # id of s_i * wbar
+        self._fprod = {}  # (id, id) -> id of the product
         self.identity = self._make(zero, self._fid(d.identity))
 
     # -- the finite Weyl index ---------------------------------------------
+
+    def _perm_of(self, m):
+        """The root permutation of the finite Weyl matrix m."""
+        n = self.datum.n_pos
+        idx = self._root_idx
+        half = tuple(idx[vec_mat(f, m)] for f in self.datum.pos_roots)
+        return half + tuple(p - n if p >= n else p + n for p in half)
 
     def _fid(self, m):
         """The id of the finite Weyl matrix m, registered on first sight."""
         k = self._fidx.get(m)
         if k is None:
-            d = self.datum
-            k = len(self._fmat)
-            self._fidx[m] = k
-            self._fmat.append(m)
-            pos = d.pos_root_set
-            self._pos_img.append(tuple(vec_mat(f, m) in pos for f in d.pos_roots))
-            self._g0.append(mat_vec(m, self.gens[0][0]))
-            self._finv.append(None)
-            for row in self._rmul:
-                row.append(None)
-            for row in self._lmul:
-                row.append(None)
+            k = self._register(m, self._perm_of(m))
+        return k
+
+    def _register(self, m, perm):
+        """Give the matrix m, whose root permutation is perm, the next id."""
+        n = self.datum.n_pos
+        k = len(self._fmat)
+        self._fidx[m] = k
+        self._pidx[perm] = k
+        self._fmat.append(m)
+        self._perm.append(perm)
+        self._g0.append(mat_vec(m, self.gens[0][0]))
+        inv = _inverse(perm)
+        self._asc.append(tuple(
+            (self._roots[inv[b]], c - (inv[b] >= n)) for b, c in self._aff_simple
+        ))
+        self._finv.append(None)
+        for row in self._rmul:
+            row.append(None)
+        for row in self._lmul:
+            row.append(None)
+        return k
+
+    def _compose(self, p, q, m1, m2):
+        """The id of m1 * m2, given their root permutations p and q."""
+        perm = tuple([q[a] for a in p])
+        k = self._pidx.get(perm)
+        if k is None:
+            k = self._register(mat_mul(m1, m2), perm)
         return k
 
     def _fin_right(self, k, i):
         """The id of _fmat[k] * s_i."""
         j = self._rmul[i][k]
         if j is None:
-            j = self._rmul[i][k] = self._fid(mat_mul(self._fmat[k], self.gens[i][1]))
+            j = self._rmul[i][k] = self._compose(
+                self._perm[k], self._gperm[i], self._fmat[k], self.gens[i][1]
+            )
         return j
-
-    def _fin_len(self, k):
-        return self._pos_img[k].count(False)
 
     # -- construction --------------------------------------------------
 
@@ -226,18 +279,33 @@ class AffineWeylGroup:
     def mul(self, a, b):
         if a.group is not b.group:
             raise DatumMismatch("elements from different groups")
-        return self._make(
-            vec_add(a.trans, mat_vec(a.fin, b.trans)),
-            self._fid(mat_mul(a.fin, b.fin)),
-        )
+        key = (a._fi, b._fi)
+        k = self._fprod.get(key)
+        if k is None:
+            k = self._fprod[key] = self._compose(
+                self._perm[a._fi], self._perm[b._fi], a.fin, b.fin
+            )
+        y = self._make(vec_add(a.trans, mat_vec(a.fin, b.trans)), k)
+        # multiplying by a length-zero element keeps the length
+        if y._len is None:
+            if b._len == 0:
+                y._len = a._len
+            elif a._len == 0:
+                y._len = b._len
+        return y
 
     def mul_gen(self, a, i):
-        """a * s_i without building the generator element."""
+        """a * s_i without building the generator element; the length of
+        a * s_i follows from that of a by the ascent test."""
         k = a._fi
         j = self._rmul[i][k]
         if j is None:
             j = self._fin_right(k, i)
-        return self._make(vec_add(a.trans, self._g0[k]) if i == 0 else a.trans, j)
+        y = self._make(vec_add(a.trans, self._g0[k]) if i == 0 else a.trans, j)
+        if y._len is None and a._len is not None:
+            beta, bound = self._asc[k][i]
+            y._len = a._len + (1 if dot(beta, a.trans) <= bound else -1)
+        return y
 
     def gen_mul(self, i, a):
         """s_i * a."""
@@ -245,34 +313,46 @@ class AffineWeylGroup:
         k = a._fi
         j = self._lmul[i][k]
         if j is None:
-            j = self._lmul[i][k] = self._fid(mat_mul(s, self._fmat[k]))
+            j = self._lmul[i][k] = self._compose(
+                self._gperm[i], self._perm[k], s, self._fmat[k]
+            )
         return self._make(vec_add(gamma, mat_vec(s, a.trans)), j)
 
     def inv(self, a):
         k = a._fi
         j = self._finv[k]
         if j is None:
-            j = self._finv[k] = self._fid(mat_inv(self._fmat[k]))
+            inv = _inverse(self._perm[k])
+            j = self._pidx.get(inv)
+            if j is None:
+                j = self._register(mat_inv(self._fmat[k]), inv)
+            self._finv[k] = j
             self._finv[j] = k
-        return self._make(vec_scale(mat_vec(self._fmat[j], a.trans), -1), j)
+        y = self._make(vec_scale(mat_vec(self._fmat[j], a.trans), -1), j)
+        if y._len is None:
+            y._len = a._len
+        return y
 
     # -- length and descents -----------------------------------------------
 
     def _length(self, trans, fi):
+        """Iwahori-Matsumoto; f o wbar < 0 (index >= n_pos) iff wbar^{-1} f < 0."""
+        n = self.datum.n_pos
         total = 0
-        for f, pos in zip(self.datum.pos_roots, self._pos_img[fi]):
+        for f, p in zip(self.datum.pos_roots, self._perm[fi]):
             c = dot(f, trans)
-            if not pos:
+            if p >= n:
                 c -= 1
             total += c if c >= 0 else -c
         return total
 
     def right_descents(self, x):
+        """The i with l(x s_i) < l(x), one pairing each."""
         if x._rdesc is None:
-            lx = x.length()
+            lam = x.trans
             x._rdesc = tuple(
-                i for i in range(self.n_gens)
-                if self.mul_gen(x, i).length() < lx
+                i for i, (beta, bound) in enumerate(self._asc[x._fi])
+                if dot(beta, lam) > bound
             )
         return x._rdesc
 
@@ -378,17 +458,16 @@ class AffineWeylGroup:
         """Canonical text form "t[coords]*w[word]" with a finite reduced word."""
         if x._enc is not None:
             return x._enc
-        # strip the smallest finite right descent of wbar until it is e (id 0)
+        # strip the smallest finite right descent of wbar until it is e (id
+        # 0); at lambda = 0 the ascent test of s_i, i >= 1, is beta > 0,
+        # that is bound = 0, and a descent has bound = -1
         fin_word = []
         k = x._fi
         while k:
-            n = self._fin_len(k)
-            for i in range(1, self.n_gens):
-                j = self._fin_right(k, i)
-                if self._fin_len(j) < n:
-                    break
+            asc = self._asc[k]
+            i = next(i for i in range(1, self.n_gens) if asc[i][1] < 0)
             fin_word.append(i)
-            k = j
+            k = self._fin_right(k, i)
         fin_word.reverse()
         lam = ",".join(str(c) for c in x.trans)
         word = ".".join(f"s{i}" for i in fin_word)

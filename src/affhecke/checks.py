@@ -10,7 +10,7 @@ import importlib.resources
 import random
 
 from . import central, multiplicity, wakimoto
-from .affweyl import group
+from .affweyl import AffineWeylGroup, group
 from .hecke import InvariantViolation, context
 from .laurent import LaurentPoly
 from .rootdata import (
@@ -157,6 +157,113 @@ def finite_index_checks():
                 bad == 0,
                 f"{cases} elements from {len(d.finite_weyl())} finite Weyl matrices, "
                 f"{bad} mismatches",
+            )
+        )
+    return results
+
+
+def _omega_generator(g):
+    """A length-zero tau generating Omega (X_*/Q^vee = Z), or None for G2:
+    the Omega-part of the canonical word of a translation of class 1."""
+    d = g.datum
+    if d.family == "G2":
+        return None
+    lam = [0] * d.dim
+    lam[0 if d.family == "GL" else -1] = 1
+    return g.reduced_word(g.translation(lam))[0]
+
+
+def finite_product_checks():
+    """The indexed product and inverse against plain matrix arithmetic.
+
+    For every finite Weyl matrix m and translation lam of the case, x =
+    t_lam m is multiplied on either side by tau and tau^{-1}, tau a
+    length-zero generator of Omega (none for G2), and on the right by a
+    fixed sample of finite y; each result is compared, as in
+    finite_index_checks, with the (translation, matrix) pair computed
+    by mat_mul and mat_vec.
+    """
+    results = []
+    for fam, n, regular, other in FINITE_INDEX_CASES:
+        d = create(fam, n)
+        g = group(d)
+        zero = (0,) * d.dim
+        weyl = [m for m, _sign in d.finite_weyl()]
+        # (factor, its translation, its matrix, also multiply on the left)
+        factors = [(g.finite(m), zero, m, False) for m in weyl[::5]]
+        tau = _omega_generator(g)
+        if tau is not None:
+            t_inv = mat_inv(tau.fin)
+            factors.append((tau, tau.trans, tau.fin, True))
+            factors.append(
+                (g.inv(tau), vec_scale(mat_vec(t_inv, tau.trans), -1), t_inv, True)
+            )
+        bad = cases = 0
+        for m in weyl:
+            for lam in (zero, regular, other):
+                x = g.element(lam, m)
+                # (element, its translation, its matrix) by plain arithmetic
+                want = []
+                for b, b_trans, b_fin, left in factors:
+                    want.append(
+                        (g.mul(x, b), vec_add(lam, mat_vec(m, b_trans)), mat_mul(m, b_fin))
+                    )
+                    if left:
+                        want.append(
+                            (g.mul(b, x), vec_add(b_trans, mat_vec(b_fin, lam)), mat_mul(b_fin, m))
+                        )
+                for y, trans, fin in want:
+                    cases += 1
+                    bad += (
+                        y.trans != trans
+                        or y.fin != fin
+                        or y is not g.element(trans, fin)
+                        or y.length() != matrix_length(d, trans, fin)
+                    )
+        results.append(
+            (
+                f"finite-product-vs-matrix-{d.label}",
+                bad == 0,
+                f"{cases} products by Omega and {len(weyl[::5])} finite elements, "
+                f"{bad} mismatches",
+            )
+        )
+    return results
+
+
+def ascent_checks():
+    """The one-pairing ascent test against Iwahori-Matsumoto lengths.
+
+    For every finite Weyl matrix m, translation lam of the case and
+    generator i, x = t_lam m is built in a fresh group, where no length
+    is known yet: i is a right descent of x iff l(x s_i) < l(x) by
+    matrix_length, and the length x * s_i inherits through mul_gen from
+    l(x) must be matrix_length of x s_i.
+    """
+    results = []
+    for fam, n, regular, other in FINITE_INDEX_CASES:
+        d = create(fam, n)
+        zero = (0,) * d.dim
+        theta_covee = d.highest_coroot()
+        gens = [(theta_covee, d.reflection(d.highest_root(), theta_covee))]
+        gens += [(zero, s) for s in d.simple_reflections]
+        bad = cases = 0
+        for m, _sign in d.finite_weyl():
+            for lam in (zero, regular, other):
+                g = AffineWeylGroup(d)
+                x = g.element(lam, m)
+                descents = g.right_descents(x)
+                lx = matrix_length(d, lam, m)
+                bad += x.length() != lx
+                for i, (gamma, s) in enumerate(gens):
+                    ly = matrix_length(d, vec_add(lam, mat_vec(m, gamma)), mat_mul(m, s))
+                    cases += 1
+                    bad += (i in descents) != (ly < lx) or g.mul_gen(x, i).length() != ly
+        results.append(
+            (
+                f"ascent-vs-length-{d.label}",
+                bad == 0,
+                f"{cases} (element, generator) pairs, {bad} mismatches",
             )
         )
     return results
@@ -329,6 +436,41 @@ def sum_qr_checks():
     return results
 
 
+#: (group, mu) whose Adm pairs x <= w the P-Q inversion is checked on
+PQ_INVERSION_CASES = (
+    ("GL4", "2,1,0,0"), ("GSp4", "2,1,1,0"), ("G2", "2,1,0"), ("GL3", "3,1,0")
+)
+
+
+def pq_inversion_checks():
+    """sum_{x<=z<=w} (-1)^{l(z)-l(x)} P_{x,z} Q_{z,w} = delta_{x,w} on every
+    pair x <= w of Adm(mu), P from kl_poly and Q from inv_kl_poly."""
+    results = []
+    for label, text in PQ_INVERSION_CASES:
+        d = parse_group(label)
+        hctx = context(d)
+        g = hctx.group
+        pairs = bad = 0
+        for w in g.adm(d.parse_coweight(text)):
+            bel = g.below(w)
+            for x in bel:
+                acc = LaurentPoly.zero()
+                for z in bel:
+                    if g.leq(x, z):
+                        p = hctx.kl_poly(x, z) * hctx.inv_kl_poly(z, w)
+                        acc = acc + (p if (z.length() - x.length()) % 2 == 0 else -p)
+                pairs += 1
+                bad += acc != (LaurentPoly.one() if x is w else LaurentPoly.zero())
+        results.append(
+            (
+                f"pq-inversion-{label}-{text}",
+                bad == 0,
+                f"{pairs} pairs x <= w of Adm({text}), {bad} mismatches",
+            )
+        )
+    return results
+
+
 def wakimoto_checks(seed, samples):
     """The Wakimoto closed form against the Hecke product, on `samples`
     random pairs (v, w) from ball(g, 4) with l(v) + l(w) <= 8 per family."""
@@ -354,6 +496,7 @@ def wakimoto_checks(seed, samples):
 def oracle_checks(seed=42, depth=5, samples=50):
     """Exact cross-oracle identities, mostly on GL_3 and GSp_4."""
     results = bruhat_oracle_checks(depth) + finite_index_checks()
+    results += finite_product_checks() + ascent_checks()
     results += r_recursion_checks(depth) + kl_solver_checks()
 
     # P*Q inversion and the inverse-KL recursion on Adm closures
@@ -380,7 +523,7 @@ def oracle_checks(seed=42, depth=5, samples=50):
             (f"pq-inversion-{label}", bad_inv == 0, f"{bad_inv} mismatches on Adm closure")
         )
         results.append((f"invkl-recursion-{label}", bad_rec == 0, f"{bad_rec} mismatches"))
-    results += sum_qr_checks() + wakimoto_checks(seed, samples)
+    results += pq_inversion_checks() + sum_qr_checks() + wakimoto_checks(seed, samples)
 
     # q = 1 specialisation: a_w(1) = Q_{w, t_lambda}(1)
     bad = 0

@@ -2,7 +2,8 @@
 
 Coordinates
 -----------
-GL_n    X_*(T) = Z^n.  Positive roots e_i - e_j (i < j), coroots the same.
+GL_n    n >= 2; X_*(T) = Z^n.  Positive roots e_i - e_j (i < j), coroots the
+        same.  GL_1 has no roots, hence no affine simple reflection s_0.
 GSp_2n  X_*(T) = Z^{n+1}, a coweight (a_1, ..., a_n; c) standing for the
         cocharacter diag(t^{a_1},...,t^{a_n}, t^{c-a_n},...,t^{c-a_1});
         c is the similitude coordinate.  Type C_n roots: e_i - e_j,
@@ -122,8 +123,8 @@ class RootDatum:
         self.family = family
         self.rank = rank
         if family == "GL":
-            if rank < 1:
-                raise UnsupportedFamilyRank("GL requires n >= 1")
+            if rank < 2:
+                raise UnsupportedFamilyRank("GL requires n >= 2 (GL_1 has no roots)")
             self._build_gl(rank)
         elif family == "GSp":
             if rank < 2:
@@ -175,12 +176,9 @@ class RootDatum:
             )
             for i in range(n - 1)
         )
-        if n > 1:
-            self.theta_idx = roots.index(
-                tuple(1 if k == 0 else (-1 if k == n - 1 else 0) for k in range(n))
-            )
-        else:
-            self.theta_idx = None
+        self.theta_idx = roots.index(
+            tuple(1 if k == 0 else (-1 if k == n - 1 else 0) for k in range(n))
+        )
 
     def _build_gsp(self, n):
         self.dim = n + 1

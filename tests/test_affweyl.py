@@ -270,6 +270,59 @@ def test_index_fills_each_table_cell_once(monkeypatch):
     assert 0 < len(calls) <= 2 * G.n_gens * len(datum.finite_weyl())
 
 
+def test_group_law_makes_one_matrix_product_per_finite_element(monkeypatch):
+    # products and inverses compose root permutations; a matrix is
+    # multiplied or inverted only to register a new finite Weyl element
+    calls = []
+    for name in ("mat_mul", "mat_inv"):
+        real = getattr(affweyl, name)
+
+        def counting(*args, real=real):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(affweyl, name, counting)
+    datum = create("GL", 4)
+    G = affweyl.AffineWeylGroup(datum)
+    adm = G.adm((2, 1, 1, 0))
+    tau = G.reduced_word(G.translation((1, 0, 0, 0)))[0]
+    assert tau.length() == 0 and tau is not G.identity
+    for x in adm:
+        assert G.decode(G.encode(x)) is x
+        assert G.mul(G.inv(x), x) is G.identity
+        for omega in (tau, G.inv(tau)):
+            assert G.mul(x, omega).length() == G.mul(omega, x).length() == x.length()
+    assert 0 < len(calls) <= len(G._fmat) <= len(datum.finite_weyl()) == 24
+
+
+def test_finite_product_vs_matrix_oracle():
+    results = checks.finite_product_checks()
+    assert [name for name, _, _ in results] == [
+        f"finite-product-vs-matrix-{label}" for label in ("GL4", "GSp6", "G2")
+    ]
+    for name, ok, detail in results:
+        assert ok, (name, detail)
+        assert detail.endswith(", 0 mismatches"), detail
+    # x * tau^{+-1} and tau^{+-1} * x on GL4 and GSp6, Omega trivial on G2
+    assert [int(detail.split()[0]) for _, _, detail in results] == [
+        24 * 3 * (5 + 4), 48 * 3 * (10 + 4), 12 * 3 * 3
+    ]
+
+
+def test_ascent_vs_length_oracle():
+    results = checks.ascent_checks()
+    assert [name for name, _, _ in results] == [
+        f"ascent-vs-length-{label}" for label in ("GL4", "GSp6", "G2")
+    ]
+    for name, ok, detail in results:
+        assert ok, (name, detail)
+        assert detail.endswith(", 0 mismatches"), detail
+    # every finite Weyl matrix x the three translations x every generator
+    assert [int(detail.split()[0]) for _, _, detail in results] == [
+        24 * 3 * 4, 48 * 3 * 4, 12 * 3 * 3
+    ]
+
+
 def test_pickle_returns_the_interned_element():
     for G in (gl(3), group(create("GSp", 2)), group(create("G2", 2))):
         for x in ball(G, 3):

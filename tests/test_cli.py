@@ -48,6 +48,15 @@ def test_jobs_below_one_exit_2(tmp_path, capsys, argv, jobs):
     assert "--jobs" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv", [("table", "GL1", "--mu", "1"), ("query", "adm", "GL1", "--mu", "1")]
+)
+def test_gl1_has_no_roots_exit_2(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert "GL requires n >= 2" in err and out == ""
+
+
 def test_table_json_and_csv(tmp_path, capsys):
     code, out, _ = run(
         capsys,

@@ -261,6 +261,17 @@ def test_kl_recursion_vs_bar_fixedness_oracle():
         assert detail.endswith(", 0 mismatches"), detail
 
 
+def test_pq_inversion_oracle():
+    results = checks.pq_inversion_checks()
+    assert [name for name, _, _ in results] == [
+        f"pq-inversion-{label}-{text}" for label, text in checks.PQ_INVERSION_CASES
+    ]
+    for name, ok, detail in results:
+        assert ok, (name, detail)
+        assert detail.endswith(", 0 mismatches"), detail
+    assert sum(int(detail.split()[0]) for _, _, detail in results) == 4662
+
+
 def test_table_computes_no_r_polynomials(monkeypatch):
     monkeypatch.setattr(hecke, "_CONTEXTS", {})
     datum = create("GL", 4)

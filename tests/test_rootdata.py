@@ -36,6 +36,13 @@ def test_unsupported():
         parse_group("GSp5")
 
 
+def test_gl1_unsupported():
+    # GL_1 has no highest root, so no affine simple reflection s_0
+    for make in (lambda: create("GL", 1), lambda: parse_group("GL1")):
+        with pytest.raises(UnsupportedFamilyRank):
+            make()
+
+
 def test_pairing():
     gl3 = create("GL", 3)
     alpha = (1, -1, 0)
