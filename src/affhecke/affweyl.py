@@ -70,6 +70,10 @@ class DatumMismatch(ValueError):
     """Operands belong to different root data."""
 
 
+class InvariantViolation(AssertionError):
+    """An internal exact identity failed; indicates a convention bug."""
+
+
 class AffineWeylElement:
     """t_lambda * wbar; hashable, immutable, interned per group.
 
@@ -369,10 +373,11 @@ class AffineWeylGroup:
         if x._word is None:
             word = []
             y = x
-            while True:
-                i = self.first_right_descent(y)
-                if i is None:
-                    break
+            while (i := self.first_right_descent(y)) is not None:
+                if len(word) == x.length():
+                    raise InvariantViolation(
+                        f"{x.encode()} has a descent after {len(word)} = l(x) steps"
+                    )
                 word.append(i)
                 y = self.mul_gen(y, i)
             word.reverse()
@@ -459,13 +464,19 @@ class AffineWeylGroup:
         if x._enc is not None:
             return x._enc
         # strip the smallest finite right descent of wbar until it is e (id
-        # 0); at lambda = 0 the ascent test of s_i, i >= 1, is beta > 0,
-        # that is bound = 0, and a descent has bound = -1
+        # 0), l(wbar) steps; at lambda = 0 the ascent test of s_i, i >= 1,
+        # is beta > 0, that is bound = 0, and a descent has bound = -1
         fin_word = []
         k = x._fi
+        n = self.datum.n_pos
+        steps = sum(p >= n for p in self._perm[k][:n])  # l(wbar)
         while k:
             asc = self._asc[k]
-            i = next(i for i in range(1, self.n_gens) if asc[i][1] < 0)
+            i = next((i for i in range(1, self.n_gens) if asc[i][1] < 0), None)
+            if i is None or len(fin_word) == steps:
+                raise InvariantViolation(
+                    f"the finite part of {x.trans} is not e after {len(fin_word)} descents"
+                )
             fin_word.append(i)
             k = self._fin_right(k, i)
         fin_word.reverse()

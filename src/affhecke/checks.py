@@ -438,7 +438,8 @@ def sum_qr_checks():
 
 #: (group, mu) whose Adm pairs x <= w the P-Q inversion is checked on
 PQ_INVERSION_CASES = (
-    ("GL4", "2,1,0,0"), ("GSp4", "2,1,1,0"), ("G2", "2,1,0"), ("GL3", "3,1,0")
+    ("GL4", "2,1,0,0"), ("GSp4", "2,1,1,0"), ("G2", "2,1,0"), ("GL3", "3,1,0"),
+    ("GL3", "1,1,0"), ("GSp4", "1,1,0,0"),
 )
 
 
@@ -499,29 +500,21 @@ def oracle_checks(seed=42, depth=5, samples=50):
     results += finite_product_checks() + ascent_checks()
     results += r_recursion_checks(depth) + kl_solver_checks()
 
-    # P*Q inversion and the inverse-KL recursion on Adm closures
+    # the inverse-KL recursion on Adm closures
     for fam, n, mu in (("GL", 3, (1, 1, 0)), ("GSp", 2, (1, 1, 1))):
         hctx = context(create(fam, n))
         g = hctx.group
-        bad_inv = bad_rec = 0
+        bad_rec = 0
         for w in g.adm(mu):
             bel = g.below(w)
             for x in bel:
-                acc = LaurentPoly.zero()
                 rec = LaurentPoly.zero()
                 for z in bel:
-                    if not g.leq(x, z):
-                        continue
-                    sgn = 1 if (z.length() - x.length()) % 2 == 0 else -1
-                    acc = acc + (hctx.kl_poly(x, z) * hctx.inv_kl_poly(z, w)).scale(sgn)
-                    rec = rec + hctx.r_poly(z, w) * hctx.inv_kl_poly(x, z)
-                bad_inv += acc != (LaurentPoly.one() if x is w else LaurentPoly.zero())
+                    if g.leq(x, z):
+                        rec = rec + hctx.r_poly(z, w) * hctx.inv_kl_poly(x, z)
                 gap = 2 * (w.length() - x.length())
                 bad_rec += rec != hctx.inv_kl_poly(x, w).bar().shift(gap)
         label = g.datum.label
-        results.append(
-            (f"pq-inversion-{label}", bad_inv == 0, f"{bad_inv} mismatches on Adm closure")
-        )
         results.append((f"invkl-recursion-{label}", bad_rec == 0, f"{bad_rec} mismatches"))
     results += pq_inversion_checks() + sum_qr_checks() + wakimoto_checks(seed, samples)
 

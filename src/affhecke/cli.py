@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import checks, multiplicity
 from .affweyl import DatumMismatch, group
@@ -39,8 +39,7 @@ CACHE_ENV_VAR = "AFFHECKE_CACHE_DIR"
 JOBS_HELP = "accepted for compatibility (at least 1); does not change the computation"
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything that determines the emitted artifact; echoed into JSON
     outputs.  `--jobs` is excluded: it does not change the computation,
     and the header only records inputs that could change the result."""
@@ -52,7 +51,7 @@ class RunConfig:
     cache_dir: str | None
 
     def as_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def _cache_dir(args):

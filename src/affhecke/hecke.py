@@ -39,7 +39,7 @@ from __future__ import annotations
 import os
 import tempfile
 
-from .affweyl import DatumMismatch, group
+from .affweyl import DatumMismatch, InvariantViolation, group
 from .laurent import LaurentPoly
 
 _ZERO = LaurentPoly.zero()
@@ -57,10 +57,6 @@ def _add_into(terms, x, c):
         terms[x] = n
     else:
         terms.pop(x, None)
-
-
-class InvariantViolation(AssertionError):
-    """An internal exact identity failed; indicates a convention bug."""
 
 
 class HeckeElement:
@@ -145,6 +141,7 @@ class HeckeContext:
         self._p_cache = {}
         self._q_cache = {}
         self._col_done = set()
+        self._cache_synced = None  # (path, n): the file at path holds these n P values
 
     # -- basis elements -----------------------------------------------
 
@@ -452,7 +449,12 @@ class HeckeContext:
         KLCache(directory).load_into(self)
 
     def save_cache(self, directory):
-        KLCache(directory).save_from(self)
+        """Write _p_cache to the cache file, unless that file already holds
+        all of it.  _p_cache only grows, so it holds the same pairs as the
+        file last loaded from or saved to this path iff it has as many."""
+        cache = KLCache(directory)
+        if self._cache_synced != (cache.path(self.datum), len(self._p_cache)):
+            cache.save_from(self)
 
 
 _CONVENTION_TAG = "base-alcove=dominant"
@@ -476,7 +478,11 @@ class KLCache:
     Header "klcache v1 <label> <convention>"; one record per line:
     "<x> <w> <poly>" in the canonical text encodings.  Unknown versions,
     wrong labels, garbled lines or records that fail `_plausible` are
-    ignored and rebuilt, never trusted.
+    ignored and rebuilt, never trusted.  A load decodes each distinct
+    element and polynomial text once, and every record still passes
+    `_plausible`.  HeckeContext.save_cache leaves a file alone while it
+    holds every P value of the context, so a run that adds no P value
+    does not rewrite it.
     """
 
     def __init__(self, directory):
@@ -486,22 +492,40 @@ class KLCache:
         return os.path.join(self.directory, f"klcache_{datum.label}.txt")
 
     def load_into(self, hctx):
+        """Stage every record, then add them all to hctx._p_cache; returns
+        the number of records, or 0 if the file is missing or rejected.
+
+        Each distinct element string and polynomial text is decoded once
+        per load, so equal P values share one LaurentPoly.  After a full
+        load hctx remembers that this file holds the loaded records, and
+        save_cache leaves it alone while no P value has been added.
+        """
         path = self.path(hctx.datum)
+        hctx._cache_synced = None
         try:
             with open(path, "r", encoding="ascii") as fh:
                 header = fh.readline().split()
                 if header != ["klcache", "v1", hctx.datum.label, _CONVENTION_TAG]:
                     return 0
-                g = hctx.group
+                decode = hctx.group.decode
+                elements = {}
+                polys = {}
                 staged = {}
                 for line in fh:
                     parts = line.split()
                     if len(parts) != 3:
                         return 0  # corrupt: discard wholesale
+                    xe, we, pe = parts
                     try:
-                        x = g.decode(parts[0])
-                        w = g.decode(parts[1])
-                        p = LaurentPoly.decode(parts[2])
+                        x = elements.get(xe)
+                        if x is None:
+                            x = elements[xe] = decode(xe)
+                        w = elements.get(we)
+                        if w is None:
+                            w = elements[we] = decode(we)
+                        p = polys.get(pe)
+                        if p is None:
+                            p = polys[pe] = LaurentPoly.decode(pe)
                     except (ValueError, DatumMismatch):
                         return 0
                     if not _plausible(x, w, p):
@@ -510,6 +534,7 @@ class KLCache:
         except OSError:
             return 0
         hctx._p_cache.update(staged)
+        hctx._cache_synced = (path, len(staged))
         return len(staged)
 
     def save_from(self, hctx):
@@ -526,6 +551,7 @@ class KLCache:
             for xe, we, pe in records:
                 fh.write(f"{xe} {we} {pe}\n")
         os.replace(tmp, path)
+        hctx._cache_synced = (path, len(records))
 
 
 _CONTEXTS = {}

@@ -17,7 +17,7 @@ multiplicity vector.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .affweyl import group
 from .central import kottwitz_function
@@ -34,8 +34,7 @@ class NotMinuscule(ValueError):
     """The coweight is not minuscule."""
 
 
-@dataclass
-class GroupedRow:
+class GroupedRow(NamedTuple):
     length: int
     count: int
     mults: tuple

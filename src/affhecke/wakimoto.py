@@ -26,8 +26,8 @@ t_lambda: positive crossings contribute T~_s, negative ones T~_s^{-1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .affweyl import group
 from .hecke import context
@@ -39,8 +39,7 @@ class NotMinimal(ValueError):
     """The factor list is not length-additive (not a reduced expression)."""
 
 
-@dataclass
-class Subexpression:
+class Subexpression(NamedTuple):
     """One v-distinguished walk along a reduced word of w."""
 
     base_word: tuple

@@ -80,6 +80,31 @@ def test_reduced_word_roundtrip():
     assert G.reduced_word(G.identity) == (G.identity, ())
 
 
+def test_reduced_word_stops_at_the_length(monkeypatch):
+    # a descent test that never ends must raise, not strip forever
+    G = affweyl.AffineWeylGroup(create("GL", 3))
+    x = G.translation((1, 0, 0))
+    calls = []
+
+    def always_descent(self, y):
+        calls.append(y)
+        return 1
+
+    monkeypatch.setattr(affweyl.AffineWeylGroup, "first_right_descent", always_descent)
+    with pytest.raises(affweyl.InvariantViolation):
+        G.reduced_word(x)
+    assert len(calls) == x.length() + 1
+
+
+def test_encode_stops_at_the_finite_length(monkeypatch):
+    # a finite index whose products never reach e must raise in encode
+    G = affweyl.AffineWeylGroup(create("GL", 3))
+    s = G.simple_reflection(1)
+    monkeypatch.setattr(affweyl.AffineWeylGroup, "_fin_right", lambda self, k, i: k)
+    with pytest.raises(affweyl.InvariantViolation):
+        G.encode(s)
+
+
 def test_length_subadditive():
     rng = random.Random(6)
     G = gl(3)

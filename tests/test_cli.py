@@ -1,9 +1,14 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from affhecke import cli
+from affhecke import cli, hecke
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -215,7 +220,8 @@ def test_cache_reused_and_rebuilt(tmp_path, capsys):
     code, out1, _ = run(capsys, "table", "GL3", "--mu", "2,2,0", "--cache-dir", cache)
     assert code == 0
     cache_file = os.path.join(cache, "klcache_GL3.txt")
-    assert os.path.exists(cache_file)
+    with open(cache_file, "rb") as fh:
+        cold = fh.read()
     # intact cache reproduces the table
     code, out2, _ = run(capsys, "table", "GL3", "--mu", "2,2,0", "--cache-dir", cache)
     assert code == 0 and out1 == out2
@@ -226,6 +232,53 @@ def test_cache_reused_and_rebuilt(tmp_path, capsys):
     assert code == 0 and out1 == out3
     header = open(cache_file).readline()
     assert header.startswith("klcache v1 GL3")
+    # by the context that wrote the file, too: rebuilt whole
+    with open(cache_file, "rb") as fh:
+        assert fh.read() == cold
+
+
+def _fresh_table(capsys, monkeypatch, cache):
+    """`table GL4 --mu 1,1,0,0` as a new process would run it."""
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    code, out, _ = run(capsys, "table", "GL4", "--mu", "1,1,0,0", "--cache-dir", cache)
+    assert code == 0
+    return out
+
+
+def test_warm_table_leaves_the_cache_file_alone(tmp_path, capsys, monkeypatch):
+    cache = str(tmp_path)
+    cold = _fresh_table(capsys, monkeypatch, cache)
+    path = os.path.join(cache, "klcache_GL4.txt")
+    before = os.stat(path)
+    assert _fresh_table(capsys, monkeypatch, cache) == cold
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def test_cache_missing_a_record_is_rewritten_whole(tmp_path, capsys, monkeypatch):
+    cache = str(tmp_path)
+    cold = _fresh_table(capsys, monkeypatch, cache)
+    path = os.path.join(cache, "klcache_GL4.txt")
+    with open(path, "rb") as fh:
+        full = fh.read()
+    lines = full.splitlines(keepends=True)
+    with open(path, "wb") as fh:
+        fh.write(b"".join(lines[:5] + lines[6:]))
+    assert _fresh_table(capsys, monkeypatch, cache) == cold
+    with open(path, "rb") as fh:
+        assert fh.read() == full
+
+
+def test_cli_import_leaves_out_dataclasses():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    probe = "import sys, affhecke.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, env=env, check=True
+    ).stdout.decode()
+    assert out == "[]\n"
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

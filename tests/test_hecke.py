@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from affhecke import checks, hecke, multiplicity
-from affhecke.affweyl import DatumMismatch, group
+from affhecke.affweyl import AffineWeylGroup, DatumMismatch, group
 from affhecke.central import kottwitz_function
 from affhecke.checks import ball, _r_extraction
 from affhecke.hecke import HeckeContext, InvariantViolation, KLCache, context
@@ -269,7 +269,7 @@ def test_pq_inversion_oracle():
     for name, ok, detail in results:
         assert ok, (name, detail)
         assert detail.endswith(", 0 mismatches"), detail
-    assert sum(int(detail.split()[0]) for _, _, detail in results) == 4662
+    assert sum(int(detail.split()[0]) for _, _, detail in results) == 4736
 
 
 def test_table_computes_no_r_polynomials(monkeypatch):
@@ -353,6 +353,50 @@ def test_kl_cache_roundtrip(tmp_path):
     assert n == len(lines) - 1
     for x in G.below(t):
         assert H2.kl_poly(x, t) == H.kl_poly(x, t)
+
+
+@pytest.fixture(scope="module")
+def gl5_cache(tmp_path_factory):
+    """The KL cache file a cold GL5 `1,1,0,0,0` table writes (2,020 records)."""
+    directory = str(tmp_path_factory.mktemp("klcache"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hecke, "_CONTEXTS", {})
+        multiplicity.compute(create("GL", 5), (1, 1, 0, 0, 0), cache_dir=directory)
+    return KLCache(directory)
+
+
+def _records(cache, datum):
+    with open(cache.path(datum), encoding="ascii") as fh:
+        return [line.split() for line in fh.readlines()[1:]]
+
+
+def test_kl_cache_load_decodes_each_element_once(gl5_cache, monkeypatch):
+    datum = create("GL", 5)
+    strings = {e for x_enc, w_enc, _ in _records(gl5_cache, datum) for e in (x_enc, w_enc)}
+    assert len(strings) == 131
+    decode = AffineWeylGroup.decode
+    calls = []
+
+    def counting_decode(g, text):
+        calls.append(text)
+        return decode(g, text)
+
+    monkeypatch.setattr(AffineWeylGroup, "decode", counting_decode)
+    assert gl5_cache.load_into(HeckeContext(datum)) == 2020
+    assert sorted(calls) == sorted(strings)
+
+
+def test_kl_cache_load_shares_equal_polynomials(gl5_cache):
+    datum = create("GL", 5)
+    texts = {p for _, _, p in _records(gl5_cache, datum)}
+    assert len(texts) == 3
+    H = HeckeContext(datum)
+    assert gl5_cache.load_into(H) == 2020
+    by_text = {}
+    for p in H._p_cache.values():
+        by_text.setdefault(p.encode(), set()).add(id(p))
+    assert set(by_text) == texts
+    assert all(len(ids) == 1 for ids in by_text.values())
 
 
 def test_kl_cache_corruption_ignored(tmp_path):
