@@ -9,10 +9,13 @@ product wbar_1 wbar_2 has perm_2[perm_1[a]] and the inverse has the
 inverse permutation).  Products and inverses compose permutations and
 look the result up; a matrix is multiplied (or inverted) only when the
 result is a new id, so at most once per finite Weyl element.  Per-id
-tables hold the root permutation, wbar(theta^vee) and the ascent data
-below, and elements are interned on (lambda, id).  Ids follow the order
-of first appearance, so they differ between processes: pickles carry
-the matrix, never the id, and no output depends on them.
+tables hold the root permutation, wbar(theta^vee), the ascent data
+below and the text of a reduced word of wbar, and elements are interned
+on (lambda, id), so an element is the one object with its (lambda, wbar):
+elements hash and compare by identity, at C speed in dicts and sets.
+Ids and hashes follow the order of first appearance and the memory
+layout, so they differ between processes: pickles carry the matrix,
+never the id, and no output depends on them or on set order.
 The Coxeter structure is taken with respect to the dominant base
 alcove {0 < <alpha, x> < 1 for all positive roots alpha}: the simple
 affine reflections are the finite simple reflections s_1..s_r together
@@ -75,16 +78,15 @@ class InvariantViolation(AssertionError):
 
 
 class AffineWeylElement:
-    """t_lambda * wbar; hashable, immutable, interned per group.
+    """t_lambda * wbar; immutable, interned per group on (trans, _fi).
 
     `fin` is the matrix of wbar and `_fi` its id in the group's finite
-    Weyl index; ids are private to one process, so equality, hashing and
-    interning key on (trans, _fi) but pickling carries the matrix.
+    Weyl index.  Interning makes equal elements the same object, so the
+    default identity hash and equality are exact; ids are private to one
+    process, so pickling carries the matrix.
     """
 
-    __slots__ = (
-        "group", "trans", "fin", "_fi", "_len", "_rdesc", "_hash", "_word", "_enc"
-    )
+    __slots__ = ("group", "trans", "fin", "_fi", "_len", "_rdesc", "_word", "_enc")
 
     def __init__(self, group, trans, fi):
         self.group = group
@@ -95,21 +97,6 @@ class AffineWeylElement:
         self._rdesc = None
         self._word = None
         self._enc = None
-        self._hash = hash((trans, fi))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, AffineWeylElement):
-            return NotImplemented
-        return (
-            self.group is other.group
-            and self._fi == other._fi
-            and self.trans == other.trans
-        )
 
     def __mul__(self, other):
         return self.group.mul(self, other)
@@ -190,6 +177,8 @@ class AffineWeylGroup:
         self._rmul = [[] for _ in range(self.n_gens)]  # id of wbar * s_i
         self._lmul = [[] for _ in range(self.n_gens)]  # id of s_i * wbar
         self._fprod = {}  # (id, id) -> id of the product
+        self._fword = []  # the text "s1.s2..." of a reduced word of wbar, for encode
+        self._conj = {}  # (omega, i) -> j with omega s_i omega^{-1} = s_j
         self.identity = self._make(zero, self._fid(d.identity))
 
     # -- the finite Weyl index ---------------------------------------------
@@ -222,6 +211,7 @@ class AffineWeylGroup:
             (self._roots[inv[b]], c - (inv[b] >= n)) for b, c in self._aff_simple
         ))
         self._finv.append(None)
+        self._fword.append(None)
         for row in self._rmul:
             row.append(None)
         for row in self._lmul:
@@ -321,6 +311,27 @@ class AffineWeylGroup:
                 self._gperm[i], self._perm[k], s, self._fmat[k]
             )
         return self._make(vec_add(gamma, mat_vec(s, a.trans)), j)
+
+    def conj_gen(self, omega, i):
+        """The j with omega s_i omega^{-1} = s_j, for omega of length zero.
+
+        omega = t_lambda wbar permutes the walls of the base alcove: it
+        sends alpha_i = b_i + c_i to beta + c_i - <beta, lambda> with
+        beta = b_i o wbar^{-1}, which must be the affine simple root
+        alpha_j.  Memoised per (omega, i).
+        """
+        key = (omega, i)
+        j = self._conj.get(key)
+        if j is None:
+            b, c = self._aff_simple[i]
+            a = _inverse(self._perm[omega._fi])[b]
+            image = (a, c - dot(self._roots[a], omega.trans))
+            if image not in self._aff_simple:
+                raise InvariantViolation(
+                    f"{omega.encode()} does not map the wall of s{i} to a wall"
+                )
+            j = self._conj[key] = self._aff_simple.index(image)
+        return j
 
     def inv(self, a):
         k = a._fi
@@ -461,13 +472,19 @@ class AffineWeylGroup:
 
     def encode(self, x):
         """Canonical text form "t[coords]*w[word]" with a finite reduced word."""
-        if x._enc is not None:
-            return x._enc
-        # strip the smallest finite right descent of wbar until it is e (id
-        # 0), l(wbar) steps; at lambda = 0 the ascent test of s_i, i >= 1,
-        # is beta > 0, that is bound = 0, and a descent has bound = -1
+        if x._enc is None:
+            word = self._fword[x._fi]
+            if word is None:
+                word = self._fword[x._fi] = self._finite_word(x._fi)
+            x._enc = f"t[{','.join(map(str, x.trans))}]*w[{word}]"
+        return x._enc
+
+    def _finite_word(self, k):
+        """The text "s1.s2..." of the reduced word of the finite element k
+        that strips its smallest finite right descent until it is e (id 0),
+        l(wbar) steps; at lambda = 0 the ascent test of s_i, i >= 1, is
+        beta > 0, that is bound = 0, and a descent has bound = -1."""
         fin_word = []
-        k = x._fi
         n = self.datum.n_pos
         steps = sum(p >= n for p in self._perm[k][:n])  # l(wbar)
         while k:
@@ -475,15 +492,11 @@ class AffineWeylGroup:
             i = next((i for i in range(1, self.n_gens) if asc[i][1] < 0), None)
             if i is None or len(fin_word) == steps:
                 raise InvariantViolation(
-                    f"the finite part of {x.trans} is not e after {len(fin_word)} descents"
+                    f"the finite part {self._fmat[k]} is not e after {len(fin_word)} descents"
                 )
             fin_word.append(i)
             k = self._fin_right(k, i)
-        fin_word.reverse()
-        lam = ",".join(str(c) for c in x.trans)
-        word = ".".join(f"s{i}" for i in fin_word)
-        x._enc = f"t[{lam}]*w[{word}]"
-        return x._enc
+        return ".".join(f"s{i}" for i in reversed(fin_word))
 
     def decode(self, text):
         text = text.strip()

@@ -112,10 +112,7 @@ def theta(datum, lam, decomposition=minimal_dominant_pair):
 def bernstein_central(datum, lam):
     """z_lambda = sum_{nu in W lambda} Theta_nu in orbit order; lam must be dominant."""
     lam = datum.require_dominant(lam)
-    out = context(datum).zero()
-    for nu in datum.weyl_orbit(lam):
-        out = out + theta(datum, nu)
-    return out
+    return context(datum).sum(theta(datum, nu) for nu in datum.weyl_orbit(lam))
 
 
 def kottwitz_function(datum, mu):
@@ -125,13 +122,13 @@ def kottwitz_function(datum, mu):
     """
     mu = datum.require_dominant(mu)
     hctx = context(datum)
-    g = hctx.group
-    ell = g.translation(mu).length()
-    acc = hctx.zero()
-    for lam in datum.dominant_below(mu):
-        m = datum.weight_multiplicity(mu, lam)
-        if m:
-            acc = acc + bernstein_central(datum, lam).scale(m)
+    ell = hctx.group.translation(mu).length()
+    weights = datum.weight_table(mu)
+    acc = hctx.sum(
+        bernstein_central(datum, lam).scale(weights[lam])
+        for lam in sorted(weights)
+        if weights[lam]
+    )
     sign = -1 if ell % 2 else 1
     return acc.scale(LaurentPoly.v_power(ell, sign))
 

@@ -472,6 +472,57 @@ def pq_inversion_checks():
     return results
 
 
+def inverse_product_checks():
+    """mul_T_inv against mul with inv_T, on every y of the Adm sets of
+    PQ_INVERSION_CASES.
+
+    mul_T_inv multiplies h by omega^{-1} first and then steps along the
+    word of y with each s_i conjugated by omega; mul(h, inv_T(y)) builds
+    T_y^{-1} by left steps from T_{omega^{-1}} and multiplies it in along
+    the words of its support.  For h = T_x, x the identity, the first,
+    a middle and the last element of Adm(mu): the two agree and
+    mul_T(mul_T_inv(h, y), y) = h.  For each omega met, omega s_i omega^{-1}
+    by the group law must be the simple reflection conj_gen names.  An
+    InvariantViolation counts as a mismatch.
+    """
+    results = []
+    for label, text in PQ_INVERSION_CASES:
+        d = parse_group(label)
+        hctx = context(d)
+        g = hctx.group
+        adm = g.adm(d.parse_coweight(text))
+        hs = [hctx.T(x) for x in (g.identity, adm[0], adm[len(adm) // 2], adm[-1])]
+        omegas = set()
+        bad = 0
+        for y in adm:
+            omegas.add(g.reduced_word(y)[0])
+            inv = hctx.inv_T(y)
+            for h in hs:
+                try:
+                    got = hctx.mul_T_inv(h, y)
+                except InvariantViolation:
+                    bad += 1
+                    continue
+                bad += got != hctx.mul(h, inv) or hctx.mul_T(got, y) != h
+        for omega in omegas:
+            omega_inv = g.inv(omega)
+            for i in range(g.n_gens):
+                conj = g.mul(g.mul(omega, g.simple_reflection(i)), omega_inv)
+                try:
+                    bad += conj is not g.simple_reflection(g.conj_gen(omega, i))
+                except InvariantViolation:
+                    bad += 1
+        results.append(
+            (
+                f"inverse-product-{label}-{text}",
+                bad == 0,
+                f"{len(adm)} y in Adm({text}) times {len(hs)} T_x, "
+                f"{len(omegas)} Omega elements, {bad} mismatches",
+            )
+        )
+    return results
+
+
 def wakimoto_checks(seed, samples):
     """The Wakimoto closed form against the Hecke product, on `samples`
     random pairs (v, w) from ball(g, 4) with l(v) + l(w) <= 8 per family."""
@@ -516,7 +567,8 @@ def oracle_checks(seed=42, depth=5, samples=50):
                 bad_rec += rec != hctx.inv_kl_poly(x, w).bar().shift(gap)
         label = g.datum.label
         results.append((f"invkl-recursion-{label}", bad_rec == 0, f"{bad_rec} mismatches"))
-    results += pq_inversion_checks() + sum_qr_checks() + wakimoto_checks(seed, samples)
+    results += pq_inversion_checks() + inverse_product_checks()
+    results += sum_qr_checks() + wakimoto_checks(seed, samples)
 
     # q = 1 specialisation: a_w(1) = Q_{w, t_lambda}(1)
     bad = 0

@@ -7,8 +7,8 @@ query   KIND GROUP ...      single objects: adm, kl, invkl, rpoly, theta,
                             z, kottwitz, wakimoto
 check   SUITE ...           properties | oracles | golden
 
-Exit codes: 0 success, 2 usage or parse error, 3 failed check or internal
-invariant violation.  All output is deterministic: the computation is
+Exit codes: 0 success, 2 usage, parse or I/O error, 3 failed check or
+internal invariant violation.  All output is deterministic: the computation is
 serial and every ordering is fixed.  `table` and `check` accept
 `--jobs N` (N at least 1) for compatibility; it does not change the
 computation.
@@ -319,6 +319,7 @@ def main(argv=None):
         multiplicity.NotInAdm,
         multiplicity.NotMinuscule,
         ValueError,
+        OSError,  # an unwritable --out or --cache-dir
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,8 +9,15 @@ computed by walking reduced words one generator at a time:
     T_x T_s^{-1} = T_{xs}                     if xs < x
                    q^{-1} T_{xs} + (q^{-1}-1) T_x  if xs > x
 
-Length-zero elements multiply by the group law.  On top of the ring
-operations this module computes
+A quadratic step is a shift of v-exponents: with d = c v^{+-2}, the
+coefficient c of T_x gives d to T_{xs} and d - c to T_x, with no
+polynomial product.  Length-zero elements multiply by the group law.
+For y = omega s_1 ... s_k, h T_y^{-1} multiplies h by omega^{-1} first
+and then walks the word with each s_i conjugated by omega, by
+T_s^{-1} T_{omega^{-1}} = T_{omega^{-1}} T_{omega s omega^{-1}}^{-1}: the
+group law runs once per term of h, not once per term of the product.
+Sums add into one term dict.  On top of the ring operations this module
+computes
 
 * R-polynomials         R_{x,y}:  T^{-1}_{y^{-1}} = eps_x eps_y q_y^{-1}
                         sum_x R_{x,y}(q) T_x, by the standard recursion;
@@ -44,19 +51,19 @@ from .laurent import LaurentPoly
 
 _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
-_Q = LaurentPoly.q_power(1)
-_QM1 = LaurentPoly({2: 1, 0: -1})        # q - 1
-_QINV = LaurentPoly.q_power(-1)
-_QINVM1 = LaurentPoly({-2: 1, 0: -1})    # q^{-1} - 1
 
 
 def _add_into(terms, x, c):
-    """terms[x] += c, dropping x when the sum is zero."""
-    n = terms.get(x, _ZERO) + c
+    """terms[x] += c for a nonzero c, dropping x when the sum is zero."""
+    old = terms.get(x)
+    if old is None:
+        terms[x] = c
+        return
+    n = old + c
     if n:
         terms[x] = n
     else:
-        terms.pop(x, None)
+        del terms[x]
 
 
 class HeckeElement:
@@ -67,6 +74,14 @@ class HeckeElement:
     def __init__(self, hctx, terms):
         self.hctx = hctx
         self.terms = {x: c for x, c in terms.items() if c}
+
+    @classmethod
+    def _of(cls, hctx, terms):
+        """Wrap a term dict that has no zero coefficient, without a copy."""
+        h = cls.__new__(cls)
+        h.hctx = hctx
+        h.terms = terms
+        return h
 
     @property
     def datum(self):
@@ -85,23 +100,29 @@ class HeckeElement:
         t = dict(self.terms)
         for x, c in other.terms.items():
             _add_into(t, x, c)
-        return HeckeElement(self.hctx, t)
+        return HeckeElement._of(self.hctx, t)
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return HeckeElement(self.hctx, {x: -c for x, c in self.terms.items()})
+        return HeckeElement._of(self.hctx, {x: -c for x, c in self.terms.items()})
 
     def scale(self, poly):
-        """Multiply every coefficient by a LaurentPoly or int."""
+        """Multiply every coefficient by a LaurentPoly or int; a monomial
+        k v^e is a shift and a scale, with no polynomial product."""
         if isinstance(poly, int):
             poly = LaurentPoly({0: poly})
         if not poly:
-            return HeckeElement(self.hctx, {})
-        return HeckeElement(
-            self.hctx, {x: c * poly for x, c in self.terms.items()}
-        )
+            return HeckeElement._of(self.hctx, {})
+        if len(poly.terms) > 1:
+            terms = {x: c * poly for x, c in self.terms.items()}
+        else:
+            ((e, k),) = poly.terms.items()
+            if e == 0 and k == 1:
+                return self
+            terms = {x: c.shift(e).scale(k) for x, c in self.terms.items()}
+        return HeckeElement._of(self.hctx, terms)
 
     def __mul__(self, other):
         if isinstance(other, HeckeElement):
@@ -167,21 +188,22 @@ class HeckeContext:
     def _gen_step(self, h, i, left, inverse):
         """T_{s_i}^e * h if `left`, else h * T_{s_i}^e; e = -1 if `inverse`.
 
-        Per term, with y = s_i x (left) or x s_i (right): T_y alone when
+        Per term c T_x, with y = s_i x (left) or x s_i (right): c T_y when
         the step changes the length by e, otherwise the quadratic relation
-        q^e T_y + (q^e - 1) T_x.
+        d T_y + (d - c) T_x with d = q^e c, a shift of c.
         """
         g = self.group
-        step, q, qm1 = (-1, _QINV, _QINVM1) if inverse else (1, _Q, _QM1)
+        step = -1 if inverse else 1
         out = {}
         for x, c in h.terms.items():
             y = g.gen_mul(i, x) if left else g.mul_gen(x, i)
             if y.length() - x.length() == step:
                 _add_into(out, y, c)
             else:
-                _add_into(out, y, c * q)
-                _add_into(out, x, c * qm1)
-        return HeckeElement(self, out)
+                d = c.shift(2 * step)
+                _add_into(out, y, d)
+                _add_into(out, x, d - c)
+        return HeckeElement._of(self, out)
 
     def mul_gen_T(self, h, i):
         """h * T_{s_i}."""
@@ -198,15 +220,7 @@ class HeckeContext:
     def mul_omega(self, h, omega):
         """h * T_omega for a length-zero omega (group translation of support)."""
         g = self.group
-        return HeckeElement(
-            self, {g.mul(x, omega): c for x, c in h.terms.items()}
-        )
-
-    def omega_mul(self, omega, h):
-        g = self.group
-        return HeckeElement(
-            self, {g.mul(omega, x): c for x, c in h.terms.items()}
-        )
+        return HeckeElement._of(self, {g.mul(x, omega): c for x, c in h.terms.items()})
 
     def mul_T(self, h, y):
         """h * T_y along the canonical reduced word of y."""
@@ -217,12 +231,19 @@ class HeckeContext:
         return out
 
     def mul_T_inv(self, h, y):
-        """h * T_y^{-1} along the canonical reduced word of y."""
-        omega, word = self.group.reduced_word(y)
-        out = h
+        """h * T_y^{-1} along the canonical reduced word of y.
+
+        For y = omega s_1 ... s_k, T_y^{-1} = T_{s_k}^{-1} ... T_{s_1}^{-1}
+        T_{omega^{-1}}, and T_s^{-1} T_{omega^{-1}} = T_{omega^{-1}}
+        T_{omega s omega^{-1}}^{-1}: h is multiplied by omega^{-1} first,
+        then stepped along the word with each s_i conjugated by omega.
+        """
+        g = self.group
+        omega, word = g.reduced_word(y)
+        out = self.mul_omega(h, g.inv(omega))
         for i in reversed(word):
-            out = self._gen_step(out, i, left=False, inverse=True)
-        return self.mul_omega(out, self.group.inv(omega))
+            out = self._gen_step(out, g.conj_gen(omega, i), left=False, inverse=True)
+        return out
 
     def mul(self, a, b):
         """Full product; cost is |supp(b)| reduced-word walks over a."""
@@ -231,7 +252,15 @@ class HeckeContext:
             part = self.mul_T(a, y)
             for x, d in part.terms.items():
                 _add_into(out, x, d * c)
-        return HeckeElement(self, out)
+        return HeckeElement._of(self, out)
+
+    def sum(self, parts):
+        """The sum of an iterable of elements, added into one term dict."""
+        out = {}
+        for h in parts:
+            for x, c in h.terms.items():
+                _add_into(out, x, c)
+        return HeckeElement._of(self, out)
 
     def inv_T(self, w):
         """T_w^{-1} = T_{s_k}^{-1} ... T_{s_1}^{-1} T_{omega^{-1}},
@@ -245,10 +274,11 @@ class HeckeContext:
 
     def bar(self, h):
         """The Kazhdan-Lusztig involution: bar coefficients, T_y -> T^{-1}_{y^{-1}}."""
-        out = self.zero()
-        for y, c in sorted(h.terms.items(), key=lambda kv: self.group.sort_key(kv[0])):
-            out = out + self.inv_T(self.group.inv(y)).scale(c.bar())
-        return out
+        g = self.group
+        return self.sum(
+            self.inv_T(g.inv(y)).scale(c.bar())
+            for y, c in sorted(h.terms.items(), key=lambda kv: g.sort_key(kv[0]))
+        )
 
     # -- R-polynomials -----------------------------------------------------
 
@@ -271,8 +301,9 @@ class HeckeContext:
         xs = g.mul_gen(x, i)
         if xs.length() < x.length():
             val = self.r_poly(xs, ys)
-        else:
-            val = _QM1 * self.r_poly(x, ys) + _Q * self.r_poly(xs, ys)
+        else:  # (q - 1) R_{x,ys} + q R_{xs,ys}
+            r = self.r_poly(x, ys)
+            val = r.shift(2) - r + self.r_poly(xs, ys).shift(2)
         self._r_cache[key] = val
         return val
 
@@ -328,7 +359,7 @@ class HeckeContext:
             mu = mus.get(w)
             if mu is None:
                 mu = mus[w] = self._mu_terms(w, s, v)
-            todo = [z for z, _ in mu if z not in done]
+            todo = [z for z, _e, _c in mu if z not in done]
             if todo:
                 stack.extend(todo)
                 continue
@@ -336,7 +367,8 @@ class HeckeContext:
             done.add(w)
 
     def _mu_terms(self, y, s, v):
-        """[(z, mu(z,v) q^{(l(y)-l(z))/2})] over z < v with zs < z and
+        """[(z, l(y) - l(z), mu(z,v))], the term mu(z,v) q^{(l(y)-l(z))/2} as
+        a v-exponent and a coefficient, over z < v with zs < z and
         mu(z,v) != 0, which needs l(v) - l(z) odd."""
         g = self.group
         ly, lv = y.length(), v.length()
@@ -346,7 +378,7 @@ class HeckeContext:
             if gap % 2 and g.mul_gen(z, s).length() < z.length():
                 c = self._p_cache[(z, v)].terms.get(gap - 1, 0)
                 if c:
-                    out.append((z, LaurentPoly.v_power(ly - z.length(), c)))
+                    out.append((z, ly - z.length(), c))
         return out
 
     def _solve_column(self, y, s, v, mu):
@@ -366,10 +398,10 @@ class HeckeContext:
                 p = p_xs + p_x.shift(2)
             else:
                 p = p_xs.shift(2) + p_x
-            for z, m in mu:
+            for z, e, c in mu:
                 p_xz = _ONE if x is z else pc.get((x, z))
                 if p_xz is not None:
-                    p = p - p_xz * m
+                    p = p - p_xz.shift(e).scale(c)
             if not _kl_shape(p, ly - x.length()):
                 raise InvariantViolation(
                     f"KL recursion gave P = {p.encode()} at x={x.encode()} y={y.encode()}"
@@ -438,10 +470,10 @@ class HeckeContext:
 
     def from_ic_basis(self, coeffs):
         """sum_w c_w C''_w as a T-basis element."""
-        out = self.zero()
-        for w in sorted(coeffs, key=self.group.sort_key):
-            out = out + self.ic_basis_element(w).scale(coeffs[w])
-        return out
+        return self.sum(
+            self.ic_basis_element(w).scale(coeffs[w])
+            for w in sorted(coeffs, key=self.group.sort_key)
+        )
 
     # -- persistent P cache -------------------------------------------------
 

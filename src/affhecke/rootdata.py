@@ -31,6 +31,7 @@ brute-force cross-check that expands the Weyl character formula.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, sub
 
 
 class UnsupportedFamilyRank(ValueError):
@@ -49,15 +50,15 @@ class NotDominant(ValueError):
 
 
 def dot(f, v):
-    return sum(a * b for a, b in zip(f, v))
+    return sum(map(mul, f, v))
 
 
 def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vec_scale(u, c):
@@ -406,11 +407,11 @@ class RootDatum:
         """
         mu = self.require_dominant(mu)
         lam = self.require_dominant(lam)
-        table = self._weight_table(mu)
-        return table.get(lam, 0)
+        return self.weight_table(mu).get(lam, 0)
 
-    def _weight_table(self, mu):
-        """{dominant lam <= mu: multiplicity}, cached per mu."""
+    def weight_table(self, mu):
+        """{dominant lam <= mu: multiplicity} for a dominant mu, cached per
+        mu; its keys are dominant_below(mu)."""
         if mu in self._wmult_cache:
             return self._wmult_cache[mu]
         doms = sorted(self.dominant_below(mu), key=lambda l: self._height_from(mu, l))

@@ -295,6 +295,18 @@ def test_index_fills_each_table_cell_once(monkeypatch):
     assert 0 < len(calls) <= 2 * G.n_gens * len(datum.finite_weyl())
 
 
+def test_elements_hash_and_compare_by_identity():
+    # interning makes equal elements one object, so the default object
+    # hash and equality are exact
+    for fam, n, mu in [("GL", 4, (2, 1, 0, 0)), ("GSp", 2, (1, 1, 1)), ("G2", 2, (1, 0))]:
+        G = group(create(fam, n))
+        for x in G.adm(mu):
+            assert hash(x) == object.__hash__(x)
+            assert G.decode(x.encode()) is x
+            assert G.element(x.trans, x.fin) is x
+            assert pickle.loads(pickle.dumps(x)) is x
+
+
 def test_group_law_makes_one_matrix_product_per_finite_element(monkeypatch):
     # products and inverses compose root permutations; a matrix is
     # multiplied or inverted only to register a new finite Weyl element

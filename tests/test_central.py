@@ -81,7 +81,7 @@ def test_z_basics_and_centrality():
         omega, word = G.reduced_word(G.translation((1, 0, 0)))
         assert not word or omega.length() == 0
         tau = omega
-        assert H.omega_mul(tau, z) == H.mul_omega(z, tau)
+        assert H.mul(H.T(tau), z) == H.mul_omega(z, tau)
 
 
 def test_z_centrality_other_families():

@@ -269,6 +269,54 @@ def test_cache_missing_a_record_is_rewritten_whole(tmp_path, capsys, monkeypatch
         assert fh.read() == full
 
 
+def test_out_in_a_missing_directory_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(
+        capsys, "table", "GL3", "--mu", "1,0,0", "--out", str(target),
+        "--cache-dir", str(tmp_path / "klc"),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.exists()
+
+
+def test_cache_dir_that_is_a_file_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    blocker = tmp_path / "klc"
+    blocker.write_text("not a directory\n")
+    code, out, err = run(capsys, "table", "GL3", "--mu", "1,0,0", "--cache-dir", str(blocker))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(blocker) in err
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_table_bytes_do_not_depend_on_the_process(tmp_path):
+    # elements hash by identity, so set order follows the memory layout; a
+    # second process whose objects sit elsewhere (after `junk` bytes objects)
+    # must print the same table and write the same KL-cache file
+    prelude = (
+        "import runpy, sys; junk = [bytes(k % 200) for k in range({})]; "
+        "sys.argv = ['affhecke', *sys.argv[1:]]; "
+        "runpy.run_module('affhecke.cli', run_name='__main__')"
+    )
+    runs = []
+    for seed, junk in (("0", 0), ("1", 7777)):
+        cache = tmp_path / f"klc{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        env.pop("AFFHECKE_CACHE_DIR", None)
+        argv = ["table", "GL4", "--mu", "2,1,0,0", "--cache-dir", str(cache)]
+        proc = subprocess.run(
+            [sys.executable, "-c", prelude.format(junk), *argv],
+            capture_output=True, env=env, check=True,
+        )
+        files = {p.name: p.read_bytes() for p in sorted(cache.iterdir())}
+        runs.append((proc.stdout, files))
+    assert runs[0][1] and runs[0] == runs[1]
+
+
 def test_cli_import_leaves_out_dataclasses():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

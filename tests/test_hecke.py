@@ -272,6 +272,61 @@ def test_pq_inversion_oracle():
     assert sum(int(detail.split()[0]) for _, _, detail in results) == 4736
 
 
+def test_inverse_product_oracle():
+    results = checks.inverse_product_checks()
+    assert [name for name, _, _ in results] == [
+        f"inverse-product-{label}-{text}" for label, text in checks.PQ_INVERSION_CASES
+    ]
+    for name, ok, detail in results:
+        assert ok, (name, detail)
+        assert detail.endswith(", 0 mismatches"), detail
+    # 143 + 19 + 41 + 49 + 7 + 13 elements y
+    assert sum(int(detail.split()[0]) for _, _, detail in results) == 272
+
+
+def test_kottwitz_function_makes_no_laurent_product(monkeypatch):
+    # quadratic steps and monomial scalings are shifts, sums add into one dict
+    calls = []
+    real = LaurentPoly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    f = kottwitz_function(create("GL", 5), (2, 1, 0, 0, 0))
+    assert len(f.terms) == 701
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "fam,n,lams",
+    [
+        ("GL", 4, [(1, 0, 0, -1), (0, 2, -1, 1), (2, 1, 0, 0), (-1, 0, 0, 0)]),
+        ("GSp", 2, [(0, 1, 1), (1, 0, 1), (-1, 1, 0), (2, 1, 3)]),
+        ("G2", 2, [(-1, 2), (1, -1), (0, 0)]),
+    ],
+)
+def test_theta_calls_the_group_law_once_per_left_term(monkeypatch, fam, n, lams):
+    # Theta = T~_{t1} T~_{t2}^{-1}: omega^{-1} multiplies the one term of
+    # T_{t1}, not every term of the product
+    from affhecke import affweyl, central
+
+    datum = create(fam, n)
+    calls = []
+    real = affweyl.AffineWeylGroup.mul
+
+    def counting(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(affweyl.AffineWeylGroup, "mul", counting)
+    for lam in lams:
+        calls.clear()
+        h = central.theta(datum, lam)
+        assert h and len(calls) == 1, (lam, len(h.terms), len(calls))
+
+
 def test_table_computes_no_r_polynomials(monkeypatch):
     monkeypatch.setattr(hecke, "_CONTEXTS", {})
     datum = create("GL", 4)

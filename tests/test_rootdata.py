@@ -120,7 +120,7 @@ def test_weight_multiplicities():
 def test_freudenthal_against_character_oracle(family, rank, mu):
     datum = create(family, rank)
     oracle = datum.weight_multiplicities_by_character(mu)
-    table = datum._weight_table(mu)
+    table = datum.weight_table(mu)
     assert table == oracle
 
 
