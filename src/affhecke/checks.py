@@ -472,6 +472,67 @@ def pq_inversion_checks():
     return results
 
 
+def q_oracle_row(hctx, x, ws):
+    """{w: Q_{x,w}} for the w >= x in ws, from R-polynomials alone: an
+    oracle for the downward solve that inv_kl_poly reads.
+
+    sum_{x<=z<=w} Q_{x,z} R_{z,w} = q^{l(w)-l(x)} bar(Q_{x,w}) and Q_{x,x} = 1
+    give q^{l(w)-l(x)} bar(Q_{x,w}) - Q_{x,w} = sum_{x<=z<w} Q_{x,z} R_{z,w},
+    which determines Q_{x,w} from its degree bound 2 deg_q <= l(w)-l(x)-1,
+    by increasing l(w); ws must be lower-closed, so that it holds [x, w].
+    The row lives in its own dict: hctx supplies R-polynomials only, never
+    _p_cache or _q_cache.  Mirrors bar_fixed_column.
+    """
+    g = hctx.group
+    lx = x.length()
+    row = {x: LaurentPoly.one()}
+    for w in sorted((w for w in ws if w is not x and g.leq(x, w)), key=g.sort_key):
+        s = LaurentPoly.zero()
+        for z, q_z in row.items():
+            if g.leq(z, w):
+                s = s + q_z * hctx.r_poly(z, w)
+        gap = w.length() - lx
+        q = LaurentPoly({2 * gap - e: c for e, c in s.terms.items() if e > gap})
+        if q.bar().shift(2 * gap) - q != s:
+            raise InvariantViolation(
+                f"Q bar-relation failed at x={x.encode()} w={w.encode()}"
+            )
+        row[w] = q
+    return row
+
+
+def q_oracle_checks():
+    """inv_kl_poly against q_oracle_row on every pair x <= w of Adm(mu),
+    for the cases of PQ_INVERSION_CASES with mu not minuscule; a row whose
+    solve raises InvariantViolation counts as a mismatch."""
+    results = []
+    for label, text in PQ_INVERSION_CASES:
+        d = parse_group(label)
+        mu = d.parse_coweight(text)
+        if multiplicity.is_minuscule(d, mu):
+            continue
+        hctx = context(d)
+        adm = hctx.group.adm(mu)
+        pairs = bad = 0
+        for x in adm:
+            try:
+                row = q_oracle_row(hctx, x, adm)
+            except InvariantViolation:
+                bad += 1
+                continue
+            for w, q in row.items():
+                pairs += 1
+                bad += q != hctx.inv_kl_poly(x, w)
+        results.append(
+            (
+                f"q-oracle-vs-ic-basis-{label}-{text}",
+                bad == 0,
+                f"{pairs} pairs x <= w of Adm({text}), {bad} mismatches",
+            )
+        )
+    return results
+
+
 def inverse_product_checks():
     """mul_T_inv against mul with inv_T, on every y of the Adm sets of
     PQ_INVERSION_CASES.
@@ -567,7 +628,7 @@ def oracle_checks(seed=42, depth=5, samples=50):
                 bad_rec += rec != hctx.inv_kl_poly(x, w).bar().shift(gap)
         label = g.datum.label
         results.append((f"invkl-recursion-{label}", bad_rec == 0, f"{bad_rec} mismatches"))
-    results += pq_inversion_checks() + inverse_product_checks()
+    results += pq_inversion_checks() + q_oracle_checks() + inverse_product_checks()
     results += sum_qr_checks() + wakimoto_checks(seed, samples)
 
     # q = 1 specialisation: a_w(1) = Q_{w, t_lambda}(1)

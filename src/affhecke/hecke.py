@@ -27,11 +27,17 @@ computes
                         of Kazhdan-Lusztig (1979, (2.2.c)) along the first
                         right descent s of w, from the columns of ws and
                         of the z < ws with mu(z, ws) != 0 and zs < z; it
-                        needs no R-polynomial and no Bruhat test;
+                        needs no R-polynomial and no Bruhat test.  The
+                        recursion runs only on the top x of each pair
+                        {x, xs} (du Cloux's extremal pairs): P_{xs,w} is
+                        the same object, and every P equal to 1 is the
+                        one shared _ONE;
 * base change           T <-> C''; to_ic_basis is the one downward solve
                         of the unitriangular P-matrix, and both the
                         multiplicity tables and the inverse KL
-                        polynomials read it;
+                        polynomials read it.  It reads _p_cache over the
+                        cached lower intervals, with no Bruhat test, and
+                        a P that is _ONE costs a subtraction, no product;
 * inverse KL            Q_{x,w}: entries of the inverse base-change
   polynomials           matrix, sum_{x<=z<=w} (-1)^{l(z)} P_{x,z} Q_{z,w} = (-1)^{l(w)} delta,
                         so eps_w T_w = sum_z Q_{z,w} C''_z and a column
@@ -335,9 +341,12 @@ class HeckeContext:
         The columns of v and of each such z with mu(z,v) != 0 are solved
         first, on an explicit stack.  A column in _col_done has every
         P_{x,v}, x < v, in _p_cache, so a missing key is 0 and the solve
-        makes no Bruhat test and no R-polynomial.  Every new entry must be
-        a q-polynomial with constant term 1 and 2 deg_q <= l(y) - l(x) - 1,
-        or InvariantViolation is raised.
+        makes no Bruhat test and no R-polynomial.  Since ys < y, P_{x,y} =
+        P_{xs,y}, so the recursion runs only on the top x of each extremal
+        pair {x, xs} (du Cloux 2002) and its bottom gets the same object
+        (see _solve_column).  Every computed entry must be a q-polynomial
+        with constant term 1 and 2 deg_q <= l(y) - l(x) - 1, or
+        InvariantViolation is raised.
         """
         g = self.group
         done = self._col_done
@@ -383,21 +392,36 @@ class HeckeContext:
 
     def _solve_column(self, y, s, v, mu):
         """{(x, y): P_{x,y}} for every x < y, from the columns of v = ys and
-        of the z in mu; returned whole, so a failed check stores nothing."""
+        of the z in mu; returned whole, so a failed check stores nothing.
+
+        [e, y] splits into pairs {x, xs}, and P_{x,y} = P_{xs,y} because
+        ys < y.  The recursion runs on the top x (xs < x) only, where it
+        reads P_{x,y} = P_{xs,v} + q P_{x,v} - sum_z ..., and the bottom xs
+        gets the same object; the top y gives P_{v,y} = 1.  A computed P
+        equal to 1 is stored as _ONE.  _kl_shape is checked on each top:
+        the bottom's gap is one larger, so its degree bound follows.  An
+        element whose partner is not in [e, y] raises InvariantViolation,
+        so a stored column is never incomplete.
+        """
         g = self.group
         pc = self._p_cache
         ly = y.length()
+        interval = g._interval(y)
         col = {}
-        for x in g._interval(y):
+        for x in interval:
+            xs = v if x is y else g.mul_gen(x, s)
+            if xs not in interval:
+                raise InvariantViolation(
+                    f"{xs.encode()} = x s{s} is missing from [e, {y.encode()}]"
+                    f" at x={x.encode()}"
+                )
             if x is y:
+                col[(v, y)] = _ONE
                 continue
-            xs = g.mul_gen(x, s)
-            p_xs = _ONE if xs is v else pc.get((xs, v), _ZERO)
-            p_x = _ONE if x is v else pc.get((x, v), _ZERO)
-            if xs.length() < x.length():
-                p = p_xs + p_x.shift(2)
-            else:
-                p = p_xs.shift(2) + p_x
+            if xs.length() > x.length():
+                continue  # a bottom: its top xs stores it
+            # a top other than y is neither v nor v s = y
+            p = pc.get((xs, v), _ZERO) + pc.get((x, v), _ZERO).shift(2)
             for z, e, c in mu:
                 p_xz = _ONE if x is z else pc.get((x, z))
                 if p_xz is not None:
@@ -406,7 +430,9 @@ class HeckeContext:
                 raise InvariantViolation(
                     f"KL recursion gave P = {p.encode()} at x={x.encode()} y={y.encode()}"
                 )
-            col[(x, y)] = p
+            if p == _ONE:
+                p = _ONE
+            col[(x, y)] = col[(xs, y)] = p
         return col
 
     # -- inverse KL polynomials --------------------------------------------
@@ -431,42 +457,56 @@ class HeckeContext:
     # -- base change -----------------------------------------------------------
 
     def ic_basis_element(self, w):
-        """C''_w = eps_w sum_{x <= w} P_{x,w} T_x."""
+        """C''_w = eps_w sum_{x <= w} P_{x,w} T_x, read from _p_cache; the
+        column of w is solved only when a P_{x,w} is missing."""
+        pc = self._p_cache
         sign = w.sign()
-        self._kl_column(w)
         terms = {}
-        for x in self.group.below(w):
-            p = self.kl_poly(x, w)
-            if p:
-                terms[x] = p if sign == 1 else -p
-        return HeckeElement(self, terms)
+        for x in self.group._interval(w):
+            if x is w:
+                p = _ONE
+            else:
+                p = pc.get((x, w))
+                if p is None:
+                    self._kl_column(w)
+                    p = pc[(x, w)]
+            terms[x] = p if sign == 1 else -p
+        return HeckeElement._of(self, terms)
 
     def to_ic_basis(self, h):
         """Coefficients {w: c_w != 0} with h = sum c_w C''_w.
 
         The downward solve over the lower closure U of supp h, by length:
-        eps_w c_w = h_w - sum_{x > w in U} eps_x c_x P_{w,x}.  P_{w,x} is
-        looked up for every pair w < x in U, whether or not c_x = 0, so the
-        KL columns solved depend on U alone.
+        eps_w c_w = h_w - sum_{x > w in U} eps_x c_x P_{w,x}, accumulated as
+        eps_w c_w so each sign is applied once.  U and the pairs w < x come
+        from the cached intervals [e, x], so the solve makes no Bruhat
+        test; P_{w,x} is read from _p_cache for every pair, whether or not
+        c_x = 0, and a missing key solves the column of x, so the columns
+        solved depend on U alone.  A P that is _ONE is subtracted with no
+        product.
         """
         g = self.group
-        order = sorted(set().union(*map(g.below, h.terms)), key=g.sort_key)
+        pc = self._p_cache
+        order = sorted(set().union(*map(g._interval, h.terms)), key=g.sort_key)
         above = {w: [] for w in order}
         for x in order:
-            for w in g.below(x)[:-1]:  # x itself is last
-                above[w].append(x)
-        coeffs = {}
+            for w in g._interval(x):
+                if w is not x:
+                    above[w].append(x)
+        signed = {}  # w -> eps_w c_w
         for w in reversed(order):
             acc = h.coeff(w)
             for x in above[w]:
-                p = self.kl_poly(w, x)
-                cx = coeffs.get(x)
-                if p and cx:
-                    t = cx * p
-                    acc = acc - (t if x.sign() == 1 else -t)
+                p = pc.get((w, x))
+                if p is None:
+                    self._kl_column(x)
+                    p = pc[(w, x)]
+                ex = signed.get(x)
+                if ex is not None:
+                    acc = acc - (ex if p is _ONE else ex * p)
             if acc:
-                coeffs[w] = acc if w.sign() == 1 else -acc
-        return coeffs
+                signed[w] = acc
+        return {w: (e if w.sign() == 1 else -e) for w, e in signed.items()}
 
     def from_ic_basis(self, coeffs):
         """sum_w c_w C''_w as a T-basis element."""
@@ -490,6 +530,8 @@ class HeckeContext:
 
 
 _CONVENTION_TAG = "base-alcove=dominant"
+#: record lines per write in KLCache.save_from
+_SAVE_CHUNK = 4096
 
 
 def _kl_shape(p, gap):
@@ -512,7 +554,8 @@ class KLCache:
     wrong labels, garbled lines or records that fail `_plausible` are
     ignored and rebuilt, never trusted.  A load decodes each distinct
     element and polynomial text once, and every record still passes
-    `_plausible`.  HeckeContext.save_cache leaves a file alone while it
+    `_plausible`; a save encodes each distinct element and polynomial
+    once.  HeckeContext.save_cache leaves a file alone while it
     holds every P value of the context, so a run that adds no P value
     does not rewrite it.
     """
@@ -570,20 +613,41 @@ class KLCache:
         return len(staged)
 
     def save_from(self, hctx):
-        if not hctx._p_cache:
+        """Write every P of hctx._p_cache, records sorted by their text.
+
+        One pass: each distinct element and each distinct polynomial is
+        encoded once per save, the pairs are sorted by the ranks of their
+        element texts (the order of the sorted record lines, since the
+        pairs are distinct), and the lines are written in chunks.
+        """
+        pc = hctx._p_cache
+        if not pc:
             return
         os.makedirs(self.directory, exist_ok=True)
         path = self.path(hctx.datum)
-        records = sorted(
-            ((x.encode(), w.encode(), p.encode()) for (x, w), p in hctx._p_cache.items())
-        )
+        text = {}
+        for x, w in pc:
+            if x not in text:
+                text[x] = x.encode()
+            if w not in text:
+                text[w] = w.encode()
+        rank = {el: i for i, el in enumerate(sorted(text, key=text.__getitem__))}
+        n = len(rank)
+        pairs = sorted(pc, key=lambda k: rank[k[0]] * n + rank[k[1]])
+        ptext = {}
+        for p in pc.values():
+            if p not in ptext:
+                ptext[p] = p.encode()
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(f"klcache v1 {hctx.datum.label} {_CONVENTION_TAG}\n")
-            for xe, we, pe in records:
-                fh.write(f"{xe} {we} {pe}\n")
+            for i in range(0, len(pairs), _SAVE_CHUNK):
+                fh.write("".join([
+                    f"{text[x]} {text[w]} {ptext[pc[x, w]]}\n"
+                    for x, w in pairs[i:i + _SAVE_CHUNK]
+                ]))
         os.replace(tmp, path)
-        hctx._cache_synced = (path, len(records))
+        hctx._cache_synced = (path, len(pairs))
 
 
 _CONTEXTS = {}

@@ -281,9 +281,12 @@ class LaurentPoly:
 
     @classmethod
     def decode(cls, text):
+        """Inverse of encode; "0" and "1*v^0" give the shared zero and one."""
         text = text.strip()
         if text == "0":
             return _ZERO
+        if text == "1*v^0":
+            return _ONE
         terms = {}
         for piece in text.split("+"):
             coeff, _, exp = piece.partition("*v^")

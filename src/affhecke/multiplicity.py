@@ -139,8 +139,10 @@ def compute(datum, mu, cache_dir=None):
     # Adm is lower-closed, so the intervals below its elements give every x > w
     gaps = {w: [] for w in adm}
     for x in adm:
-        for w in g.below(x)[:-1]:  # x itself is last
-            gaps[w].append(x.length() - w.length())
+        lx = x.length()
+        for w in g._interval(x):
+            if w is not x:
+                gaps[w].append(lx - w.length())
     configs = {
         w: tuple(d.count(k) for k in range(1, max(d, default=0) + 1)) for w, d in gaps.items()
     }

@@ -76,12 +76,8 @@ def vec_mat(f, m):
 
 
 def mat_mul(a, b):
-    n = len(a)
-    p = len(b[0])
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(p))
-        for i in range(n)
-    )
+    cols = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def identity_matrix(n):

@@ -199,26 +199,98 @@ def test_pq_inversion_interval():
 
 
 def test_to_ic_basis_reads_each_pair_once(monkeypatch):
-    """The downward solve looks up P_{w,x} once per pair w < x of the lower
-    closure U of the support, and nothing else."""
-    H = ctx("GL", 4)
+    """The downward solve reads P_{w,x} for the pairs w < x of the lower
+    closure U of the support from _p_cache, with no Bruhat test: the
+    columns it solves hold exactly the pairs of U."""
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    datum = create("GL", 4)
+    f = kottwitz_function(datum, (2, 1, 0, 0))
+    H = context(datum)
     G = H.group
-    f = kottwitz_function(H.datum, (2, 1, 0, 0))
     calls = []
-    kl_poly = HeckeContext.kl_poly
+    leq = AffineWeylGroup.leq
 
-    def counting(self, x, w):
-        calls.append((x, w))
-        return kl_poly(self, x, w)
+    def counting(self, x, y):
+        calls.append((x, y))
+        return leq(self, x, y)
 
-    monkeypatch.setattr(HeckeContext, "kl_poly", counting)
+    monkeypatch.setattr(AffineWeylGroup, "leq", counting)
     coeffs = H.to_ic_basis(f)
+    assert calls == []
     universe = set()
     for x in f.terms:
-        universe.update(G.below(x))
-    pairs = sum(len(G.below(x)) - 1 for x in universe)
-    assert len(calls) == len(set(calls)) == pairs == 3234
+        universe.update(G._interval(x))
+    pairs = {(w, x) for x in universe for w in G._interval(x) if w is not x}
+    assert set(H._p_cache) == pairs and len(pairs) == 3234
     assert H.from_ic_basis(coeffs) == f
+
+
+def test_to_ic_basis_multiplies_only_by_p_other_than_one(monkeypatch):
+    # GL5 1,1,0,0,0: of the 2,020 pairs of Adm, 160 have P != 1
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    datum = create("GL", 5)
+    f = kottwitz_function(datum, (1, 1, 0, 0, 0))
+    H = context(datum)
+    calls = []
+    real = LaurentPoly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    coeffs = H.to_ic_basis(f)
+    assert 0 < len(calls) <= 160
+    assert len(H._p_cache) == 2020
+    assert sum(p != ONE for p in H._p_cache.values()) == 160
+    monkeypatch.undo()
+    assert H.from_ic_basis(coeffs) == f
+
+
+@pytest.mark.parametrize("fam,n,mu", [("GL", 5, (1, 1, 0, 0, 0)), ("G2", 2, (1, 0))])
+def test_kl_columns_share_one_and_extremal_pairs(monkeypatch, fam, n, mu):
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    datum = create(fam, n)
+    multiplicity.compute(datum, mu)
+    H = context(datum)
+    G = H.group
+    pc = H._p_cache
+    assert any(p != ONE for p in pc.values())
+    for (x, y), p in pc.items():
+        if p == ONE:
+            assert p is ONE
+        s = G.first_right_descent(y)
+        xs = G.mul_gen(x, s)
+        if xs is not y:
+            assert pc[(xs, y)] is p
+
+
+@pytest.mark.parametrize("victim", ["v", "bottom", "top"])
+def test_kl_column_rejects_a_missing_partner(monkeypatch, victim):
+    # an interval [e, y] without one element of a pair {x, xs} must raise,
+    # never store a column that lacks an entry
+    H = HeckeContext(create("GL", 3))
+    G = H.group
+    y = G.translation((2, 1, 0))
+    s = G.first_right_descent(y)
+    v = G.mul_gen(y, s)
+    H._kl_column(v)
+    real = G._interval(y)
+    pick = {
+        "v": v,
+        "bottom": next(
+            x for x in real if x is not v and G.mul_gen(x, s).length() > x.length()
+        ),
+        "top": next(
+            x for x in real if x is not y and G.mul_gen(x, s).length() < x.length()
+        ),
+    }[victim]
+    interval = G._interval
+    monkeypatch.setattr(G, "_interval", lambda w: real - {pick} if w is y else interval(w))
+    with pytest.raises(InvariantViolation):
+        H._kl_column(y)
+    assert y not in H._col_done
+    assert not any(w is y for _, w in H._p_cache)
 
 
 def test_inv_kl_poly_rejects_elements_of_two_groups():
@@ -270,6 +342,19 @@ def test_pq_inversion_oracle():
         assert ok, (name, detail)
         assert detail.endswith(", 0 mismatches"), detail
     assert sum(int(detail.split()[0]) for _, _, detail in results) == 4736
+
+
+def test_q_oracle_vs_ic_basis():
+    results = checks.q_oracle_checks()
+    assert [name for name, _, _ in results] == [
+        f"q-oracle-vs-ic-basis-{label}-{text}"
+        for label, text in checks.PQ_INVERSION_CASES[:4]
+    ]
+    for name, ok, detail in results:
+        assert ok, (name, detail)
+        assert detail.endswith(", 0 mismatches"), detail
+    # the pairs of the four non-minuscule cases of test_pq_inversion_oracle
+    assert sum(int(detail.split()[0]) for _, _, detail in results) == 4662
 
 
 def test_inverse_product_oracle():
@@ -452,6 +537,34 @@ def test_kl_cache_load_shares_equal_polynomials(gl5_cache):
         by_text.setdefault(p.encode(), set()).add(id(p))
     assert set(by_text) == texts
     assert all(len(ids) == 1 for ids in by_text.values())
+
+
+def test_cold_save_encodes_each_value_once(monkeypatch, tmp_path):
+    # GL5 1,1,0,0,0: 2,020 records over 131 elements and 3 polynomials
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    datum = create("GL", 5)
+    multiplicity.compute(datum, (1, 1, 0, 0, 0))
+    H = context(datum)
+    polys, elements = [], []
+    encode, group_encode = LaurentPoly.encode, AffineWeylGroup.encode
+
+    def counting(p):
+        polys.append(p)
+        return encode(p)
+
+    def counting_group(g, x):
+        elements.append(x)
+        return group_encode(g, x)
+
+    monkeypatch.setattr(LaurentPoly, "encode", counting)
+    monkeypatch.setattr(AffineWeylGroup, "encode", counting_group)
+    H.save_cache(str(tmp_path))
+    monkeypatch.undo()
+    assert len(polys) == len(set(polys)) == 3
+    assert len(elements) == len(set(elements)) == 131
+    records = _records(KLCache(str(tmp_path)), datum)
+    assert len(records) == 2020
+    assert records == sorted(records)
 
 
 def test_kl_cache_corruption_ignored(tmp_path):

@@ -89,7 +89,8 @@ def test_encode_decode():
     assert f.encode() == "1*v^0+-2*v^2+1*v^4"
     assert LaurentPoly.decode(f.encode()) == f
     assert LaurentPoly.zero().encode() == "0"
-    assert LaurentPoly.decode("0") == LaurentPoly.zero()
+    assert LaurentPoly.decode("0") is LaurentPoly.zero()
+    assert LaurentPoly.decode("1*v^0") is LaurentPoly.one()
     g = lp({-3: -7, 5: 11})
     assert LaurentPoly.decode(g.encode()) == g
 

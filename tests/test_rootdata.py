@@ -7,6 +7,7 @@ from affhecke.rootdata import (
     UnsupportedFamilyRank,
     create,
     dot,
+    mat_mul,
     parse_group,
 )
 
@@ -17,6 +18,21 @@ def test_positive_root_counts():
     assert len(create("G2", 2).pos_roots) == 6
     assert len(create("GL", 6).pos_roots) == 15
     assert len(create("GSp", 3).pos_roots) == 9
+
+
+@pytest.mark.parametrize("fam,n", [("G2", 2), ("GSp", 2)])
+def test_mat_mul_vs_triple_loop(fam, n):
+    # mat_mul is the reference of the finite-product-vs-matrix oracle
+    weyl = [m for m, _sign in create(fam, n).finite_weyl()]
+    size = len(weyl[0])
+    for a in weyl:
+        for b in weyl:
+            want = [[0] * size for _ in range(size)]
+            for i in range(size):
+                for j in range(size):
+                    for k in range(size):
+                        want[i][j] += a[i][k] * b[k][j]
+            assert mat_mul(a, b) == tuple(map(tuple, want))
 
 
 def test_cartan_matrices():
