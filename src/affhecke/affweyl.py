@@ -403,12 +403,7 @@ class AffineWeylGroup:
 
     def omega_class(self, x):
         """Invariant of the Omega-coset x W_aff (class of lambda in X_*/Q^vee)."""
-        fam = self.datum.family
-        if fam == "GL":
-            return sum(x.trans)
-        if fam == "GSp":
-            return x.trans[-1]
-        return 0
+        return self.datum.omega_class(x.trans)
 
     # -- Bruhat order -----------------------------------------------------
 
@@ -463,10 +458,6 @@ class AffineWeylGroup:
             got = tuple(sorted(seen, key=self.sort_key))
             self._adm[mu] = got
         return got
-
-    def is_minimal_coset(self, x):
-        """True iff x is shortest in x*W, i.e. has no finite right descent."""
-        return all(i == 0 for i in self.right_descents(x))
 
     # -- encoding -----------------------------------------------------------
 

@@ -24,72 +24,44 @@ obeys g_y = eps_d eps_y q^{-d} q_y^{-1} bar(g_y) coefficientwise.
 
 from __future__ import annotations
 
-from .affweyl import group
 from .hecke import context
 from .laurent import LaurentPoly
-from .rootdata import vec_add, vec_scale, vec_sub
+from .rootdata import dot, vec_add, vec_scale
 
 
 def minimal_dominant_pair(datum, lam):
-    """The canonical decomposition lam = lam1 - lam2 with both parts dominant.
+    """The decomposition lam = lam1 - lam2 with both parts dominant and the
+    least l(t_{lam1}) + l(t_{lam2}):
 
-    Chosen to keep l(t_{lam1}) + l(t_{lam2}) small so that Hecke products
-    stay manageable; any valid decomposition yields the same Theta.
+        lam2 = sum_i max(-<alpha_i, lam>, 0) w_i^vee,   lam1 = lam + lam2,
+
+    w_i^vee the fundamental coweights of the datum.  Every dominant pair
+    (lam + nu, nu) has <alpha_i, nu> >= max(-<alpha_i, lam>, 0) =
+    <alpha_i, lam2>, so nu - lam2 is dominant and pairs nonnegatively with
+    2 rho; as l(t_nu) = <2 rho, nu> for dominant nu, the total length
+    <2 rho, lam> + 2 <2 rho, nu> is least at nu = lam2.  Short translations
+    keep the Hecke products small; any valid pair yields the same Theta.
     """
     lam = datum.check_coweight(lam)
-    fam = datum.family
-    if fam == "GL":
-        n = datum.dim
-        lam1 = [0] * n
-        lam1[n - 1] = max(lam[n - 1], 0)
-        for i in range(n - 2, -1, -1):
-            lam1[i] = max(lam1[i + 1], lam[i] + lam1[i + 1] - lam[i + 1])
-        lam1 = tuple(lam1)
-        return lam1, vec_sub(lam1, lam)
-    if fam == "G2":
-        lam1 = tuple(max(c, 0) for c in lam)
-        return lam1, vec_sub(lam1, lam)
-    # GSp: scan the similitude coordinate of lam1 and take the shortest pair
-    n = datum.rank
-    a, c = lam[:n], lam[n]
-    g = group(datum)
-    span = 2 * (sum(abs(x) for x in a) + abs(c)) + 2
-    best = None
-    for d in range(c - span, c + span + 1):
-        b = [0] * n
-        b[n - 1] = max(-(-d // 2), a[n - 1] + (-(-(d - c) // 2)))
-        for i in range(n - 2, -1, -1):
-            b[i] = max(b[i + 1], a[i] + b[i + 1] - a[i + 1])
-        lam1 = tuple(b) + (d,)
-        lam2 = vec_sub(lam1, lam)
-        if not (datum.is_dominant(lam1) and datum.is_dominant(lam2)):
-            continue
-        score = (
-            g.translation(lam1).length() + g.translation(lam2).length(),
-            d,
-        )
-        if best is None or score < best[0]:
-            best = (score, lam1, lam2)
-    return best[1], best[2]
+    lam2 = (0,) * datum.dim
+    for alpha, w in zip(datum.simple_roots(), datum.fund_coweights):
+        a = dot(alpha, lam)
+        if a < 0:
+            lam2 = vec_add(lam2, vec_scale(w, -a))
+    return vec_add(lam, lam2), lam2
 
 
 def shifted_dominant_pair(datum, lam):
-    """Alternative decomposition: lam1 = lam + N*delta for a fixed dominant
-    regular corrector delta and the least N making lam1 dominant."""
+    """Alternative decomposition: lam1 = lam + N*delta with the dominant
+    regular delta = sum_i w_i^vee, which pairs to 1 with every simple root,
+    so the least N making lam1 dominant is max(0, max_i -<alpha_i, lam>)."""
     lam = datum.check_coweight(lam)
-    fam = datum.family
-    if fam == "GL":
-        delta = tuple(range(datum.dim - 1, -1, -1))
-    elif fam == "GSp":
-        delta = tuple(range(datum.rank, 0, -1)) + (0,)
-    else:
-        delta = (1, 1)
-    n = 0
-    cur = lam
-    while not datum.is_dominant(cur):
-        cur = vec_add(cur, delta)
-        n += 1
-    return cur, vec_scale(delta, n)
+    delta = (0,) * datum.dim
+    for w in datum.fund_coweights:
+        delta = vec_add(delta, w)
+    n = max(0, *(-dot(alpha, lam) for alpha in datum.simple_roots()))
+    shift = vec_scale(delta, n)
+    return vec_add(lam, shift), shift
 
 
 def theta(datum, lam, decomposition=minimal_dominant_pair):

@@ -163,14 +163,12 @@ def finite_index_checks():
 
 
 def _omega_generator(g):
-    """A length-zero tau generating Omega (X_*/Q^vee = Z), or None for G2:
-    the Omega-part of the canonical word of a translation of class 1."""
+    """A length-zero tau generating Omega (X_*/Q^vee = Z), or None when Omega
+    is trivial: the Omega-part of the canonical word of a translation of
+    class 1, here the first fundamental coweight of class 1."""
     d = g.datum
-    if d.family == "G2":
-        return None
-    lam = [0] * d.dim
-    lam[0 if d.family == "GL" else -1] = 1
-    return g.reduced_word(g.translation(lam))[0]
+    lam = next((w for w in d.fund_coweights if d.omega_class(w) == 1), None)
+    return None if lam is None else g.reduced_word(g.translation(lam))[0]
 
 
 def finite_product_checks():
@@ -443,11 +441,12 @@ PQ_INVERSION_CASES = (
 )
 
 
-def pq_inversion_checks():
+def pq_inversion_checks(cases=PQ_INVERSION_CASES):
     """sum_{x<=z<=w} (-1)^{l(z)-l(x)} P_{x,z} Q_{z,w} = delta_{x,w} on every
-    pair x <= w of Adm(mu), P from kl_poly and Q from inv_kl_poly."""
+    pair x <= w of Adm(mu), P from kl_poly and Q from inv_kl_poly, for each
+    (group, mu) of cases."""
     results = []
-    for label, text in PQ_INVERSION_CASES:
+    for label, text in cases:
         d = parse_group(label)
         hctx = context(d)
         g = hctx.group
@@ -469,6 +468,32 @@ def pq_inversion_checks():
                 f"{pairs} pairs x <= w of Adm({text}), {bad} mismatches",
             )
         )
+    return results
+
+
+#: (group, mu) whose Adm pairs x <= w the inverse-KL recursion is checked on
+INVKL_RECURSION_CASES = (("GL3", "1,1,0"), ("GSp4", "1,1,0,0"))
+
+
+def invkl_recursion_checks(cases=INVKL_RECURSION_CASES):
+    """sum_{x<=z<=w} R_{z,w} Q_{x,z} = q^{l(w)-l(x)} bar(Q_{x,w}) on every
+    pair x <= w of Adm(mu), for each (group, mu) of cases."""
+    results = []
+    for label, text in cases:
+        d = parse_group(label)
+        hctx = context(d)
+        g = hctx.group
+        bad = 0
+        for w in g.adm(d.parse_coweight(text)):
+            bel = g.below(w)
+            for x in bel:
+                rec = LaurentPoly.zero()
+                for z in bel:
+                    if g.leq(x, z):
+                        rec = rec + hctx.r_poly(z, w) * hctx.inv_kl_poly(x, z)
+                gap = 2 * (w.length() - x.length())
+                bad += rec != hctx.inv_kl_poly(x, w).bar().shift(gap)
+        results.append((f"invkl-recursion-{label}", bad == 0, f"{bad} mismatches"))
     return results
 
 
@@ -606,48 +631,36 @@ def wakimoto_checks(seed, samples):
     return [("wakimoto-closed-form", bad == 0, detail)]
 
 
+def theta_q1_checks():
+    """The q = 1 specialisation a_w(1) = Q_{w, t_lambda}(1): for every lambda
+    in the Weyl orbits of the cases, the C''-expansion of
+    eps_lambda q_lambda^{1/2} Theta_lambda is supported on [e, t_lambda] and
+    its coefficients a_w agree with Q_{w, t_lambda} at v = 1."""
+    bad = 0
+    for fam, n, lam0 in (("GL", 2, (1, 0)), ("GL", 2, (2, 0)), ("GL", 3, (1, 1, 0))):
+        datum = create(fam, n)
+        hctx = context(datum)
+        g = hctx.group
+        for lam in datum.weyl_orbit(lam0):
+            t = g.translation(lam)
+            sign = -1 if t.length() % 2 else 1
+            f = central.theta(datum, lam).scale(LaurentPoly.v_power(t.length(), sign))
+            coeffs = hctx.to_ic_basis(f)
+            bad += set(coeffs) != set(g.below(t))
+            for w, c in coeffs.items():
+                bad += c.eval_at("v=1") != hctx.inv_kl_poly(w, t).eval_at("v=1")
+    return [("theta-q1-specialisation", bad == 0, f"{bad} mismatches")]
+
+
 def oracle_checks(seed=42, depth=5, samples=50):
     """Exact cross-oracle identities, mostly on GL_3 and GSp_4."""
     results = bruhat_oracle_checks(depth) + finite_index_checks()
     results += finite_product_checks() + ascent_checks()
     results += r_recursion_checks(depth) + kl_solver_checks()
-
-    # the inverse-KL recursion on Adm closures
-    for fam, n, mu in (("GL", 3, (1, 1, 0)), ("GSp", 2, (1, 1, 1))):
-        hctx = context(create(fam, n))
-        g = hctx.group
-        bad_rec = 0
-        for w in g.adm(mu):
-            bel = g.below(w)
-            for x in bel:
-                rec = LaurentPoly.zero()
-                for z in bel:
-                    if g.leq(x, z):
-                        rec = rec + hctx.r_poly(z, w) * hctx.inv_kl_poly(x, z)
-                gap = 2 * (w.length() - x.length())
-                bad_rec += rec != hctx.inv_kl_poly(x, w).bar().shift(gap)
-        label = g.datum.label
-        results.append((f"invkl-recursion-{label}", bad_rec == 0, f"{bad_rec} mismatches"))
-    results += pq_inversion_checks() + q_oracle_checks() + inverse_product_checks()
+    results += invkl_recursion_checks() + pq_inversion_checks()
+    results += q_oracle_checks() + inverse_product_checks()
     results += sum_qr_checks() + wakimoto_checks(seed, samples)
-
-    # q = 1 specialisation: a_w(1) = Q_{w, t_lambda}(1)
-    bad = 0
-    for fam, n, lam in (("GL", 2, (1, 0)), ("GL", 2, (2, 0)), ("GL", 3, (1, 1, 0))):
-        datum = create(fam, n)
-        hctx = context(datum)
-        g = hctx.group
-        t = g.translation(lam)
-        sign = -1 if t.length() % 2 else 1
-        f = central.theta(datum, lam).scale(LaurentPoly.v_power(t.length(), sign))
-        coeffs = hctx.to_ic_basis(f)
-        if set(coeffs) != set(g.below(t)):
-            bad += 1
-        for w, c in coeffs.items():
-            if c.eval_at("v=1") != hctx.inv_kl_poly(w, t).eval_at("v=1"):
-                bad += 1
-    results.append(("theta-q1-specialisation", bad == 0, f"{bad} mismatches"))
-    return results + q_analogue_checks()
+    return results + theta_q1_checks() + q_analogue_checks()
 
 
 def property_checks(datum, mu, cache_dir=None):

@@ -183,10 +183,6 @@ class LaurentPoly:
         """True iff all v-exponents are even and nonnegative."""
         return all(e >= 0 and e % 2 == 0 for e in self.terms)
 
-    def is_q_laurent(self):
-        """True iff all v-exponents are even (element of Z[q, q^{-1}])."""
-        return all(e % 2 == 0 for e in self.terms)
-
     def q_degree(self):
         """Largest k with q^k occurring; None for the zero polynomial."""
         if not self.terms:

@@ -22,10 +22,27 @@ Roots are stored as integer functional vectors f, pairing with a
 coweight v as the dot product f . v.  Weyl group elements are integer
 matrices acting on coweight coordinates.
 
+Each builder also records the family's conventions as data, so that no
+module outside this one branches on the family (here only the builders,
+`label`, `parse_coweight` and `parse_group` do):
+
+fund_coweights    w_i^vee with <alpha_i, w_j^vee> = delta_ij: e_1+...+e_i
+                  on GL_n; (1^j, 0; 0), j < n, and (1^n; 1) on GSp_2n;
+                  (1,0) and (0,1) on G_2.
+fund_weights      p_i with <p_i, alpha_j^vee> = delta_ij, which read
+                  simple-coroot coordinates: prefix sums on GL_n and
+                  GSp_2n; (2,3) and (1,2) on G_2.
+omega_functional  spans the functionals vanishing on Q^vee, so it reads
+                  the Omega-class in X_*/Q^vee = Z: (1,...,1) on GL_n,
+                  (0,...,0,1) on GSp_2n; None on G_2, where X_* = Q^vee.
+
 Weight multiplicities of the Langlands dual group are computed on this
 lattice with coroots in the role of roots, via the Freudenthal
-recursion; `weight_multiplicities_by_character` is an independent
-brute-force cross-check that expands the Weyl character formula.
+recursion with the W-invariant form sum_{alpha > 0} <alpha, u><alpha, v>
+(Humphreys, Introduction to Lie Algebras, Sect. 22.3; the recursion does
+not depend on the scale of the form, and this one kills the centre);
+`weight_multiplicities_by_character` is an independent brute-force
+cross-check that expands the Weyl character formula.
 """
 
 from __future__ import annotations
@@ -146,7 +163,6 @@ class RootDatum:
         for g in self.pos_coroots:
             two_rho_covee = vec_add(two_rho_covee, g)
         self.two_rho_coroot = two_rho_covee
-        self._orbit_cache = {}
         self._wmult_cache = {}
         self._finite_weyl = None
         self.label = f"{family}{2 * rank if family == 'GSp' else rank}"
@@ -176,6 +192,11 @@ class RootDatum:
         self.theta_idx = roots.index(
             tuple(1 if k == 0 else (-1 if k == n - 1 else 0) for k in range(n))
         )
+        self.fund_coweights = tuple(
+            tuple(int(k <= i) for k in range(n)) for i in range(n - 1)
+        )
+        self.fund_weights = self.fund_coweights
+        self.omega_functional = (1,) * n
 
     def _build_gsp(self, n):
         self.dim = n + 1
@@ -203,6 +224,11 @@ class RootDatum:
         simple.append(roots.index(fvec([(n - 1, 2)], -1)))
         self.simple_idx = tuple(simple)
         self.theta_idx = roots.index(fvec([(0, 2)], -1))
+        # (1^j, 0; 0) for j = 1..n; the last fundamental coweight is (1^n; 1)
+        prefixes = tuple(fvec([(k, 1) for k in range(j)]) for j in range(1, n + 1))
+        self.fund_coweights = prefixes[:-1] + (fvec([(k, 1) for k in range(n)], 1),)
+        self.fund_weights = prefixes
+        self.omega_functional = fvec([], 1)
 
     def _build_g2(self):
         self.dim = 2
@@ -226,6 +252,9 @@ class RootDatum:
         )
         self.simple_idx = (0, 1)
         self.theta_idx = 4
+        self.fund_coweights = ((1, 0), (0, 1))
+        self.fund_weights = ((2, 3), (1, 2))
+        self.omega_functional = None  # X_* = Q^vee: Omega is trivial
 
     def reflection(self, root, coroot):
         """Matrix of v -> v - <root, v> coroot on coweight coordinates."""
@@ -236,6 +265,9 @@ class RootDatum:
         )
 
     # basic structure -------------------------------------------------
+
+    def simple_roots(self):
+        return tuple(self.pos_roots[i] for i in self.simple_idx)
 
     def simple_coroots(self):
         return tuple(self.pos_coroots[i] for i in self.simple_idx)
@@ -255,22 +287,22 @@ class RootDatum:
         return self.pos_coroots[self.theta_idx]
 
     def check_coweight(self, v):
-        v = tuple(int(x) for x in v)
-        if len(v) != self.dim:
+        """v as a tuple of ints; raises ValueError on a non-integer entry
+        and DimensionMismatch on a wrong length."""
+        w = tuple(int(x) for x in v)
+        if w != tuple(v):
+            raise ValueError(f"coweight {tuple(v)} has a non-integer entry")
+        if len(w) != self.dim:
             raise DimensionMismatch(
-                f"expected {self.dim} coordinates, got {len(v)}"
+                f"expected {self.dim} coordinates, got {len(w)}"
             )
-        return v
+        return w
 
-    def pair(self, root, cowt):
-        """The canonical pairing <root, coweight>."""
-        if root not in self.pos_root_set and vec_scale(root, -1) not in self.pos_root_set:
-            raise DimensionMismatch(f"{root} is not a root of {self.label}")
-        if len(cowt) != self.dim:
-            raise DimensionMismatch(
-                f"expected {self.dim} coordinates, got {len(cowt)}"
-            )
-        return dot(root, cowt)
+    def omega_class(self, v):
+        """The class of v in X_*/Q^vee, read by the Omega functional; 0
+        when Omega is trivial."""
+        f = self.omega_functional
+        return 0 if f is None else dot(f, v)
 
     # dominance and orbits ---------------------------------------------
 
@@ -320,21 +352,12 @@ class RootDatum:
         """Coordinates of v in the simple-coroot basis, or None.
 
         Returns a tuple of integers when v is an integer combination of
-        simple coroots (necessarily unique), else None.
+        simple coroots (necessarily unique), that is when its Omega-class
+        is 0, else None.  The coordinates are <p_i, v>.
         """
-        fam = self.family
-        if fam == "GL":
-            if sum(v) != 0:
-                return None
-            return tuple(sum(v[: k + 1]) for k in range(self.dim - 1))
-        if fam == "GSp":
-            n = self.rank
-            if v[n] != 0:
-                return None
-            return tuple(sum(v[: k + 1]) for k in range(n))
-        # G2: solve c1*(2,-1) + c2*(-3,2) = v; the basis has determinant 1
-        p, q = v
-        return (2 * p + 3 * q, p + 2 * q)
+        if self.omega_class(v):
+            return None
+        return tuple(dot(f, v) for f in self.fund_weights)
 
     def dominance_leq(self, lam, mu):
         """True iff mu - lam is a nonnegative integer sum of positive coroots."""
@@ -370,25 +393,13 @@ class RootDatum:
     # invariant form and Freudenthal weight multiplicities ---------------
 
     def invariant_form(self, u, v):
-        """A W-invariant symmetric form on coweights, exact over Q."""
-        fam = self.family
-        if fam == "GL":
-            return Fraction(dot(u, v))
-        if fam == "GSp":
-            n = self.rank
-            # shift away the similitude direction: b_i = a_i - c/2
-            return sum(
-                (Fraction(u[i]) - Fraction(u[n], 2))
-                * (Fraction(v[i]) - Fraction(v[n], 2))
-                for i in range(n)
-            )
-        # G2 in fundamental coordinates: Gram matrix of (w1, w2)
-        a, b = u
-        c, d = v
-        return Fraction(2 * a * c + 3 * (a * d + b * c) + 6 * b * d)
+        """sum_{alpha > 0} <alpha, u><alpha, v>: symmetric, W-invariant
+        (W permutes the roots up to sign) and zero on the centre."""
+        return sum(dot(f, u) * dot(f, v) for f in self.pos_roots)
 
-    def _rho_covee(self):
-        return tuple(Fraction(x, 2) for x in self.two_rho_coroot)
+    def _shifted(self, v):
+        """2v + 2rho^vee: twice v + rho^vee, kept integral."""
+        return vec_add(vec_scale(v, 2), self.two_rho_coroot)
 
     def _height_from(self, mu, lam):
         coords = self.simple_coroot_coords(vec_sub(mu, lam))
@@ -411,14 +422,13 @@ class RootDatum:
         if mu in self._wmult_cache:
             return self._wmult_cache[mu]
         doms = sorted(self.dominant_below(mu), key=lambda l: self._height_from(mu, l))
-        rho = self._rho_covee()
         ip = self.invariant_form
-        mu_rho = tuple(Fraction(x) + r for x, r in zip(mu, rho))
+        mu_rho = self._shifted(mu)
         norm_mu = ip(mu_rho, mu_rho)
         table = {doms[0]: 1}
         assert doms[0] == mu
         for lam in doms[1:]:
-            total = Fraction(0)
+            total = 0
             for g in self.pos_coroots:
                 k = 1
                 while True:
@@ -428,9 +438,10 @@ class RootDatum:
                         break
                     total += m * ip(nu, g)
                     k += 1
-            lam_rho = tuple(Fraction(x) + r for x, r in zip(lam, rho))
-            denom = norm_mu - ip(lam_rho, lam_rho)
-            val = 2 * total / denom
+            # 2 total / (|mu + rho|^2 - |lam + rho|^2), the norms taken of
+            # the doubled vectors, so four times as large
+            lam_rho = self._shifted(lam)
+            val = Fraction(8 * total, norm_mu - ip(lam_rho, lam_rho))
             if val.denominator != 1 or val < 0:
                 raise ArithmeticError(
                     f"Freudenthal produced non-integral multiplicity {val}"
@@ -442,17 +453,16 @@ class RootDatum:
     def weyl_dim(self, mu):
         """Dimension of the dual-group irreducible with highest weight mu."""
         mu = self.require_dominant(mu)
-        rho = self._rho_covee()
-        num = Fraction(1)
-        den = Fraction(1)
+        num = den = 1
         ip = self.invariant_form
-        mu_rho = tuple(Fraction(x) + r for x, r in zip(mu, rho))
+        mu_rho = self._shifted(mu)
         for g in self.pos_coroots:
             num *= ip(mu_rho, g)
-            den *= ip(rho, g)
-        d = num / den
-        assert d.denominator == 1
-        return int(d)
+            den *= ip(self.two_rho_coroot, g)
+        d, r = divmod(num, den)
+        if r:
+            raise ArithmeticError(f"Weyl dimension {num}/{den} is not an integer")
+        return d
 
     # brute-force character oracle ---------------------------------------
 

@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .affweyl import group
+from .affweyl import InvariantViolation, group
 from .hecke import context
 from .laurent import LaurentPoly, NotExpandable
 from .rootdata import dot
@@ -79,7 +79,9 @@ def distinguished_subexpressions(v, w, terminal=None, word=None):
     else:
         _require_affine(w)
         word = tuple(word)
-        assert g.from_word(g.identity, word) is w and len(word) == w.length()
+        ok = len(word) == w.length() and all(0 <= i < g.n_gens for i in word)
+        if not ok or g.from_word(g.identity, word) is not w:
+            raise ValueError(f"{word} is not a reduced word of {w.encode()}")
     _require_affine(v)
     out = []
     stack = [(v, 0, (v,), 0, 0)]
@@ -208,7 +210,8 @@ def theta_walk_factors(datum, lam):
             if lo < k < hi:
                 sign = 1 if b > a else -1
                 break
-        assert sign is not None, "walk step crossed no wall"
+        if sign is None:
+            raise InvariantViolation(f"walk step s{i} towards {t.encode()} crossed no wall")
         factors.append((g.simple_reflection(i), sign))
         prev_pt = cur_pt
     return factors

@@ -92,28 +92,11 @@ def test_criterion_5a_r_recursion_exhaustive():
 
 
 def test_criterion_5bc_pq_identities():
-    pairs = 0
-    for fam, n, mu in (("GL", 3, (1, 1, 0)), ("GSp", 2, (1, 1, 1)), ("GL", 4, (1, 1, 0, 0))):
-        hctx = context(create(fam, n))
-        g = hctx.group
-        adm = g.adm(mu)
-        for w in adm:
-            bel = g.below(w)
-            for x in bel:
-                acc = LaurentPoly.zero()
-                rec = LaurentPoly.zero()
-                for z in bel:
-                    if not g.leq(x, z):
-                        continue
-                    sgn = 1 if (z.length() - x.length()) % 2 == 0 else -1
-                    acc = acc + (hctx.kl_poly(x, z) * hctx.inv_kl_poly(z, w)).scale(sgn)
-                    rec = rec + hctx.r_poly(z, w) * hctx.inv_kl_poly(x, z)
-                want = LaurentPoly.one() if x is w else LaurentPoly.zero()
-                assert acc == want, (fam, x, w)
-                gap = 2 * (w.length() - x.length())
-                assert rec == hctx.inv_kl_poly(x, w).bar().shift(gap), (fam, x, w)
-                pairs += 1
-    report("5b/5c P*Q inversion and inverse-KL recursion", True, f"{pairs} pairs on Adm closures")
+    cases = (("GL3", "1,1,0"), ("GSp4", "1,1,0,0"), ("GL4", "1,1,0,0"))
+    report_checks(
+        "5b/5c P*Q inversion and inverse-KL recursion",
+        checks.pq_inversion_checks(cases) + checks.invkl_recursion_checks(cases),
+    )
 
 
 def test_criterion_5d_sum_QR_identity():
@@ -191,18 +174,8 @@ def test_criterion_6_structural(tables):
             assert central.satisfies_property_P(norm, v.length() + w.length())
             done += 1
     # q = 1 specialisation over whole orbits
-    for fam, n, lam0 in (("GL", 2, (1, 0)), ("GL", 2, (2, 0)), ("GL", 3, (1, 1, 0))):
-        datum = create(fam, n)
-        hctx = context(datum)
-        g = hctx.group
-        for lam in datum.weyl_orbit(lam0):
-            t = g.translation(lam)
-            sign = -1 if t.length() % 2 else 1
-            f = central.theta(datum, lam).scale(LaurentPoly.v_power(t.length(), sign))
-            coeffs = hctx.to_ic_basis(f)
-            assert set(coeffs) == set(g.below(t)), lam
-            for w, c in coeffs.items():
-                assert c.eval_at("v=1") == hctx.inv_kl_poly(w, t).eval_at("v=1")
+    for name, ok, detail in checks.theta_q1_checks():
+        assert ok, (name, detail)
     report("6 structural properties", True, "centrality, Theta, (P), q=1")
 
 

@@ -10,7 +10,7 @@ import pytest
 from affhecke import affweyl, checks
 from affhecke.affweyl import DatumMismatch, group
 from affhecke.checks import ball
-from affhecke.rootdata import DimensionMismatch, NotDominant, create, mat_vec
+from affhecke.rootdata import DimensionMismatch, NotDominant, create, dot, mat_vec
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -200,12 +200,13 @@ def test_epsilon_sum_identity_minuscule():
 
 
 def test_minimal_coset():
+    # x is shortest in x*W iff it has no finite right descent
     G = gl(4)
-    assert G.is_minimal_coset(G.identity)
+    assert G.right_descents(G.identity) == ()
     for i in range(1, G.n_gens):
-        assert not G.is_minimal_coset(G.simple_reflection(i))
+        assert G.right_descents(G.simple_reflection(i)) == (i,)
     # affine reflection s_0 has no finite descent
-    assert G.is_minimal_coset(G.simple_reflection(0))
+    assert G.right_descents(G.simple_reflection(0)) == (0,)
 
 
 def test_minimal_coset_reps_gaussian_binomial():
@@ -272,7 +273,7 @@ def test_finite_index_vs_matrix_oracle():
     # the sweep's translations are a dominant regular and a non-dominant one
     for fam, n, regular, other in checks.FINITE_INDEX_CASES:
         datum = create(fam, n)
-        assert all(datum.pair(f, regular) > 0 for f in datum.pos_roots)
+        assert all(dot(f, regular) > 0 for f in datum.pos_roots)
         assert not datum.is_dominant(other)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from affhecke.affweyl import group
 from affhecke.checks import ball
 from affhecke.hecke import context
 from affhecke.laurent import LaurentPoly
-from affhecke.rootdata import NotDominant, create
+from affhecke.rootdata import NotDominant, create, vec_sub
 
 
 def test_theta_dominant_is_tilde_translation():
@@ -52,6 +53,29 @@ def test_theta_independent_of_valid_decomposition():
             a = central.theta(datum, lam)
             b = central.theta(datum, lam, decomposition=shifted)
             assert a == b, (fam, lam)
+
+
+def test_minimal_pair_has_least_total_length():
+    # brute force: every dominant lam1' in a box with lam1' - lam dominant
+    for fam, n in (("GL", 3), ("GSp", 2), ("G2", 2)):
+        datum = create(fam, n)
+        G = group(datum)
+
+        def length(v):
+            return G.translation(v).length()
+
+        box = [v for v in itertools.product(range(-3, 7), repeat=datum.dim)
+               if datum.is_dominant(v)]
+        for lam in itertools.product(range(-1, 2), repeat=datum.dim):
+            lam1, lam2 = central.minimal_dominant_pair(datum, lam)
+            assert datum.is_dominant(lam1) and datum.is_dominant(lam2)
+            assert vec_sub(lam1, lam2) == lam
+            best = min(
+                length(v) + length(vec_sub(v, lam))
+                for v in box
+                if datum.is_dominant(vec_sub(v, lam))
+            )
+            assert length(lam1) + length(lam2) == best, (fam, lam)
 
 
 def test_theta_additivity_on_dominant_cone():
@@ -146,9 +170,23 @@ def test_kottwitz_support_and_integrality():
         G = group(datum)
         f = central.kottwitz_function(datum, mu)
         assert set(f.terms) == set(G.adm(mu))
-        assert all(c.is_q_laurent() for c in f.terms.values())
+        # every coefficient lies in Z[q, q^-1]: even v-exponents only
+        assert all(e % 2 == 0 for c in f.terms.values() for e in c.terms)
         with pytest.raises(NotDominant):
             central.kottwitz_function(datum, tuple(-c for c in mu))
+
+
+def test_non_integral_coweights_are_rejected():
+    # a non-integer entry raises instead of being truncated to an int
+    datum = create("GL", 3)
+    G = group(datum)
+    assert G.translation((2.0, Fraction(1), 0)) is G.translation((2, 1, 0))
+    with pytest.raises(ValueError):
+        central.kottwitz_function(datum, (1.5, 1, 0))
+    with pytest.raises(ValueError):
+        G.translation((Fraction(3, 2), 0.7, 0))
+    with pytest.raises(ValueError):
+        central.theta(datum, (0.5, 0, 0))
 
 
 def test_kottwitz_coefficients_nonneg_in_Q():

@@ -41,6 +41,29 @@ def test_cartan_matrices():
     assert create("G2", 2).cartan_matrix() == ((2, -3), (-1, 2))
 
 
+DUALITY_DATA = (
+    [("GL", n) for n in range(2, 9)] + [("GSp", n) for n in range(2, 6)] + [("G2", 2)]
+)
+
+
+@pytest.mark.parametrize("fam,n", DUALITY_DATA)
+def test_family_data_duality(fam, n):
+    datum = create(fam, n)
+    r = datum.n_gens
+    assert len(datum.fund_coweights) == len(datum.fund_weights) == r
+    for i, alpha in enumerate(datum.simple_roots()):
+        assert [dot(alpha, w) for w in datum.fund_coweights] == [int(i == j) for j in range(r)]
+    for i, p in enumerate(datum.fund_weights):
+        assert [dot(p, g) for g in datum.simple_coroots()] == [int(i == j) for j in range(r)]
+    f = datum.omega_functional
+    if fam == "G2":
+        assert f is None
+        assert all(datum.omega_class(w) == 0 for w in datum.fund_coweights)
+        return
+    assert all(dot(f, g) == 0 for g in datum.pos_coroots)
+    assert any(dot(f, w) == 1 for w in datum.fund_coweights)
+
+
 def test_unsupported():
     with pytest.raises(UnsupportedFamilyRank):
         create("GSp", 1)
@@ -60,17 +83,11 @@ def test_gl1_unsupported():
 
 
 def test_pairing():
-    gl3 = create("GL", 3)
-    alpha = (1, -1, 0)
-    assert gl3.pair(alpha, (1, 0, 0)) == 1
-    assert gl3.pair((-1, 1, 0), (1, 0, 0)) == -1
+    assert dot((1, -1, 0), (1, 0, 0)) == 1
+    assert dot((-1, 1, 0), (1, 0, 0)) == -1
     gl4 = create("GL", 4)
     lam = (1, 1, 0, 0)
     assert sum(dot(a, lam) for a in gl4.pos_roots) == 4
-    with pytest.raises(DimensionMismatch):
-        gl3.pair((1, 0, 0), (1, 0, 0))  # not a root
-    with pytest.raises(DimensionMismatch):
-        gl3.pair(alpha, (1, 0))
 
 
 def test_dominance():
@@ -131,6 +148,9 @@ def test_weight_multiplicities():
         ("G2", 2, (1, 0)),
         ("G2", 2, (0, 1)),
         ("G2", 2, (1, 1)),
+        ("GSp", 3, (2, 1, 1, 2)),
+        ("G2", 2, (2, 1)),
+        ("GL", 5, (2, 1, 1, 0, 0)),
     ],
 )
 def test_freudenthal_against_character_oracle(family, rank, mu):

@@ -131,6 +131,16 @@ def test_rejects_omega_parts():
     assert raw
 
 
+def test_rejects_a_word_of_another_element():
+    # a caller-supplied word must spell w; the check holds under python -O
+    G = group(create("GL", 3))
+    w = G.from_word(G.identity, (1, 2, 1))
+    assert len(wakimoto.distinguished_subexpressions(G.identity, w, word=(2, 1, 2))) == 7
+    for word in ((2, 0, 2), (1, 2), (1, 2, 1, 1), (1, 2, 3), (-2, 2, 1)):
+        with pytest.raises(ValueError):
+            wakimoto.distinguished_subexpressions(G.identity, w, word=word)
+
+
 def test_min_expr_single_translation():
     G = group(create("GL", 3))
     t = G.translation((2, 1, 0))
