@@ -112,6 +112,29 @@ def matrix_length(datum, trans, fin):
     return total
 
 
+def _affine_gens(d):
+    """(translation, matrix) of s_0, ..., s_n by plain arithmetic, s_0 the
+    affine reflection through <theta, x> = 1; independent of
+    AffineWeylGroup.gens."""
+    zero = (0,) * d.dim
+    theta_covee = d.highest_coroot()
+    gens = [(theta_covee, d.reflection(d.highest_root(), theta_covee))]
+    return gens + [(zero, s) for s in d.simple_reflections]
+
+
+def _matrix_mismatches(g, want):
+    """How many (element, translation, matrix) triples of want disagree: the
+    element must be the interned one for the pair, with the
+    Iwahori-Matsumoto length."""
+    return sum(
+        y.trans != trans
+        or y.fin != fin
+        or y is not g.element(trans, fin)
+        or y.length() != matrix_length(g.datum, trans, fin)
+        for y, trans, fin in want
+    )
+
+
 def finite_index_checks():
     """The indexed group law against plain matrix arithmetic.
 
@@ -125,9 +148,7 @@ def finite_index_checks():
         d = create(fam, n)
         g = group(d)
         zero = (0,) * d.dim
-        theta_covee = d.highest_coroot()
-        gens = [(theta_covee, d.reflection(d.highest_root(), theta_covee))]
-        gens += [(zero, s) for s in d.simple_reflections]
+        gens = _affine_gens(d)
         bad = cases = 0
         for m, _sign in d.finite_weyl():
             m_inv = mat_inv(m)
@@ -143,14 +164,8 @@ def finite_index_checks():
                     want.append(
                         (g.gen_mul(i, x), vec_add(gamma, mat_vec(s, lam)), mat_mul(s, m))
                     )
-                for y, trans, fin in want:
-                    cases += 1
-                    bad += (
-                        y.trans != trans
-                        or y.fin != fin
-                        or y is not g.element(trans, fin)
-                        or y.length() != matrix_length(d, trans, fin)
-                    )
+                cases += len(want)
+                bad += _matrix_mismatches(g, want)
         results.append(
             (
                 f"finite-index-vs-matrix-{d.label}",
@@ -210,14 +225,8 @@ def finite_product_checks():
                         want.append(
                             (g.mul(b, x), vec_add(b_trans, mat_vec(b_fin, lam)), mat_mul(b_fin, m))
                         )
-                for y, trans, fin in want:
-                    cases += 1
-                    bad += (
-                        y.trans != trans
-                        or y.fin != fin
-                        or y is not g.element(trans, fin)
-                        or y.length() != matrix_length(d, trans, fin)
-                    )
+                cases += len(want)
+                bad += _matrix_mismatches(g, want)
         results.append(
             (
                 f"finite-product-vs-matrix-{d.label}",
@@ -242,9 +251,7 @@ def ascent_checks():
     for fam, n, regular, other in FINITE_INDEX_CASES:
         d = create(fam, n)
         zero = (0,) * d.dim
-        theta_covee = d.highest_coroot()
-        gens = [(theta_covee, d.reflection(d.highest_root(), theta_covee))]
-        gens += [(zero, s) for s in d.simple_reflections]
+        gens = _affine_gens(d)
         bad = cases = 0
         for m, _sign in d.finite_weyl():
             for lam in (zero, regular, other):
@@ -663,9 +670,9 @@ def oracle_checks(seed=42, depth=5, samples=50):
     return results + theta_q1_checks() + q_analogue_checks()
 
 
-def property_checks(datum, mu, cache_dir=None):
+def property_checks(datum, mu):
     """Empirical table properties for one (group, mu) case."""
-    table = multiplicity.compute(datum, mu, cache_dir=cache_dir)
+    table = multiplicity.compute(datum, mu)
     _, summary = table.property_report()
     results = [
         ("observation-A-degree-bound", summary["degree_bound"], ""),
@@ -753,13 +760,13 @@ def normalize_table(text):
     return tuple(lines)
 
 
-def golden_check(datum, mu, cache_dir=None):
+def golden_check(datum, mu):
     golden = golden_text(datum, mu)
     if golden is None:
         raise KeyError(
             f"no golden table for {datum.label} mu={datum.format_coweight(mu)}"
         )
-    table = multiplicity.compute(datum, mu, cache_dir=cache_dir)
+    table = multiplicity.compute(datum, mu)
     text = multiplicity.render_text(table)
     ok = normalize_table(text) == normalize_table(golden)
     return [

@@ -7,6 +7,12 @@ query   KIND GROUP ...      single objects: adm, kl, invkl, rpoly, theta,
                             z, kottwitz, wakimoto
 check   SUITE ...           properties | oracles | golden
 
+The KL cache is opt-in: `table`, `check properties|golden` and `query
+kl|invkl` load and save Kazhdan-Lusztig polynomials in `--cache-dir`,
+else in $AFFHECKE_CACHE_DIR.  With neither set (or set empty) a run
+reads and writes no file.  This module is the only one that touches the
+cache; the library computes in memory.
+
 Exit codes: 0 success, 2 usage, parse or I/O error, 3 failed check or
 internal invariant violation.  All output is deterministic: the computation is
 serial and every ordering is fixed.  `table` and `check` accept
@@ -34,8 +40,8 @@ from .rootdata import (
 )
 from .wakimoto import wakimoto_function
 
-DEFAULT_CACHE = "./.klcache"
 CACHE_ENV_VAR = "AFFHECKE_CACHE_DIR"
+CACHE_HELP = f"KL cache directory, else ${CACHE_ENV_VAR}; with neither, no cache file"
 JOBS_HELP = "accepted for compatibility (at least 1); does not change the computation"
 
 
@@ -50,14 +56,22 @@ class RunConfig(NamedTuple):
     format: str
     cache_dir: str | None
 
-    def as_dict(self):
-        return self._asdict()
-
 
 def _cache_dir(args):
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    return os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE)
+    """--cache-dir, else $AFFHECKE_CACHE_DIR; None if both are unset or empty."""
+    return args.cache_dir or os.environ.get(CACHE_ENV_VAR) or None
+
+
+def _cached(directory, datum, fn, *fn_args):
+    """fn(*fn_args) between loading and saving the KL cache of datum in
+    directory; with directory None no file is read or written."""
+    if directory is None:
+        return fn(*fn_args)
+    hctx = context(datum)
+    hctx.load_cache(directory)
+    result = fn(*fn_args)
+    hctx.save_cache(directory)
+    return result
 
 
 def _require_jobs(args):
@@ -86,7 +100,7 @@ def cmd_table(args):
     datum = parse_group(args.group)
     mu = datum.parse_coweight(args.mu)
     cache = _cache_dir(args)
-    table = multiplicity.compute(datum, mu, cache_dir=cache)
+    table = _cached(cache, datum, multiplicity.compute, datum, mu)
     cfg = RunConfig(
         command="table",
         group=args.group,
@@ -99,39 +113,28 @@ def cmd_table(args):
     elif args.format == "csv":
         _emit(args, multiplicity.render_csv(table))
     else:
-        _emit(args, multiplicity.render_json(table, run_config=cfg.as_dict()))
+        _emit(args, multiplicity.render_json(table, run_config=cfg._asdict()))
     return 0
 
 
 # -- query -----------------------------------------------------------------
 
 
+def _emit_json(args, cfg, payload):
+    doc = {"run_config": cfg._asdict(), **payload}
+    _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _emit_poly(args, cfg, poly):
     if args.format == "json":
-        _emit(
-            args,
-            json.dumps(
-                {"run_config": cfg.as_dict(), "value": poly.encode()},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-        )
+        _emit_json(args, cfg, {"value": poly.encode()})
     else:
         _emit(args, poly.encode() + "\n")
 
 
 def _emit_hecke(args, cfg, h):
     if args.format == "json":
-        _emit(
-            args,
-            json.dumps(
-                {"run_config": cfg.as_dict(), "terms": h.encode()},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-        )
+        _emit_json(args, cfg, {"terms": h.encode()})
     else:
         lines = [f"{x.encode()} {c.encode()}" for x, c in
                  sorted(h.terms.items(), key=lambda kv: h.hctx.group.sort_key(kv[0]))]
@@ -156,37 +159,18 @@ def cmd_query(args):
             raise DimensionMismatch("query adm requires --mu")
         adm = g.adm(datum.parse_coweight(args.mu))
         if args.format == "json":
-            _emit(
-                args,
-                json.dumps(
-                    {
-                        "run_config": cfg.as_dict(),
-                        "count": len(adm),
-                        "elements": [x.encode() for x in adm],
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n",
-            )
+            _emit_json(args, cfg, {"count": len(adm), "elements": [x.encode() for x in adm]})
         else:
             _emit(args, "\n".join(x.encode() for x in adm) + "\n")
         return 0
     if kind in ("kl", "invkl", "rpoly"):
         if len(args.elements) != 2:
             raise DimensionMismatch(f"query {kind} requires two element arguments")
-        if kind != "rpoly":  # R-polynomials never read P
-            hctx.load_cache(cache)
         x = _parse_element(datum, args.elements[0])
         w = _parse_element(datum, args.elements[1])
-        fn = {
-            "kl": hctx.kl_poly,
-            "invkl": hctx.inv_kl_poly,
-            "rpoly": hctx.r_poly,
-        }[kind]
-        poly = fn(x, w)
-        if kind == "kl":
-            hctx.save_cache(cache)
+        fn = {"kl": hctx.kl_poly, "invkl": hctx.inv_kl_poly, "rpoly": hctx.r_poly}[kind]
+        # R-polynomials never read P, so rpoly leaves the cache alone
+        poly = _cached(None if kind == "rpoly" else cache, datum, fn, x, w)
         _emit_poly(args, cfg, poly)
         return 0
     if kind == "theta":
@@ -237,10 +221,10 @@ def cmd_check(args):
         mu = datum.parse_coweight(args.mu)
         cache = _cache_dir(args)
         if args.suite == "properties":
-            results = checks.property_checks(datum, mu, cache_dir=cache)
+            results = _cached(cache, datum, checks.property_checks, datum, mu)
         else:
             try:
-                results = checks.golden_check(datum, mu, cache_dir=cache)
+                results = _cached(cache, datum, checks.golden_check, datum, mu)
             except KeyError as exc:
                 print(str(exc), file=sys.stderr)
                 return 2
@@ -275,7 +259,7 @@ def build_parser():
     p_table.add_argument("--mu", required=True, help="dominant coweight, e.g. 1,1,0,0")
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_table.add_argument("--out", help="write output to a file instead of stdout")
-    p_table.add_argument("--cache-dir", help=f"KL cache directory (default {DEFAULT_CACHE}, or ${CACHE_ENV_VAR})")
+    p_table.add_argument("--cache-dir", help=CACHE_HELP)
     p_table.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p_table.set_defaults(fn=cmd_table)
 
@@ -290,7 +274,7 @@ def build_parser():
     p_query.add_argument("--lam", help="coweight (theta, z)")
     p_query.add_argument("--format", choices=("text", "json"), default="text")
     p_query.add_argument("--out")
-    p_query.add_argument("--cache-dir")
+    p_query.add_argument("--cache-dir", help=CACHE_HELP + " (kl, invkl)")
     p_query.set_defaults(fn=cmd_query)
 
     p_check = sub.add_parser("check", help="run a verification suite")
@@ -300,7 +284,7 @@ def build_parser():
     p_check.add_argument("--seed", type=int, default=42)
     p_check.add_argument("--depth", type=int, default=5, help="ball radius for oracle sweeps")
     p_check.add_argument("--samples", type=int, default=50, help="random Wakimoto pairs per family")
-    p_check.add_argument("--cache-dir")
+    p_check.add_argument("--cache-dir", help=CACHE_HELP + " (properties, golden)")
     p_check.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p_check.set_defaults(fn=cmd_check)
     return parser

@@ -546,18 +546,28 @@ def _plausible(x, w, p):
     return gap > 0 and x.group.leq(x, w) and _kl_shape(p, gap)
 
 
+def _canonical(decode, text):
+    """decode(text); ValueError unless the value encodes back to text, so a
+    repeated exponent or a non-reduced word is never read as a value."""
+    value = decode(text)
+    if value.encode() != text:
+        raise ValueError(f"non-canonical cache text {text!r}")
+    return value
+
+
 class KLCache:
     """Versioned line cache of P-polynomials.
 
     Header "klcache v1 <label> <convention>"; one record per line:
     "<x> <w> <poly>" in the canonical text encodings.  Unknown versions,
-    wrong labels, garbled lines or records that fail `_plausible` are
-    ignored and rebuilt, never trusted.  A load decodes each distinct
-    element and polynomial text once, and every record still passes
-    `_plausible`; a save encodes each distinct element and polynomial
-    once.  HeckeContext.save_cache leaves a file alone while it
-    holds every P value of the context, so a run that adds no P value
-    does not rewrite it.
+    wrong labels, garbled lines, text that does not re-encode to itself
+    or records that fail `_plausible` are ignored and rebuilt, never
+    trusted.  A load decodes and re-encodes each distinct element and
+    polynomial text once, and every record still passes `_plausible`; a
+    save encodes each distinct element and polynomial once.
+    HeckeContext.save_cache leaves a file alone while it holds every P
+    value of the context, so a run that adds no P value does not rewrite
+    it.
     """
 
     def __init__(self, directory):
@@ -571,7 +581,8 @@ class KLCache:
         the number of records, or 0 if the file is missing or rejected.
 
         Each distinct element string and polynomial text is decoded once
-        per load, so equal P values share one LaurentPoly.  After a full
+        per load, and must encode back to itself, so equal P values share
+        one LaurentPoly and no text is read as another value.  After a full
         load hctx remembers that this file holds the loaded records, and
         save_cache leaves it alone while no P value has been added.
         """
@@ -594,13 +605,13 @@ class KLCache:
                     try:
                         x = elements.get(xe)
                         if x is None:
-                            x = elements[xe] = decode(xe)
+                            x = elements[xe] = _canonical(decode, xe)
                         w = elements.get(we)
                         if w is None:
-                            w = elements[we] = decode(we)
+                            w = elements[we] = _canonical(decode, we)
                         p = polys.get(pe)
                         if p is None:
-                            p = polys[pe] = LaurentPoly.decode(pe)
+                            p = polys[pe] = _canonical(LaurentPoly.decode, pe)
                     except (ValueError, DatumMismatch):
                         return 0
                     if not _plausible(x, w, p):

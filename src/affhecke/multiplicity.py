@@ -120,13 +120,11 @@ class MultiplicityTable:
         return per_w, summary
 
 
-def compute(datum, mu, cache_dir=None):
+def compute(datum, mu):
     """Multiplicity table of the nearby-cycles trace function at mu."""
     mu = datum.require_dominant(mu)
     hctx = context(datum)
     g = hctx.group
-    if cache_dir:
-        hctx.load_cache(cache_dir)
     adm = g.adm(mu)
     f = kottwitz_function(datum, mu)
     if set(f.terms) != set(adm):
@@ -146,8 +144,6 @@ def compute(datum, mu, cache_dir=None):
     configs = {
         w: tuple(d.count(k) for k in range(1, max(d, default=0) + 1)) for w, d in gaps.items()
     }
-    if cache_dir:
-        hctx.save_cache(cache_dir)
     return MultiplicityTable(datum, mu, adm, ell_mu, m_polys, configs)
 
 

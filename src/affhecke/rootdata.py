@@ -594,9 +594,11 @@ _DATA = {}
 
 def create(family, rank):
     """Shared datum instance for (family, rank); GSp rank n means GSp_2n."""
-    key = (family, int(rank))
+    if not isinstance(rank, int):
+        raise UnsupportedFamilyRank(f"rank must be an integer, got {rank!r}")
+    key = (family, rank)
     if key not in _DATA:
-        _DATA[key] = RootDatum(family, int(rank))
+        _DATA[key] = RootDatum(family, rank)
     return _DATA[key]
 
 

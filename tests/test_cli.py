@@ -215,6 +215,102 @@ def test_query_rpoly_skips_kl_cache(tmp_path, capsys, monkeypatch):
     assert r and out == r.encode() + "\n"
 
 
+def _counting_loads(monkeypatch):
+    """Records the count each KL cache load returns."""
+    loads = []
+    load_into = hecke.KLCache.load_into
+
+    def counting(cache, hctx):
+        loads.append(load_into(cache, hctx))
+        return loads[-1]
+
+    monkeypatch.setattr(hecke.KLCache, "load_into", counting)
+    return loads
+
+
+def test_no_cache_directory_reads_and_writes_no_file(tmp_path):
+    env = dict(os.environ)
+    env.pop("AFFHECKE_CACHE_DIR", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    kl = ["query", "kl", "GL3", "t[0,0,0]*w[]", "t[1,0,-1]*w[]", "--format", "json"]
+    for argv in (
+        ["table", "GL3", "--mu", "2,2,0", "--format", "json"],
+        kl,
+        ["check", "golden", "GL3", "--mu", "2,2,0"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "affhecke.cli", *argv],
+            capture_output=True, env=env, cwd=tmp_path, check=True,
+        )
+        if "--format" in argv:
+            assert json.loads(proc.stdout)["run_config"]["cache_dir"] is None
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_env_var_selects_the_directory(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "from-env"
+    monkeypatch.setenv("AFFHECKE_CACHE_DIR", str(cache))
+    code, out, _ = run(capsys, "table", "GL3", "--mu", "2,2,0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["run_config"]["cache_dir"] == str(cache)
+    assert (cache / "klcache_GL3.txt").is_file()
+
+
+@pytest.mark.parametrize(
+    "flag, env, want",
+    [(None, None, None), ("", "", None), (None, "E", "E"), ("", "E", "E"), ("F", "E", "F")],
+)
+def test_cache_dir_flag_then_env_then_none(monkeypatch, flag, env, want):
+    if env is None:
+        monkeypatch.delenv("AFFHECKE_CACHE_DIR", raising=False)
+    else:
+        monkeypatch.setenv("AFFHECKE_CACHE_DIR", env)
+    argv = ["table", "GL3", "--mu", "1,0,0"] + (["--cache-dir", flag] if flag is not None else [])
+    assert cli._cache_dir(cli.build_parser().parse_args(argv)) == want
+
+
+def test_query_invkl_saves_what_query_kl_loads(tmp_path, capsys, monkeypatch):
+    cache = str(tmp_path)
+    x, w = "t[0,0,0,0]*w[s2]", "t[0,0,0,0]*w[s2.s1.s3.s2]"
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    code, _, _ = run(capsys, "query", "invkl", "GL4", x, w, "--cache-dir", cache)
+    assert code == 0
+    with open(os.path.join(cache, "klcache_GL4.txt"), encoding="ascii") as fh:
+        records = len(fh.readlines()) - 1
+    assert records > 0
+    loads = _counting_loads(monkeypatch)
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    code, out, _ = run(capsys, "query", "kl", "GL4", x, w, "--cache-dir", cache)
+    assert code == 0 and out == "1*v^0+1*v^2\n"
+    assert loads == [records]
+
+
+def test_non_canonical_cache_record_is_rejected(tmp_path, capsys, monkeypatch):
+    # a repeated exponent decodes to another P: 1 + q + 2q read as 1 + 2q
+    cache = str(tmp_path)
+    argv = ("table", "GL4", "--mu", "2,1,0,0", "--cache-dir", cache)
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    code, cold, _ = run(capsys, *argv)
+    assert code == 0
+    path = os.path.join(cache, "klcache_GL4.txt")
+    with open(path, "rb") as fh:
+        full = fh.read()
+    lines = full.splitlines(keepends=True)
+    k = next(i for i, line in enumerate(lines) if line.endswith(b" 1*v^0+1*v^2\n"))
+    lines[k] = lines[k][:-1] + b"+2*v^2\n"
+    with open(path, "wb") as fh:
+        fh.write(b"".join(lines))
+    loads = _counting_loads(monkeypatch)
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == cold
+    assert loads == [0]
+    with open(path, "rb") as fh:
+        assert fh.read() == full
+
+
 def test_cache_reused_and_rebuilt(tmp_path, capsys):
     cache = str(tmp_path / "klc")
     code, out1, _ = run(capsys, "table", "GL3", "--mu", "2,2,0", "--cache-dir", cache)

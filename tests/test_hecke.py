@@ -501,7 +501,9 @@ def gl5_cache(tmp_path_factory):
     directory = str(tmp_path_factory.mktemp("klcache"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hecke, "_CONTEXTS", {})
-        multiplicity.compute(create("GL", 5), (1, 1, 0, 0, 0), cache_dir=directory)
+        datum = create("GL", 5)
+        multiplicity.compute(datum, (1, 1, 0, 0, 0))
+        context(datum).save_cache(directory)
     return KLCache(directory)
 
 
@@ -602,6 +604,12 @@ def test_kl_cache_corruption_ignored(tmp_path):
     assert H3.kl_poly(G.identity, t) == H.kl_poly(G.identity, t)
 
 
+def _unreduced(enc):
+    """The same element with s1.s1 put in front of its finite word."""
+    trans, word = enc[:-1].split("]*w[")
+    return f"{trans}]*w[{'.'.join(['s1', 's1'] + ([word] if word else []))}]"
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -610,8 +618,14 @@ def test_kl_cache_corruption_ignored(tmp_path):
         lambda x, w, p, gap: (x, w, p + "+1*v^-2"),  # negative q-power
         lambda x, w, p, gap: (x, w, p + "+1*v^1"),  # odd v-power
         lambda x, w, p, gap: (x, w, f"1*v^0+1*v^{gap + gap % 2}"),  # 2 deg_q P >= gap
+        # the same values in text that is not canonical
+        lambda x, w, p, gap: (_unreduced(x), w, p),
+        lambda x, w, p, gap: (x, w, p + "+0*v^2"),
     ],
-    ids=["x-longer", "same-length", "negative-power", "odd-power", "degree"],
+    ids=[
+        "x-longer", "same-length", "negative-power", "odd-power", "degree",
+        "unreduced-word", "zero-term",
+    ],
 )
 def test_kl_cache_rejects_implausible_records(tmp_path, mutate):
     from affhecke.hecke import HeckeContext

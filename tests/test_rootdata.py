@@ -72,6 +72,8 @@ def test_unsupported():
     with pytest.raises(UnsupportedFamilyRank):
         create("E8", 8)
     with pytest.raises(UnsupportedFamilyRank):
+        create("GL", 3.5)  # not GL3
+    with pytest.raises(UnsupportedFamilyRank):
         parse_group("GSp5")
 
 
