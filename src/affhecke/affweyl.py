@@ -47,8 +47,6 @@ canonical reduced words (Bjorner-Brenti, Thm. 2.2.2).  The admissible set
 is enumerated as the subword closure of the translations in the orbit.
 """
 
-from __future__ import annotations
-
 from .rootdata import (
     DimensionMismatch,
     dot,

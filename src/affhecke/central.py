@@ -22,8 +22,6 @@ Verdier-dual function g = bar(f) (the Kazhdan-Lusztig involution image)
 obeys g_y = eps_d eps_y q^{-d} q_y^{-1} bar(g_y) coefficientwise.
 """
 
-from __future__ import annotations
-
 from .hecke import context
 from .laurent import LaurentPoly
 from .rootdata import dot, vec_add, vec_scale

@@ -4,8 +4,6 @@ Each suite returns a list of (name, ok, detail) triples so that both the
 command-line front end and the test suite can consume the same checks.
 """
 
-from __future__ import annotations
-
 import importlib.resources
 import random
 

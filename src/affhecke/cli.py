@@ -20,15 +20,12 @@ serial and every ordering is fixed.  `table` and `check` accept
 computation.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import os
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
-from . import checks, multiplicity
+from . import multiplicity
 from .affweyl import DatumMismatch, group
 from .central import bernstein_central, kottwitz_function, theta
 from .hecke import InvariantViolation, context
@@ -45,16 +42,10 @@ CACHE_HELP = f"KL cache directory, else ${CACHE_ENV_VAR}; with neither, no cache
 JOBS_HELP = "accepted for compatibility (at least 1); does not change the computation"
 
 
-class RunConfig(NamedTuple):
-    """Everything that determines the emitted artifact; echoed into JSON
-    outputs.  `--jobs` is excluded: it does not change the computation,
-    and the header only records inputs that could change the result."""
-
-    command: str
-    group: str
-    mu: str | None
-    format: str
-    cache_dir: str | None
+# Everything that determines the emitted artifact; echoed into JSON
+# outputs.  `--jobs` is excluded: it does not change the computation, and
+# the header only records inputs that could change the result.
+RunConfig = namedtuple("RunConfig", "command group mu format cache_dir")
 
 
 def _cache_dir(args):
@@ -121,6 +112,8 @@ def cmd_table(args):
 
 
 def _emit_json(args, cfg, payload):
+    import json
+
     doc = {"run_config": cfg._asdict(), **payload}
     _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -207,6 +200,8 @@ def cmd_query(args):
 
 
 def cmd_check(args):
+    from . import checks
+
     _require_jobs(args)
     results = []
     if args.suite == "oracles":

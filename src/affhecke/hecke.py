@@ -30,8 +30,8 @@ computes
                         needs no R-polynomial and no Bruhat test.  The
                         recursion runs only on the top x of each pair
                         {x, xs} (du Cloux's extremal pairs): P_{xs,w} is
-                        the same object, and every P equal to 1 is the
-                        one shared _ONE;
+                        the same object, and equal P values are one
+                        object, 1 being the shared _ONE;
 * base change           T <-> C''; to_ic_basis is the one downward solve
                         of the unitriangular P-matrix, and both the
                         multiplicity tables and the inverse KL
@@ -47,10 +47,7 @@ P-polynomials are memoised in memory and optionally persisted to a
 versioned line-oriented cache file (see KLCache).
 """
 
-from __future__ import annotations
-
 import os
-import tempfile
 
 from .affweyl import DatumMismatch, InvariantViolation, group
 from .laurent import LaurentPoly
@@ -166,6 +163,7 @@ class HeckeContext:
         self.group = group(datum)
         self._r_cache = {}
         self._p_cache = {}
+        self._p_values = {_ONE: _ONE}  # each P value once: equal P are one object
         self._q_cache = {}
         self._col_done = set()
         self._cache_synced = None  # (path, n): the file at path holds these n P values
@@ -397,11 +395,11 @@ class HeckeContext:
         [e, y] splits into pairs {x, xs}, and P_{x,y} = P_{xs,y} because
         ys < y.  The recursion runs on the top x (xs < x) only, where it
         reads P_{x,y} = P_{xs,v} + q P_{x,v} - sum_z ..., and the bottom xs
-        gets the same object; the top y gives P_{v,y} = 1.  A computed P
-        equal to 1 is stored as _ONE.  _kl_shape is checked on each top:
-        the bottom's gap is one larger, so its degree bound follows.  An
-        element whose partner is not in [e, y] raises InvariantViolation,
-        so a stored column is never incomplete.
+        gets the same object; the top y gives P_{v,y} = 1.  A computed P is
+        interned in _p_values, so 1 is stored as _ONE.  _kl_shape is checked
+        on each top: the bottom's gap is one larger, so its degree bound
+        follows.  An element whose partner is not in [e, y] raises
+        InvariantViolation, so a stored column is never incomplete.
         """
         g = self.group
         pc = self._p_cache
@@ -430,8 +428,7 @@ class HeckeContext:
                 raise InvariantViolation(
                     f"KL recursion gave P = {p.encode()} at x={x.encode()} y={y.encode()}"
                 )
-            if p == _ONE:
-                p = _ONE
+            p = self._p_values.setdefault(p, p)
             col[(x, y)] = col[(xs, y)] = p
         return col
 
@@ -581,8 +578,9 @@ class KLCache:
         the number of records, or 0 if the file is missing or rejected.
 
         Each distinct element string and polynomial text is decoded once
-        per load, and must encode back to itself, so equal P values share
-        one LaurentPoly and no text is read as another value.  After a full
+        per load, and must encode back to itself, so no text is read as
+        another value.  Equal P values share one LaurentPoly, the one in
+        hctx._p_values when that holds the value already.  After a full
         load hctx remembers that this file holds the loaded records, and
         save_cache leaves it alone while no P value has been added.
         """
@@ -594,6 +592,7 @@ class KLCache:
                 if header != ["klcache", "v1", hctx.datum.label, _CONVENTION_TAG]:
                     return 0
                 decode = hctx.group.decode
+                values = hctx._p_values
                 elements = {}
                 polys = {}
                 staged = {}
@@ -611,7 +610,8 @@ class KLCache:
                             w = elements[we] = _canonical(decode, we)
                         p = polys.get(pe)
                         if p is None:
-                            p = polys[pe] = _canonical(LaurentPoly.decode, pe)
+                            p = _canonical(LaurentPoly.decode, pe)
+                            p = polys[pe] = values.get(p, p)
                     except (ValueError, DatumMismatch):
                         return 0
                     if not _plausible(x, w, p):
@@ -619,6 +619,8 @@ class KLCache:
                     staged[(x, w)] = p
         except OSError:
             return 0
+        for p in polys.values():
+            values.setdefault(p, p)
         hctx._p_cache.update(staged)
         hctx._cache_synced = (path, len(staged))
         return len(staged)
@@ -649,6 +651,8 @@ class KLCache:
         for p in pc.values():
             if p not in ptext:
                 ptext[p] = p.encode()
+        import tempfile
+
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(f"klcache v1 {hctx.datum.label} {_CONVENTION_TAG}\n")

@@ -10,10 +10,6 @@ The element Q = q^{-1/2} - q^{1/2} = v^{-1} - v plays a special role:
 polynomials in Q, which is how palindromicity properties are checked.
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
-
 
 class NotExpandable(ValueError):
     """No integer polynomial in Q represents the requested element."""
@@ -172,6 +168,8 @@ class LaurentPoly:
         """
         if at == "v=1":
             return sum(self.terms.values())
+        from fractions import Fraction
+
         r = Fraction(at)
         if r == 0:
             raise ZeroEvaluationPoint("cannot evaluate at v = 0")
@@ -239,6 +237,8 @@ class LaurentPoly:
         automatic for elements of Z[q, q^{-1}] and is enforced otherwise.
         Returns {k: r_k}.
         """
+        from fractions import Fraction
+
         two_alpha = Fraction(alpha) * 2
         if two_alpha.denominator != 1:
             raise NotExpandable("alpha must be a half-integer")
@@ -254,6 +254,8 @@ class LaurentPoly:
     @classmethod
     def from_q_expansion(cls, coeffs, alpha=0):
         """Inverse of q_expand: q^alpha * sum coeffs[k] Q^k."""
+        from fractions import Fraction
+
         two_alpha = Fraction(alpha) * 2
         if two_alpha.denominator != 1:
             raise ValueError("alpha must be a half-integer")

@@ -14,10 +14,7 @@ tables are usually printed, sorted by length, then configuration, then
 multiplicity vector.
 """
 
-from __future__ import annotations
-
-import json
-from typing import NamedTuple
+from collections import namedtuple
 
 from .affweyl import group
 from .central import kottwitz_function
@@ -34,11 +31,7 @@ class NotMinuscule(ValueError):
     """The coweight is not minuscule."""
 
 
-class GroupedRow(NamedTuple):
-    length: int
-    count: int
-    mults: tuple
-    config: tuple
+GroupedRow = namedtuple("GroupedRow", "length count mults config")
 
 
 class MultiplicityTable:
@@ -229,6 +222,8 @@ def render_csv(table):
 
 
 def render_json(table, run_config=None):
+    import json
+
     payload = {
         "group": table.datum.label,
         "mu": table.datum.format_coweight(table.mu),

@@ -45,9 +45,6 @@ not depend on the scale of the form, and this one kills the centre);
 cross-check that expands the Weyl character formula.
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
 from operator import add, mul, sub
 
 
@@ -102,29 +99,32 @@ def identity_matrix(n):
 
 
 def mat_inv(m):
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination on [m | 1]: after the
+    step on column k every entry is a minor of order k + 1, so each
+    division by the previous pivot is exact.  The pivots end at +-det(m)
+    and the right half at +-det(m) m^{-1}.
+    """
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
     for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
         a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
+        top = a[col]
+        p = top[col]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = a[i][n + j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(x))
-        out.append(tuple(row))
-    return tuple(out)
+            if r != col:
+                row = a[r]
+                f = row[col]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    if prev not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(prev * x for x in row[n:]) for row in a)
 
 
 # -- the datum -----------------------------------------------------------
@@ -441,12 +441,13 @@ class RootDatum:
             # 2 total / (|mu + rho|^2 - |lam + rho|^2), the norms taken of
             # the doubled vectors, so four times as large
             lam_rho = self._shifted(lam)
-            val = Fraction(8 * total, norm_mu - ip(lam_rho, lam_rho))
-            if val.denominator != 1 or val < 0:
+            num, den = 8 * total, norm_mu - ip(lam_rho, lam_rho)
+            val, rem = divmod(num, den)
+            if rem or val < 0:
                 raise ArithmeticError(
-                    f"Freudenthal produced non-integral multiplicity {val}"
+                    f"Freudenthal produced non-integral multiplicity {num}/{den}"
                 )
-            table[lam] = int(val)
+            table[lam] = val
         self._wmult_cache[mu] = table
         return table
 

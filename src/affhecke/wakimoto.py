@@ -23,11 +23,8 @@ signing the wall crossings of the alcove walk from the base alcove to
 t_lambda: positive crossings contribute T~_s, negative ones T~_s^{-1}.
 """
 
-from __future__ import annotations
-
 import math
-from fractions import Fraction
-from typing import NamedTuple
+from collections import namedtuple
 
 from .affweyl import InvariantViolation, group
 from .hecke import context
@@ -39,13 +36,10 @@ class NotMinimal(ValueError):
     """The factor list is not length-additive (not a reduced expression)."""
 
 
-class Subexpression(NamedTuple):
+class Subexpression(namedtuple("Subexpression", "base_word sigma n_stat m_stat")):
     """One v-distinguished walk along a reduced word of w."""
 
-    base_word: tuple
-    sigma: tuple
-    n_stat: int
-    m_stat: int
+    __slots__ = ()
 
     def terminal(self):
         return self.sigma[-1]
@@ -187,6 +181,8 @@ def theta_walk_factors(datum, lam):
     word is reduced by construction; the test suite verifies that the
     signed product equals Theta_lambda.
     """
+    from fractions import Fraction
+
     g = group(datum)
     t = g.translation(lam)
     omega, word = g.reduced_word(t)

@@ -265,6 +265,15 @@ def test_kl_columns_share_one_and_extremal_pairs(monkeypatch, fam, n, mu):
             assert pc[(xs, y)] is p
 
 
+def test_kl_columns_store_each_value_once(monkeypatch):
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    datum = create("GL", 4)
+    multiplicity.compute(datum, (2, 1, 0, 0))
+    values = [p for p in context(datum)._p_cache.values() if p != ONE]
+    assert len(values) == 280
+    assert len({id(p) for p in values}) == len(set(values)) == 2
+
+
 @pytest.mark.parametrize("victim", ["v", "bottom", "top"])
 def test_kl_column_rejects_a_missing_partner(monkeypatch, victim):
     # an interval [e, y] without one element of a pair {x, xs} must raise,
@@ -539,6 +548,9 @@ def test_kl_cache_load_shares_equal_polynomials(gl5_cache):
         by_text.setdefault(p.encode(), set()).add(id(p))
     assert set(by_text) == texts
     assert all(len(ids) == 1 for ids in by_text.values())
+    # the loaded values are the context's interned ones, 1 being the shared one
+    assert {id(p) for p in H._p_values.values()} == {id(p) for p in H._p_cache.values()}
+    assert H._p_values[ONE] is hecke._ONE
 
 
 def test_cold_save_encodes_each_value_once(monkeypatch, tmp_path):

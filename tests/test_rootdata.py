@@ -7,6 +7,8 @@ from affhecke.rootdata import (
     UnsupportedFamilyRank,
     create,
     dot,
+    identity_matrix,
+    mat_inv,
     mat_mul,
     parse_group,
 )
@@ -33,6 +35,22 @@ def test_mat_mul_vs_triple_loop(fam, n):
                     for k in range(size):
                         want[i][j] += a[i][k] * b[k][j]
             assert mat_mul(a, b) == tuple(map(tuple, want))
+
+
+@pytest.mark.parametrize("fam,n", [("GL", 4), ("GSp", 3), ("G2", 2)])
+def test_mat_inv_of_every_finite_weyl_matrix(fam, n):
+    weyl = [m for m, _sign in create(fam, n).finite_weyl()]
+    size = len(weyl[0])
+    for m in weyl:
+        assert mat_mul(m, mat_inv(m)) == identity_matrix(size)
+
+
+@pytest.mark.parametrize(
+    "m, message", [(((1, 2), (2, 4)), "singular"), (((2, 0), (0, 1)), "not unimodular")]
+)
+def test_mat_inv_rejects_a_matrix_without_integral_inverse(m, message):
+    with pytest.raises(ValueError, match=message):
+        mat_inv(m)
 
 
 def test_cartan_matrices():
