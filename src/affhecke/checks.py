@@ -325,6 +325,13 @@ def q_analogue_checks():
     return results
 
 
+def _bar_solve(s, gap):
+    """The p with 2 deg_q p <= gap - 1 and q^gap bar(p) - p = s, or None when
+    s is not of that form: the step of bar_fixed_column and q_oracle_row."""
+    p = LaurentPoly({2 * gap - e: c for e, c in s.terms.items() if e > gap})
+    return p if p.bar().shift(2 * gap) - p == s else None
+
+
 def bar_fixed_column(hctx, w):
     """{x: P_{x,w}} for x <= w from bar-fixedness alone: an oracle for the
     recursion of HeckeContext._kl_column.
@@ -332,7 +339,7 @@ def bar_fixed_column(hctx, w):
     q^{l(w)-l(x)} bar(P_{x,w}) - P_{x,w} = sum_{x<z<=w} R_{x,z} P_{z,w}
     determines P_{x,w} from its degree bound deg_q <= (l(w)-l(x)-1)/2, by
     decreasing l(x).  The column lives in its own dict: hctx supplies
-    R-polynomials only, never _p_cache.
+    R-polynomials only, never _p_cols.
     """
     g = hctx.group
     below = g.below(w)
@@ -343,9 +350,8 @@ def bar_fixed_column(hctx, w):
         for z, p_z in col.items():
             if g.leq(x, z):
                 s = s + hctx.r_poly(x, z) * p_z
-        gap = lw - x.length()
-        p = LaurentPoly({2 * gap - e: c for e, c in s.terms.items() if e > gap})
-        if p.bar().shift(2 * gap) - p != s:
+        p = _bar_solve(s, lw - x.length())
+        if p is None:
             raise InvariantViolation(
                 f"KL bar-fixedness failed at x={x.encode()} w={w.encode()}"
             )
@@ -511,7 +517,7 @@ def q_oracle_row(hctx, x, ws):
     which determines Q_{x,w} from its degree bound 2 deg_q <= l(w)-l(x)-1,
     by increasing l(w); ws must be lower-closed, so that it holds [x, w].
     The row lives in its own dict: hctx supplies R-polynomials only, never
-    _p_cache or _q_cache.  Mirrors bar_fixed_column.
+    _p_cols or _q_cache.  Mirrors bar_fixed_column.
     """
     g = hctx.group
     lx = x.length()
@@ -521,9 +527,8 @@ def q_oracle_row(hctx, x, ws):
         for z, q_z in row.items():
             if g.leq(z, w):
                 s = s + q_z * hctx.r_poly(z, w)
-        gap = w.length() - lx
-        q = LaurentPoly({2 * gap - e: c for e, c in s.terms.items() if e > gap})
-        if q.bar().shift(2 * gap) - q != s:
+        q = _bar_solve(s, w.length() - lx)
+        if q is None:
             raise InvariantViolation(
                 f"Q bar-relation failed at x={x.encode()} w={w.encode()}"
             )

@@ -35,16 +35,18 @@ computes
 * base change           T <-> C''; to_ic_basis is the one downward solve
                         of the unitriangular P-matrix, and both the
                         multiplicity tables and the inverse KL
-                        polynomials read it.  It reads _p_cache over the
-                        cached lower intervals, with no Bruhat test, and
-                        a P that is _ONE costs a subtraction, no product;
+                        polynomials read it.  It pushes each solved
+                        coefficient down the KL column of its element,
+                        with no Bruhat test, and a P that is _ONE costs
+                        a subtraction, no product;
 * inverse KL            Q_{x,w}: entries of the inverse base-change
   polynomials           matrix, sum_{x<=z<=w} (-1)^{l(z)} P_{x,z} Q_{z,w} = (-1)^{l(w)} delta,
                         so eps_w T_w = sum_z Q_{z,w} C''_z and a column
                         {Q_{z,w}}_z is to_ic_basis(eps_w T_w).
 
-P-polynomials are memoised in memory and optionally persisted to a
-versioned line-oriented cache file (see KLCache).
+P-polynomials are held in memory by column, _p_cols[w] = {x: P_{x,w}
+for every x < w}, a column whole or not at all, and optionally persisted
+to a versioned line-oriented cache file (see KLCache).
 """
 
 import os
@@ -135,9 +137,6 @@ class HeckeElement:
     def coeff(self, x):
         return self.terms.get(x, _ZERO)
 
-    def support(self):
-        return tuple(sorted(self.terms, key=self.hctx.group.sort_key))
-
     def _check(self, other):
         if self.hctx is not other.hctx:
             raise DatumMismatch("Hecke elements over different data")
@@ -162,7 +161,7 @@ class HeckeContext:
         self.datum = datum
         self.group = group(datum)
         self._r_cache = {}
-        self._p_cache = {}
+        self._p_cols = {}  # w -> {x: P_{x,w} for every x < w}, whole columns only
         self._p_values = {_ONE: _ONE}  # each P value once: equal P are one object
         self._q_cache = {}
         self._col_done = set()
@@ -320,14 +319,11 @@ class HeckeContext:
         g = self.group
         if not g.leq(x, w):
             return _ZERO
-        got = self._p_cache.get((x, w))
-        if got is None:
-            self._kl_column(w)
-            got = self._p_cache[(x, w)]
-        return got
+        return self._kl_column(w)[x]
 
     def _kl_column(self, y):
-        """Solve the column {P_{x,y} : x < y} by the Kazhdan-Lusztig recursion.
+        """The column {x: P_{x,y}} for every x < y, held in _p_cols; a column
+        not held is solved by the Kazhdan-Lusztig recursion.
 
         With s the first right descent of y, v = ys and c = 1 if xs < x,
         else 0 (Kazhdan-Lusztig 1979, (2.2.c); du Cloux 2002):
@@ -337,60 +333,62 @@ class HeckeContext:
 
         where mu(z,v) is the coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v}.
         The columns of v and of each such z with mu(z,v) != 0 are solved
-        first, on an explicit stack.  A column in _col_done has every
-        P_{x,v}, x < v, in _p_cache, so a missing key is 0 and the solve
-        makes no Bruhat test and no R-polynomial.  Since ys < y, P_{x,y} =
-        P_{xs,y}, so the recursion runs only on the top x of each extremal
-        pair {x, xs} (du Cloux 2002) and its bottom gets the same object
-        (see _solve_column).  Every computed entry must be a q-polynomial
-        with constant term 1 and 2 deg_q <= l(y) - l(x) - 1, or
-        InvariantViolation is raised.
+        first, on an explicit stack.  A held column has every P_{x,v}, x < v,
+        so a missing key is 0 and the solve makes no Bruhat test and no
+        R-polynomial.  A length-0 y has the empty column, which is stored
+        but not counted in _col_done, the columns the recursion solved in
+        this process.  Since ys < y, P_{x,y} = P_{xs,y}, so the recursion
+        runs only on the top x of each extremal pair {x, xs} (du Cloux
+        2002) and its bottom gets the same object (see _solve_column).
+        Every computed entry must be a q-polynomial with constant term 1
+        and 2 deg_q <= l(y) - l(x) - 1, or InvariantViolation is raised.
         """
+        cols = self._p_cols
         g = self.group
-        done = self._col_done
         mus = {}
         stack = [y]
         while stack:
             w = stack[-1]
-            if w in done:
+            if w in cols:
                 stack.pop()
                 continue
             s = g.first_right_descent(w)
-            if s is None:  # length 0: the column is {w: 1}
-                done.add(w)
+            if s is None:  # length 0: no x < w
+                cols[w] = {}
                 continue
             v = g.mul_gen(w, s)
-            if v not in done:
+            if v not in cols:
                 stack.append(v)
                 continue
             mu = mus.get(w)
             if mu is None:
                 mu = mus[w] = self._mu_terms(w, s, v)
-            todo = [z for z, _e, _c in mu if z not in done]
+            todo = [z for z, _e, _c in mu if z not in cols]
             if todo:
                 stack.extend(todo)
                 continue
-            self._p_cache.update(self._solve_column(w, s, v, mu))
-            done.add(w)
+            cols[w] = self._solve_column(w, s, v, mu)
+            self._col_done.add(w)
+        return cols[y]
 
     def _mu_terms(self, y, s, v):
         """[(z, l(y) - l(z), mu(z,v))], the term mu(z,v) q^{(l(y)-l(z))/2} as
         a v-exponent and a coefficient, over z < v with zs < z and
-        mu(z,v) != 0, which needs l(v) - l(z) odd."""
+        mu(z,v) != 0, which needs l(v) - l(z) odd; read off the column of v."""
         g = self.group
         ly, lv = y.length(), v.length()
         out = []
-        for z in g._interval(v):
+        for z, p in self._p_cols[v].items():
             gap = lv - z.length()
             if gap % 2 and g.mul_gen(z, s).length() < z.length():
-                c = self._p_cache[(z, v)].terms.get(gap - 1, 0)
+                c = p.terms.get(gap - 1, 0)
                 if c:
                     out.append((z, ly - z.length(), c))
         return out
 
     def _solve_column(self, y, s, v, mu):
-        """{(x, y): P_{x,y}} for every x < y, from the columns of v = ys and
-        of the z in mu; returned whole, so a failed check stores nothing.
+        """{x: P_{x,y}} for every x < y, from the columns of v = ys and of
+        the z in mu; returned whole, so a failed check stores nothing.
 
         [e, y] splits into pairs {x, xs}, and P_{x,y} = P_{xs,y} because
         ys < y.  The recursion runs on the top x (xs < x) only, where it
@@ -402,7 +400,8 @@ class HeckeContext:
         InvariantViolation, so a stored column is never incomplete.
         """
         g = self.group
-        pc = self._p_cache
+        cols = self._p_cols
+        pv = cols[v]
         ly = y.length()
         interval = g._interval(y)
         col = {}
@@ -414,14 +413,14 @@ class HeckeContext:
                     f" at x={x.encode()}"
                 )
             if x is y:
-                col[(v, y)] = _ONE
+                col[v] = _ONE
                 continue
             if xs.length() > x.length():
                 continue  # a bottom: its top xs stores it
             # a top other than y is neither v nor v s = y
-            p = pc.get((xs, v), _ZERO) + pc.get((x, v), _ZERO).shift(2)
+            p = pv.get(xs, _ZERO) + pv.get(x, _ZERO).shift(2)
             for z, e, c in mu:
-                p_xz = _ONE if x is z else pc.get((x, z))
+                p_xz = _ONE if x is z else cols[z].get(x)
                 if p_xz is not None:
                     p = p - p_xz.shift(e).scale(c)
             if not _kl_shape(p, ly - x.length()):
@@ -429,7 +428,7 @@ class HeckeContext:
                     f"KL recursion gave P = {p.encode()} at x={x.encode()} y={y.encode()}"
                 )
             p = self._p_values.setdefault(p, p)
-            col[(x, y)] = col[(xs, y)] = p
+            col[x] = col[xs] = p
         return col
 
     # -- inverse KL polynomials --------------------------------------------
@@ -454,55 +453,35 @@ class HeckeContext:
     # -- base change -----------------------------------------------------------
 
     def ic_basis_element(self, w):
-        """C''_w = eps_w sum_{x <= w} P_{x,w} T_x, read from _p_cache; the
-        column of w is solved only when a P_{x,w} is missing."""
-        pc = self._p_cache
-        sign = w.sign()
-        terms = {}
-        for x in self.group._interval(w):
-            if x is w:
-                p = _ONE
-            else:
-                p = pc.get((x, w))
-                if p is None:
-                    self._kl_column(w)
-                    p = pc[(x, w)]
-            terms[x] = p if sign == 1 else -p
-        return HeckeElement._of(self, terms)
+        """C''_w = eps_w sum_{x <= w} P_{x,w} T_x, read from the column of w."""
+        c = HeckeElement._of(self, {**self._kl_column(w), w: _ONE})
+        return c if w.sign() == 1 else -c
 
     def to_ic_basis(self, h):
         """Coefficients {w: c_w != 0} with h = sum c_w C''_w.
 
-        The downward solve over the lower closure U of supp h, by length:
-        eps_w c_w = h_w - sum_{x > w in U} eps_x c_x P_{w,x}, accumulated as
-        eps_w c_w so each sign is applied once.  U and the pairs w < x come
-        from the cached intervals [e, x], so the solve makes no Bruhat
-        test; P_{w,x} is read from _p_cache for every pair, whether or not
-        c_x = 0, and a missing key solves the column of x, so the columns
-        solved depend on U alone.  A P that is _ONE is subtracted with no
-        product.
+        The downward solve over the lower closure U of supp h, by
+        decreasing sort_key: eps_w c_w = h_w - sum_{x > w in U} eps_x c_x
+        P_{w,x}, pushed down: once eps_x c_x is final it is subtracted,
+        times P_{w,x}, from the accumulator of each w < x in the column of
+        x.  U comes from the cached intervals, so the solve makes no Bruhat
+        test.  The column of every x in U is read, whether or not c_x = 0,
+        so the columns solved depend on U alone.  A P that is _ONE is
+        subtracted with no product.
         """
         g = self.group
-        pc = self._p_cache
         order = sorted(set().union(*map(g._interval, h.terms)), key=g.sort_key)
-        above = {w: [] for w in order}
-        for x in order:
-            for w in g._interval(x):
-                if w is not x:
-                    above[w].append(x)
-        signed = {}  # w -> eps_w c_w
-        for w in reversed(order):
-            acc = h.coeff(w)
-            for x in above[w]:
-                p = pc.get((w, x))
-                if p is None:
-                    self._kl_column(x)
-                    p = pc[(w, x)]
-                ex = signed.get(x)
-                if ex is not None:
-                    acc = acc - (ex if p is _ONE else ex * p)
-            if acc:
-                signed[w] = acc
+        acc = dict(h.terms)  # w -> eps_w c_w, final once every x > w is pushed
+        signed = {}
+        for x in reversed(order):
+            col = self._kl_column(x)
+            ex = acc.pop(x, None)
+            if ex is None:
+                continue
+            signed[x] = ex
+            neg = -ex
+            for w, p in col.items():
+                _add_into(acc, w, neg if p is _ONE else neg * p)
         return {w: (e if w.sign() == 1 else -e) for w, e in signed.items()}
 
     def from_ic_basis(self, coeffs):
@@ -518,11 +497,13 @@ class HeckeContext:
         KLCache(directory).load_into(self)
 
     def save_cache(self, directory):
-        """Write _p_cache to the cache file, unless that file already holds
-        all of it.  _p_cache only grows, so it holds the same pairs as the
-        file last loaded from or saved to this path iff it has as many."""
+        """Write every held P to the cache file, unless that file already
+        holds all of them.  _p_cols only grows, so it holds the same pairs
+        as the file last loaded from or saved to this path iff it holds as
+        many pairs; an added empty length-0 column changes nothing."""
         cache = KLCache(directory)
-        if self._cache_synced != (cache.path(self.datum), len(self._p_cache)):
+        n = sum(map(len, self._p_cols.values()))
+        if self._cache_synced != (cache.path(self.datum), n):
             cache.save_from(self)
 
 
@@ -557,11 +538,13 @@ class KLCache:
 
     Header "klcache v1 <label> <convention>"; one record per line:
     "<x> <w> <poly>" in the canonical text encodings.  Unknown versions,
-    wrong labels, garbled lines, text that does not re-encode to itself
-    or records that fail `_plausible` are ignored and rebuilt, never
-    trusted.  A load decodes and re-encodes each distinct element and
-    polynomial text once, and every record still passes `_plausible`; a
-    save encodes each distinct element and polynomial once.
+    wrong labels, garbled lines, text that does not re-encode to itself,
+    records that fail `_plausible`, a repeated pair or a column without
+    every x < w make the whole file ignored and rebuilt, never trusted,
+    so P values read from a file are only ever whole columns.  A load
+    decodes and re-encodes each distinct element and polynomial text
+    once, and every record still passes `_plausible`; a save encodes each
+    distinct element and polynomial once.
     HeckeContext.save_cache leaves a file alone while it holds every P
     value of the context, so a run that adds no P value does not rewrite
     it.
@@ -574,8 +557,11 @@ class KLCache:
         return os.path.join(self.directory, f"klcache_{datum.label}.txt")
 
     def load_into(self, hctx):
-        """Stage every record, then add them all to hctx._p_cache; returns
-        the number of records, or 0 if the file is missing or rejected.
+        """Stage every record in its column, then add the columns to
+        hctx._p_cols; returns the number of records, or 0 if the file is
+        missing or rejected.  A column is trusted only whole: a repeated
+        pair, or a w whose column lacks one of the |[e, w]| - 1 entries
+        x < w, rejects the file.
 
         Each distinct element string and polynomial text is decoded once
         per load, and must encode back to itself, so no text is read as
@@ -616,41 +602,52 @@ class KLCache:
                         return 0
                     if not _plausible(x, w, p):
                         return 0
-                    staged[(x, w)] = p
+                    col = staged.get(w)
+                    if col is None:
+                        col = staged[w] = {}
+                    elif x in col:
+                        return 0  # a repeated pair
+                    col[x] = p
         except OSError:
             return 0
+        interval = hctx.group._interval
+        if any(len(col) != len(interval(w)) - 1 for w, col in staged.items()):
+            return 0  # a column that is not whole
         for p in polys.values():
             values.setdefault(p, p)
-        hctx._p_cache.update(staged)
-        hctx._cache_synced = (path, len(staged))
-        return len(staged)
+        hctx._p_cols.update(staged)
+        n = sum(map(len, staged.values()))
+        hctx._cache_synced = (path, n)
+        return n
 
     def save_from(self, hctx):
-        """Write every P of hctx._p_cache, records sorted by their text.
+        """Write every P of hctx._p_cols, records sorted by their text.
 
         One pass: each distinct element and each distinct polynomial is
         encoded once per save, the pairs are sorted by the ranks of their
         element texts (the order of the sorted record lines, since the
         pairs are distinct), and the lines are written in chunks.
         """
-        pc = hctx._p_cache
-        if not pc:
+        cols = hctx._p_cols
+        pairs = [(x, w) for w, col in cols.items() for x in col]
+        if not pairs:
             return
         os.makedirs(self.directory, exist_ok=True)
         path = self.path(hctx.datum)
         text = {}
-        for x, w in pc:
+        for x, w in pairs:
             if x not in text:
                 text[x] = x.encode()
             if w not in text:
                 text[w] = w.encode()
         rank = {el: i for i, el in enumerate(sorted(text, key=text.__getitem__))}
         n = len(rank)
-        pairs = sorted(pc, key=lambda k: rank[k[0]] * n + rank[k[1]])
+        pairs.sort(key=lambda k: rank[k[0]] * n + rank[k[1]])
         ptext = {}
-        for p in pc.values():
-            if p not in ptext:
-                ptext[p] = p.encode()
+        for col in cols.values():
+            for p in col.values():
+                if p not in ptext:
+                    ptext[p] = p.encode()
         import tempfile
 
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
@@ -658,7 +655,7 @@ class KLCache:
             fh.write(f"klcache v1 {hctx.datum.label} {_CONVENTION_TAG}\n")
             for i in range(0, len(pairs), _SAVE_CHUNK):
                 fh.write("".join([
-                    f"{text[x]} {text[w]} {ptext[pc[x, w]]}\n"
+                    f"{text[x]} {text[w]} {ptext[cols[w][x]]}\n"
                     for x, w in pairs[i:i + _SAVE_CHUNK]
                 ]))
         os.replace(tmp, path)

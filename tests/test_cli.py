@@ -352,17 +352,23 @@ def test_warm_table_leaves_the_cache_file_alone(tmp_path, capsys, monkeypatch):
 
 
 def test_cache_missing_a_record_is_rewritten_whole(tmp_path, capsys, monkeypatch):
+    # a column is trusted only whole: a file that lacks one record, or holds
+    # one twice, is not loaded at all and is rewritten to the cold bytes
     cache = str(tmp_path)
     cold = _fresh_table(capsys, monkeypatch, cache)
     path = os.path.join(cache, "klcache_GL4.txt")
     with open(path, "rb") as fh:
         full = fh.read()
     lines = full.splitlines(keepends=True)
-    with open(path, "wb") as fh:
-        fh.write(b"".join(lines[:5] + lines[6:]))
-    assert _fresh_table(capsys, monkeypatch, cache) == cold
-    with open(path, "rb") as fh:
-        assert fh.read() == full
+    dropped, repeated = lines[:5] + lines[6:], lines[:6] + lines[5:]
+    loads = _counting_loads(monkeypatch)
+    for damaged in (dropped, repeated):
+        with open(path, "wb") as fh:
+            fh.write(b"".join(damaged))
+        assert _fresh_table(capsys, monkeypatch, cache) == cold
+        with open(path, "rb") as fh:
+            assert fh.read() == full
+    assert loads == [0, 0]
 
 
 def test_out_in_a_missing_directory_exit_2(tmp_path, capsys):

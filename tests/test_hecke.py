@@ -198,10 +198,15 @@ def test_pq_inversion_interval():
             assert acc == (ONE if x is w else LaurentPoly.zero())
 
 
+def _pairs(H):
+    """{(x, w): P_{x,w}} over the columns H holds."""
+    return {(x, w): p for w, col in H._p_cols.items() for x, p in col.items()}
+
+
 def test_to_ic_basis_reads_each_pair_once(monkeypatch):
-    """The downward solve reads P_{w,x} for the pairs w < x of the lower
-    closure U of the support from _p_cache, with no Bruhat test: the
-    columns it solves hold exactly the pairs of U."""
+    """The downward solve reads the KL columns of the lower closure U of
+    the support, with no Bruhat test: the columns it solves hold exactly
+    the pairs of U."""
     monkeypatch.setattr(hecke, "_CONTEXTS", {})
     datum = create("GL", 4)
     f = kottwitz_function(datum, (2, 1, 0, 0))
@@ -221,7 +226,7 @@ def test_to_ic_basis_reads_each_pair_once(monkeypatch):
     for x in f.terms:
         universe.update(G._interval(x))
     pairs = {(w, x) for x in universe for w in G._interval(x) if w is not x}
-    assert set(H._p_cache) == pairs and len(pairs) == 3234
+    assert set(_pairs(H)) == pairs and len(pairs) == 3234
     assert H.from_ic_basis(coeffs) == f
 
 
@@ -241,8 +246,9 @@ def test_to_ic_basis_multiplies_only_by_p_other_than_one(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", counting)
     coeffs = H.to_ic_basis(f)
     assert 0 < len(calls) <= 160
-    assert len(H._p_cache) == 2020
-    assert sum(p != ONE for p in H._p_cache.values()) == 160
+    pc = _pairs(H)
+    assert len(pc) == 2020
+    assert sum(p != ONE for p in pc.values()) == 160
     monkeypatch.undo()
     assert H.from_ic_basis(coeffs) == f
 
@@ -254,7 +260,7 @@ def test_kl_columns_share_one_and_extremal_pairs(monkeypatch, fam, n, mu):
     multiplicity.compute(datum, mu)
     H = context(datum)
     G = H.group
-    pc = H._p_cache
+    pc = _pairs(H)
     assert any(p != ONE for p in pc.values())
     for (x, y), p in pc.items():
         if p == ONE:
@@ -269,7 +275,7 @@ def test_kl_columns_store_each_value_once(monkeypatch):
     monkeypatch.setattr(hecke, "_CONTEXTS", {})
     datum = create("GL", 4)
     multiplicity.compute(datum, (2, 1, 0, 0))
-    values = [p for p in context(datum)._p_cache.values() if p != ONE]
+    values = [p for p in _pairs(context(datum)).values() if p != ONE]
     assert len(values) == 280
     assert len({id(p) for p in values}) == len(set(values)) == 2
 
@@ -299,7 +305,7 @@ def test_kl_column_rejects_a_missing_partner(monkeypatch, victim):
     with pytest.raises(InvariantViolation):
         H._kl_column(y)
     assert y not in H._col_done
-    assert not any(w is y for _, w in H._p_cache)
+    assert y not in H._p_cols
 
 
 def test_inv_kl_poly_rejects_elements_of_two_groups():
@@ -426,7 +432,7 @@ def test_table_computes_no_r_polynomials(monkeypatch):
     datum = create("GL", 4)
     multiplicity.compute(datum, (2, 1, 0, 0))
     H = context(datum)
-    assert len(H._p_cache) == 3234
+    assert len(_pairs(H)) == 3234
     assert H._r_cache == {}
 
 
@@ -474,11 +480,11 @@ def test_kl_column_rejects_a_corrupted_dependency():
     x = G.reduced_word(v)[0]  # the length-0 element below v
     assert G.mul_gen(x, s).length() > x.length()
     H._kl_column(v)
-    H._p_cache[(x, v)] = H._p_cache[(x, v)] + ONE
+    H._p_cols[v][x] = H._p_cols[v][x] + ONE
     with pytest.raises(InvariantViolation):
         H._kl_column(y)
     assert y not in H._col_done
-    assert not any(w is y for _, w in H._p_cache)
+    assert y not in H._p_cols
     with pytest.raises(InvariantViolation):
         H.kl_poly(x, y)
 
@@ -544,12 +550,13 @@ def test_kl_cache_load_shares_equal_polynomials(gl5_cache):
     H = HeckeContext(datum)
     assert gl5_cache.load_into(H) == 2020
     by_text = {}
-    for p in H._p_cache.values():
+    pc = _pairs(H)
+    for p in pc.values():
         by_text.setdefault(p.encode(), set()).add(id(p))
     assert set(by_text) == texts
     assert all(len(ids) == 1 for ids in by_text.values())
     # the loaded values are the context's interned ones, 1 being the shared one
-    assert {id(p) for p in H._p_values.values()} == {id(p) for p in H._p_cache.values()}
+    assert {id(p) for p in H._p_values.values()} == {id(p) for p in pc.values()}
     assert H._p_values[ONE] is hecke._ONE
 
 
