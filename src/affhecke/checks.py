@@ -366,7 +366,8 @@ KL_SOLVER_CASES = (("GL4", "2,1,0,0"), ("GSp4", "2,1,1,0"), ("G2", "2,1,0"))
 def kl_solver_checks():
     """kl_poly (the recursion) against bar_fixed_column on every pair of
     Adm(mu), pairs x not <= w included; a pair whose solve raises
-    InvariantViolation counts as a mismatch."""
+    InvariantViolation counts as a mismatch, and so does every solved
+    column whose keys are not the interval [e, w) of the Bruhat order."""
     results = []
     for label, text in KL_SOLVER_CASES:
         d = parse_group(label)
@@ -382,6 +383,7 @@ def kl_solver_checks():
                     bad += hctx.kl_poly(x, w) != col.get(x, LaurentPoly.zero())
                 except InvariantViolation:
                     bad += 1
+        bad += sum(col.keys() != g._interval(w) - {w} for w, col in hctx._p_cols.items())
         results.append(
             (
                 f"kl-recursion-vs-bar-fixedness-{label}",

@@ -334,7 +334,8 @@ class HeckeContext:
         where mu(z,v) is the coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v}.
         The columns of v and of each such z with mu(z,v) != 0 are solved
         first, on an explicit stack.  A held column has every P_{x,v}, x < v,
-        so a missing key is 0 and the solve makes no Bruhat test and no
+        so a missing key is 0, and its keys are [e, v): the column of y is
+        built over them, with no Bruhat test, no interval and no
         R-polynomial.  A length-0 y has the empty column, which is stored
         but not counted in _col_done, the columns the recursion solved in
         this process.  Since ys < y, P_{x,y} = P_{xs,y}, so the recursion
@@ -390,34 +391,27 @@ class HeckeContext:
         """{x: P_{x,y}} for every x < y, from the columns of v = ys and of
         the z in mu; returned whole, so a failed check stores nothing.
 
-        [e, y] splits into pairs {x, xs}, and P_{x,y} = P_{xs,y} because
-        ys < y.  The recursion runs on the top x (xs < x) only, where it
-        reads P_{x,y} = P_{xs,v} + q P_{x,v} - sum_z ..., and the bottom xs
-        gets the same object; the top y gives P_{v,y} = 1.  A computed P is
-        interned in _p_values, so 1 is stored as _ONE.  _kl_shape is checked
-        on each top: the bottom's gap is one larger, so its degree bound
-        follows.  An element whose partner is not in [e, y] raises
-        InvariantViolation, so a stored column is never incomplete.
+        [e, y] = [e, v] u [e, v]s (subword property), so it splits into
+        pairs {x, xs}, each with its bottom in [e, v]: the pair {v, y}, and
+        one pair {u, us} for each key u of the column of v, a pair met twice
+        being skipped.  P_{x,y} = P_{xs,y} because ys < y.  The recursion runs
+        on the top x (xs < x) only, where it reads P_{x,y} = P_{xs,v} +
+        q P_{x,v} - sum_z ..., and the bottom xs gets the same object; the
+        top y gives P_{v,y} = 1.  A computed P is interned in _p_values, so
+        1 is stored as _ONE.  _kl_shape is checked on each top: the bottom's
+        gap is one larger, so its degree bound follows.  The column of v
+        is whole, so this one is.
         """
         g = self.group
         cols = self._p_cols
         pv = cols[v]
         ly = y.length()
-        interval = g._interval(y)
-        col = {}
-        for x in interval:
-            xs = v if x is y else g.mul_gen(x, s)
-            if xs not in interval:
-                raise InvariantViolation(
-                    f"{xs.encode()} = x s{s} is missing from [e, {y.encode()}]"
-                    f" at x={x.encode()}"
-                )
-            if x is y:
-                col[v] = _ONE
-                continue
-            if xs.length() > x.length():
-                continue  # a bottom: its top xs stores it
-            # a top other than y is neither v nor v s = y
+        col = {v: _ONE}
+        for u in pv:
+            us = g.mul_gen(u, s)
+            x, xs = (u, us) if us.length() < u.length() else (us, u)
+            if x in col:
+                continue  # the pair was met at its other element
             p = pv.get(xs, _ZERO) + pv.get(x, _ZERO).shift(2)
             for z, e, c in mu:
                 p_xz = _ONE if x is z else cols[z].get(x)
@@ -464,13 +458,13 @@ class HeckeContext:
         decreasing sort_key: eps_w c_w = h_w - sum_{x > w in U} eps_x c_x
         P_{w,x}, pushed down: once eps_x c_x is final it is subtracted,
         times P_{w,x}, from the accumulator of each w < x in the column of
-        x.  U comes from the cached intervals, so the solve makes no Bruhat
-        test.  The column of every x in U is read, whether or not c_x = 0,
-        so the columns solved depend on U alone.  A P that is _ONE is
-        subtracted with no product.
+        x.  U is supp h with the keys of the columns of supp h, so the
+        solve makes no Bruhat test and builds no interval.  The column of
+        every x in U is read, whether or not c_x = 0, so the columns solved
+        depend on U alone.  A P that is _ONE is subtracted with no product.
         """
         g = self.group
-        order = sorted(set().union(*map(g._interval, h.terms)), key=g.sort_key)
+        order = sorted(set(h.terms).union(*map(self._kl_column, h.terms)), key=g.sort_key)
         acc = dict(h.terms)  # w -> eps_w c_w, final once every x > w is pushed
         signed = {}
         for x in reversed(order):
@@ -508,8 +502,6 @@ class HeckeContext:
 
 
 _CONVENTION_TAG = "base-alcove=dominant"
-#: record lines per write in KLCache.save_from
-_SAVE_CHUNK = 4096
 
 
 def _kl_shape(p, gap):
@@ -544,7 +536,8 @@ class KLCache:
     so P values read from a file are only ever whole columns.  A load
     decodes and re-encodes each distinct element and polynomial text
     once, and every record still passes `_plausible`; a save encodes each
-    distinct element and polynomial once.
+    distinct element and polynomial once and writes the records row by
+    row.
     HeckeContext.save_cache leaves a file alone while it holds every P
     value of the context, so a run that adds no P value does not rewrite
     it.
@@ -623,43 +616,44 @@ class KLCache:
     def save_from(self, hctx):
         """Write every P of hctx._p_cols, records sorted by their text.
 
-        One pass: each distinct element and each distinct polynomial is
-        encoded once per save, the pairs are sorted by the ranks of their
-        element texts (the order of the sorted record lines, since the
-        pairs are distinct), and the lines are written in chunks.
+        Each distinct element and each distinct polynomial is encoded once
+        per save, and the elements are sorted by text once.  Walking w in
+        that order inverts the columns into rows {x: [w, ...]} that come out
+        sorted, and the file is written row by row in the same order.  No
+        element text is a prefix of another, so this is the order of the
+        sorted record lines.
         """
         cols = hctx._p_cols
-        pairs = [(x, w) for w, col in cols.items() for x in col]
-        if not pairs:
+        n = sum(map(len, cols.values()))
+        if not n:
             return
         os.makedirs(self.directory, exist_ok=True)
         path = self.path(hctx.datum)
         text = {}
-        for x, w in pairs:
-            if x not in text:
-                text[x] = x.encode()
-            if w not in text:
-                text[w] = w.encode()
-        rank = {el: i for i, el in enumerate(sorted(text, key=text.__getitem__))}
-        n = len(rank)
-        pairs.sort(key=lambda k: rank[k[0]] * n + rank[k[1]])
         ptext = {}
-        for col in cols.values():
-            for p in col.values():
+        for w, col in cols.items():
+            if col and w not in text:
+                text[w] = w.encode()
+            for x, p in col.items():
+                if x not in text:
+                    text[x] = x.encode()
                 if p not in ptext:
                     ptext[p] = p.encode()
+        order = sorted(text, key=text.__getitem__)
+        rows = {x: [] for x in order}
+        for w in order:
+            for x in cols.get(w, ()):
+                rows[x].append(w)
         import tempfile
 
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(f"klcache v1 {hctx.datum.label} {_CONVENTION_TAG}\n")
-            for i in range(0, len(pairs), _SAVE_CHUNK):
-                fh.write("".join([
-                    f"{text[x]} {text[w]} {ptext[cols[w][x]]}\n"
-                    for x, w in pairs[i:i + _SAVE_CHUNK]
-                ]))
+            for x, row in rows.items():
+                tx = text[x]
+                fh.write("".join([f"{tx} {text[w]} {ptext[cols[w][x]]}\n" for w in row]))
         os.replace(tmp, path)
-        hctx._cache_synced = (path, len(pairs))
+        hctx._cache_synced = (path, n)
 
 
 _CONTEXTS = {}

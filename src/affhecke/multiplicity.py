@@ -127,13 +127,13 @@ def compute(datum, mu):
     ell_mu = g.translation(mu).length()
     coeffs = hctx.to_ic_basis(f)
     m_polys = {w: coeffs.get(w, LaurentPoly.zero()) for w in adm}
-    # Adm is lower-closed, so the intervals below its elements give every x > w
+    # Adm is lower-closed, so the KL columns of its elements, which
+    # to_ic_basis has just solved, give every x > w
     gaps = {w: [] for w in adm}
     for x in adm:
         lx = x.length()
-        for w in g._interval(x):
-            if w is not x:
-                gaps[w].append(lx - w.length())
+        for w in hctx._kl_column(x):
+            gaps[w].append(lx - w.length())
     configs = {
         w: tuple(d.count(k) for k in range(1, max(d, default=0) + 1)) for w, d in gaps.items()
     }

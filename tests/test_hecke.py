@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from affhecke import checks, hecke, multiplicity
+from affhecke import affweyl, checks, hecke, multiplicity
 from affhecke.affweyl import AffineWeylGroup, DatumMismatch, group
 from affhecke.central import kottwitz_function
 from affhecke.checks import ball, _r_extraction
@@ -280,32 +280,32 @@ def test_kl_columns_store_each_value_once(monkeypatch):
     assert len({id(p) for p in values}) == len(set(values)) == 2
 
 
-@pytest.mark.parametrize("victim", ["v", "bottom", "top"])
-def test_kl_column_rejects_a_missing_partner(monkeypatch, victim):
-    # an interval [e, y] without one element of a pair {x, xs} must raise,
-    # never store a column that lacks an entry
-    H = HeckeContext(create("GL", 3))
+@pytest.mark.parametrize("fam,n,text", [("GL", 3, "2,1,0"), ("GL", 4, "2,1,0,0"), ("G2", 2, "2,1,0")])
+def test_kl_columns_are_the_lower_intervals(monkeypatch, fam, n, text):
+    # a column is built over the keys of the column of ys, never over an
+    # interval, so its keys must still be [e, w) of the Bruhat order
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    datum = create(fam, n)
+    multiplicity.compute(datum, datum.parse_coweight(text))
+    H = context(datum)
     G = H.group
-    y = G.translation((2, 1, 0))
-    s = G.first_right_descent(y)
-    v = G.mul_gen(y, s)
-    H._kl_column(v)
-    real = G._interval(y)
-    pick = {
-        "v": v,
-        "bottom": next(
-            x for x in real if x is not v and G.mul_gen(x, s).length() > x.length()
-        ),
-        "top": next(
-            x for x in real if x is not y and G.mul_gen(x, s).length() < x.length()
-        ),
-    }[victim]
-    interval = G._interval
-    monkeypatch.setattr(G, "_interval", lambda w: real - {pick} if w is y else interval(w))
-    with pytest.raises(InvariantViolation):
-        H._kl_column(y)
-    assert y not in H._col_done
-    assert y not in H._p_cols
+    assert len(H._p_cols) > 1
+    for w, col in H._p_cols.items():
+        assert col.keys() == G._interval(w) - {w}
+
+
+def test_table_builds_no_interval_per_column(monkeypatch):
+    # Adm(mu) is the union of the intervals of its translations; the KL
+    # columns, the downward solve and the Bruhat configurations add none
+    monkeypatch.setattr(affweyl, "_GROUPS", {})
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    datum = create("GL", 4)
+    G = group(datum)
+    adm = G.adm((2, 1, 0, 0))
+    built = len(G._intervals)
+    assert built < len(adm) == 143
+    multiplicity.compute(datum, (2, 1, 0, 0))
+    assert len(G._intervals) == built
 
 
 def test_inv_kl_poly_rejects_elements_of_two_groups():
