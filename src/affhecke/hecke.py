@@ -30,23 +30,33 @@ computes
                         needs no R-polynomial and no Bruhat test.  The
                         recursion runs only on the top x of each pair
                         {x, xs} (du Cloux's extremal pairs): P_{xs,w} is
-                        the same object, and equal P values are one
-                        object, 1 being the shared _ONE;
+                        the same object;
 * base change           T <-> C''; to_ic_basis is the one downward solve
                         of the unitriangular P-matrix, and both the
                         multiplicity tables and the inverse KL
                         polynomials read it.  It pushes each solved
                         coefficient down the KL column of its element,
-                        with no Bruhat test, and a P that is _ONE costs
-                        a subtraction, no product;
+                        with no Bruhat test, and a P that is 1 costs a
+                        subtraction, no product;
 * inverse KL            Q_{x,w}: entries of the inverse base-change
   polynomials           matrix, sum_{x<=z<=w} (-1)^{l(z)} P_{x,z} Q_{z,w} = (-1)^{l(w)} delta,
                         so eps_w T_w = sum_z Q_{z,w} C''_z and a column
                         {Q_{z,w}}_z is to_ic_basis(eps_w T_w).
 
-P-polynomials are held in memory by column, _p_cols[w] = {x: P_{x,w}
-for every x < w}, a column whole or not at all, and optionally persisted
-to a versioned line-oriented cache file (see KLCache).
+P-polynomials are held in memory packed, as the integers P(B) with
+B = 2^K (Kronecker substitution, K = _K = 48 bits a q-digit): P -> P(B)
+is a ring homomorphism Z[q] -> Z, so the sums, q-shifts (a shift by K
+bits) and integer scalings of the recursion and of the downward solve
+are exact integer operations, and decoding P(B) digit by digit gives P
+back whenever every coefficient lies in (-B/2, B/2).  Cheap bounds
+guard that before anything is decoded, one per column and one per row
+of the solve, and raise InvariantViolation when they fail.  Each packed
+value is held once (_p_values) with its LaurentPoly, decoded once
+(_p_polys), so equal P are one int and one LaurentPoly, and 1 is the
+module's _ONE.  The columns are _p_cols[w] = {x: P_{x,w}(B) for every
+x < w}, a column whole or not at all, optionally persisted to a
+versioned line-oriented cache file (see KLCache).  Every API takes and
+returns LaurentPoly: packing never leaves this module.
 """
 
 import os
@@ -56,6 +66,9 @@ from .laurent import LaurentPoly
 
 _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
+
+#: bits per q-digit of a packed P: P is held as the integer P(B), B = 2^_K
+_K = 48
 
 
 def _add_into(terms, x, c):
@@ -154,6 +167,19 @@ class HeckeElement:
         return " + ".join(parts) if parts else "0"
 
 
+class _RightNeighbours(dict):
+    """{x: x s} for one generator s, each product made once, on first lookup."""
+
+    def __init__(self, g, s):
+        super().__init__()
+        self.g = g
+        self.s = s
+
+    def __missing__(self, x):
+        y = self[x] = self.g.mul_gen(x, self.s)
+        return y
+
+
 class HeckeContext:
     """Per-datum state: generator tables and polynomial caches."""
 
@@ -161,8 +187,16 @@ class HeckeContext:
         self.datum = datum
         self.group = group(datum)
         self._r_cache = {}
-        self._p_cols = {}  # w -> {x: P_{x,w} for every x < w}, whole columns only
-        self._p_values = {_ONE: _ONE}  # each P value once: equal P are one object
+        self._p_cols = {}  # w -> {x: P_{x,w}(B) for every x < w}, whole columns only
+        self._p_values = {1: 1}  # each packed P once: equal P are one int
+        self._p_polys = {1: _ONE}  # packed P -> its LaurentPoly, decoded once
+        self._k = _K
+        self._mask = (1 << _K) - 1
+        self._half = 1 << (_K - 1)
+        self._limits = [0]  # _limits[d]: the largest packed value of d digits in (-B/2, B/2)
+        self._coef_max = 1  # the largest |coefficient| of a held P
+        self._l1_max = 1  # the largest sum of |coefficients| of a held P
+        self._nbrs = {}  # s -> {x: x s}
         self._q_cache = {}
         self._col_done = set()
         self._cache_synced = None  # (path, n): the file at path holds these n P values
@@ -319,11 +353,19 @@ class HeckeContext:
         g = self.group
         if not g.leq(x, w):
             return _ZERO
-        return self._kl_column(w)[x]
+        return self._p_polys[self._kl_column(w)[x]]
+
+    def _right(self, s):
+        """The right-neighbour table {x: x s} of the generator s."""
+        nbr = self._nbrs.get(s)
+        if nbr is None:
+            nbr = self._nbrs[s] = _RightNeighbours(self.group, s)
+        return nbr
 
     def _kl_column(self, y):
-        """The column {x: P_{x,y}} for every x < y, held in _p_cols; a column
-        not held is solved by the Kazhdan-Lusztig recursion.
+        """The packed column {x: P_{x,y}(B)} for every x < y, held in
+        _p_cols; a column not held is solved by the Kazhdan-Lusztig
+        recursion.
 
         With s the first right descent of y, v = ys and c = 1 if xs < x,
         else 0 (Kazhdan-Lusztig 1979, (2.2.c); du Cloux 2002):
@@ -341,8 +383,8 @@ class HeckeContext:
         this process.  Since ys < y, P_{x,y} = P_{xs,y}, so the recursion
         runs only on the top x of each extremal pair {x, xs} (du Cloux
         2002) and its bottom gets the same object (see _solve_column).
-        Every computed entry must be a q-polynomial with constant term 1
-        and 2 deg_q <= l(y) - l(x) - 1, or InvariantViolation is raised.
+        Every computed entry must pass _kl_shape, or InvariantViolation is
+        raised.
         """
         cols = self._p_cols
         g = self.group
@@ -357,14 +399,14 @@ class HeckeContext:
             if s is None:  # length 0: no x < w
                 cols[w] = {}
                 continue
-            v = g.mul_gen(w, s)
+            v = self._right(s)[w]
             if v not in cols:
                 stack.append(v)
                 continue
             mu = mus.get(w)
             if mu is None:
                 mu = mus[w] = self._mu_terms(w, s, v)
-            todo = [z for z, _e, _c in mu if z not in cols]
+            todo = [z for z, _sh, _c in mu if z not in cols]
             if todo:
                 stack.extend(todo)
                 continue
@@ -373,57 +415,143 @@ class HeckeContext:
         return cols[y]
 
     def _mu_terms(self, y, s, v):
-        """[(z, l(y) - l(z), mu(z,v))], the term mu(z,v) q^{(l(y)-l(z))/2} as
-        a v-exponent and a coefficient, over z < v with zs < z and
-        mu(z,v) != 0, which needs l(v) - l(z) odd; read off the column of v."""
-        g = self.group
+        """[(z, k (l(y) - l(z))/2, mu(z,v))], the term mu(z,v) q^{(l(y)-l(z))/2}
+        as the bit shift of a packed value and a coefficient, over z < v with
+        zs < z and mu(z,v) != 0, which needs l(v) - l(z) odd; read off the
+        column of v.  mu(z,v) is the top digit d = (l(v)-l(z)-1)/2 of the
+        packed P_{z,v}: its lower digits sum to less than B^d/2 in size, so
+        the digit is P_{z,v}(B) / B^d rounded to the nearest integer."""
+        k = self._k
+        nbr = self._right(s)
         ly, lv = y.length(), v.length()
         out = []
         for z, p in self._p_cols[v].items():
-            gap = lv - z.length()
-            if gap % 2 and g.mul_gen(z, s).length() < z.length():
-                c = p.terms.get(gap - 1, 0)
-                if c:
-                    out.append((z, ly - z.length(), c))
+            lz = z.length()
+            gap = lv - lz
+            if not gap & 1:
+                continue
+            t = k * (gap >> 1)
+            if p == 1 and t:
+                continue  # mu = 0, with no shift of a large integer
+            c = (p + (1 << (t - 1))) >> t if t else p
+            if not c:
+                continue
+            if nbr[z].length() < lz:
+                out.append((z, k * ((ly - lz) >> 1), c))
         return out
 
     def _solve_column(self, y, s, v, mu):
-        """{x: P_{x,y}} for every x < y, from the columns of v = ys and of
-        the z in mu; returned whole, so a failed check stores nothing.
+        """{x: P_{x,y}(B)} for every x < y, from the columns of v = ys and
+        of the z in mu; returned whole, so a failed check stores nothing.
 
         [e, y] = [e, v] u [e, v]s (subword property), so it splits into
         pairs {x, xs}, each with its bottom in [e, v]: the pair {v, y}, and
         one pair {u, us} for each key u of the column of v, a pair met twice
-        being skipped.  P_{x,y} = P_{xs,y} because ys < y.  The recursion runs
-        on the top x (xs < x) only, where it reads P_{x,y} = P_{xs,v} +
-        q P_{x,v} - sum_z ..., and the bottom xs gets the same object; the
-        top y gives P_{v,y} = 1.  A computed P is interned in _p_values, so
-        1 is stored as _ONE.  _kl_shape is checked on each top: the bottom's
-        gap is one larger, so its degree bound follows.  The column of v
-        is whole, so this one is.
+        being skipped; us is read from the right-neighbour table of s.
+        P_{x,y} = P_{xs,y} because ys < y.  The recursion runs on the top x
+        (xs < x) only, where it reads P_{x,y} = P_{xs,v} + q P_{x,v} -
+        sum_z ..., in integers: a q-shift is a shift by k bits.  The bottom
+        xs gets the same object; the top y gives P_{v,y} = 1.  Every true
+        coefficient of the new column is at most (2 + sum |mu|) times the
+        largest held one, and that must stay under B/2, so that decoding
+        it is exact, or InvariantViolation is raised before any arithmetic.
+        A computed P other than 1 is checked by _kl_shape on each top (the
+        bottom's gap is one larger, so its degree bound follows) and
+        interned.  The column of v is whole, so this one is.
         """
-        g = self.group
+        if (2 + sum(abs(c) for _z, _sh, c in mu)) * self._coef_max >= self._half:
+            raise InvariantViolation(
+                f"the KL column of {y.encode()} may not fit {self._k}-bit packed digits"
+            )
+        k = self._k
+        nbr = self._right(s)
         cols = self._p_cols
+        values = self._p_values
         pv = cols[v]
         ly = y.length()
-        col = {v: _ONE}
+        terms = [(z, cols[z], sh, c) for z, sh, c in mu]
+        col = {v: 1}
         for u in pv:
-            us = g.mul_gen(u, s)
+            us = nbr[u]
             x, xs = (u, us) if us.length() < u.length() else (us, u)
             if x in col:
                 continue  # the pair was met at its other element
-            p = pv.get(xs, _ZERO) + pv.get(x, _ZERO).shift(2)
-            for z, e, c in mu:
-                p_xz = _ONE if x is z else cols[z].get(x)
-                if p_xz is not None:
-                    p = p - p_xz.shift(e).scale(c)
-            if not _kl_shape(p, ly - x.length()):
-                raise InvariantViolation(
-                    f"KL recursion gave P = {p.encode()} at x={x.encode()} y={y.encode()}"
-                )
-            p = self._p_values.setdefault(p, p)
+            p = pv.get(xs, 0) + (pv.get(x, 0) << k)
+            for z, pz, sh, c in terms:
+                if x is z:
+                    p -= c << sh
+                else:
+                    p_xz = pz.get(x)
+                    if p_xz is not None:
+                        p -= p_xz * c << sh
+            if p != 1:
+                if not self._kl_shape(p, ly - x.length()):
+                    raise InvariantViolation(
+                        f"KL recursion gave P = {self._unpack(p).encode()} "
+                        f"at x={x.encode()} y={y.encode()}"
+                    )
+                p = values.get(p) or self._intern(p)
             col[x] = col[xs] = p
         return col
+
+    # -- packed polynomials ----------------------------------------------------
+
+    def _kl_shape(self, p, gap):
+        """The packed P(B) is a polynomial in q with constant term 1 and
+        2 deg_q P <= gap - 1, for gap >= 1, when every coefficient of P lies
+        in (-B/2, B/2): its constant digit is 1 and (P - 1)/q has at most
+        d = (gap - 1) // 2 digits, which bounds |P(B) >> k| by the largest
+        d-digit value (B/2 - 1)(B^d - 1)/(B - 1)."""
+        if p & self._mask != 1:
+            return False
+        d = (gap - 1) >> 1
+        lims = self._limits
+        while len(lims) <= d:
+            lims.append(lims[-1] * (self._mask + 1) + self._half - 1)
+        return abs(p >> self._k) <= lims[d]
+
+    def _pack(self, poly):
+        """P(B) for a polynomial P in q whose coefficients lie in (-B/2, B/2);
+        ValueError for any other Laurent polynomial."""
+        k, half = self._k, self._half
+        p = 0
+        for e, c in poly.terms.items():
+            if e < 0 or e & 1 or not -half < c < half:
+                raise ValueError(f"{poly.encode()} does not pack into {k}-bit q-digits")
+            p += c << (k * (e >> 1))
+        return p
+
+    def _unpack(self, p, e0=0):
+        """The Laurent polynomial sum_i d_i v^{e0 + 2i} of the digits d_i of
+        p = sum_i d_i B^i, each digit taken in [-B/2, B/2)."""
+        k, mask, half = self._k, self._mask, self._half
+        terms = {}
+        e = e0
+        while p:
+            d = p & mask
+            if d >= half:
+                d -= mask + 1
+            if d:
+                terms[e] = d
+            p = (p - d) >> k
+            e += 2
+        return LaurentPoly(terms)
+
+    def _intern(self, p, poly=None):
+        """The held packed value equal to p, adding p, with its polynomial
+        (poly, else p decoded), when no held value equals it; keeps the
+        largest |coefficient| and coefficient sum of the held values."""
+        got = self._p_values.get(p)
+        if got is not None:
+            return got
+        if poly is None:
+            poly = self._unpack(p)
+        coefs = [abs(c) for c in poly.terms.values()]
+        self._coef_max = max(self._coef_max, *coefs)
+        self._l1_max = max(self._l1_max, sum(coefs))
+        self._p_values[p] = p
+        self._p_polys[p] = poly
+        return p
 
     # -- inverse KL polynomials --------------------------------------------
 
@@ -448,35 +576,78 @@ class HeckeContext:
 
     def ic_basis_element(self, w):
         """C''_w = eps_w sum_{x <= w} P_{x,w} T_x, read from the column of w."""
-        c = HeckeElement._of(self, {**self._kl_column(w), w: _ONE})
+        polys = self._p_polys
+        terms = {x: polys[p] for x, p in self._kl_column(w).items()}
+        terms[w] = _ONE
+        c = HeckeElement._of(self, terms)
         return c if w.sign() == 1 else -c
 
     def to_ic_basis(self, h):
         """Coefficients {w: c_w != 0} with h = sum c_w C''_w.
 
-        The downward solve over the lower closure U of supp h, by
+        The solve is linear in h and every P has even v-exponents, so the
+        terms of h with even and with odd v-exponents are solved apart
+        (see _solve_down) and the two results added; each sign is applied
+        once, at the end.
+        """
+        out = {}
+        for parity in (0, 1):
+            part = {}
+            for w, c in h.terms.items():
+                t = {e: k for e, k in c.terms.items() if e & 1 == parity}
+                if t:
+                    part[w] = t
+            if part:
+                for w, r in self._solve_down(part).items():
+                    old = out.get(w)
+                    out[w] = r if old is None else old + r
+        return {w: (c if w.sign() == 1 else -c) for w, c in out.items()}
+
+    def _solve_down(self, part):
+        """{w: eps_w c_w != 0} for sum_w c_w C''_w = sum_w part[w] T_w, where
+        part[w] is a coefficient dict {v-exponent: k} and every exponent
+        has the parity of the smallest, e0.
+
+        The downward solve over the lower closure U of supp part, by
         decreasing sort_key: eps_w c_w = h_w - sum_{x > w in U} eps_x c_x
         P_{w,x}, pushed down: once eps_x c_x is final it is subtracted,
         times P_{w,x}, from the accumulator of each w < x in the column of
-        x.  U is supp h with the keys of the columns of supp h, so the
-        solve makes no Bruhat test and builds no interval.  The column of
-        every x in U is read, whether or not c_x = 0, so the columns solved
-        depend on U alone.  A P that is _ONE is subtracted with no product.
+        x.  U is the support with the keys of its columns, so the solve
+        makes no Bruhat test and builds no interval.  The column of every x
+        in U is read, whether or not c_x = 0, so the columns solved depend
+        on U alone.  It runs in packed integers: sum_e k v^e becomes
+        sum_e k B^{(e - e0)/2}, a product with a packed P is an integer
+        product, and a P that is 1 costs a subtraction.  Each row is
+        decoded once, when it is final.  Its true coefficients are at most
+        the largest |k| of part plus the largest coefficient sum of a held
+        P times the sum of the largest |coefficient| of the rows decoded
+        before it; InvariantViolation is raised before a row whose bound
+        reaches B/2, so every decoded row is exact.
         """
-        g = self.group
-        order = sorted(set(h.terms).union(*map(self._kl_column, h.terms)), key=g.sort_key)
-        acc = dict(h.terms)  # w -> eps_w c_w, final once every x > w is pushed
-        signed = {}
+        k, half = self._k, self._half
+        e0 = min(min(t) for t in part.values())
+        top = max(abs(c) for t in part.values() for c in t.values())
+        if top >= half:
+            raise InvariantViolation(f"a coefficient of {top} does not fit {k}-bit packed digits")
+        acc = {w: sum(c << (k * ((e - e0) >> 1)) for e, c in t.items()) for w, t in part.items()}
+        order = sorted(set(acc).union(*map(self._kl_column, acc)), key=self.group.sort_key)
+        rows = {}
+        total = 0  # the sum of the largest |coefficient| of each decoded row
         for x in reversed(order):
             col = self._kl_column(x)
-            ex = acc.pop(x, None)
-            if ex is None:
+            ex = acc.pop(x, 0)
+            if not ex:
                 continue
-            signed[x] = ex
+            if top + self._l1_max * total >= half:
+                raise InvariantViolation(
+                    f"the C''-coefficient of {x.encode()} may not fit {k}-bit packed digits"
+                )
+            row = rows[x] = self._unpack(ex, e0)
+            total += max(map(abs, row.terms.values()))
             neg = -ex
             for w, p in col.items():
-                _add_into(acc, w, neg if p is _ONE else neg * p)
-        return {w: (e if w.sign() == 1 else -e) for w, e in signed.items()}
+                acc[w] = acc.get(w, 0) + (neg if p == 1 else neg * p)
+        return rows
 
     def from_ic_basis(self, coeffs):
         """sum_w c_w C''_w as a T-basis element."""
@@ -504,18 +675,6 @@ class HeckeContext:
 _CONVENTION_TAG = "base-alcove=dominant"
 
 
-def _kl_shape(p, gap):
-    """P is a polynomial in q with constant term 1 and 2 deg_q P <= gap - 1."""
-    return p.is_q_polynomial() and p.q_coeff(0) == 1 and 2 * p.q_degree() <= gap - 1
-
-
-def _plausible(x, w, p):
-    """Structural checks every stored P_{x,w} passes: l(x) < l(w), x <= w,
-    and the shape of _kl_shape for gap = l(w) - l(x)."""
-    gap = w.length() - x.length()
-    return gap > 0 and x.group.leq(x, w) and _kl_shape(p, gap)
-
-
 def _canonical(decode, text):
     """decode(text); ValueError unless the value encodes back to text, so a
     repeated exponent or a non-reduced word is never read as a value."""
@@ -531,12 +690,12 @@ class KLCache:
     Header "klcache v1 <label> <convention>"; one record per line:
     "<x> <w> <poly>" in the canonical text encodings.  Unknown versions,
     wrong labels, garbled lines, text that does not re-encode to itself,
-    records that fail `_plausible`, a repeated pair or a column without
-    every x < w make the whole file ignored and rebuilt, never trusted,
-    so P values read from a file are only ever whole columns.  A load
-    decodes and re-encodes each distinct element and polynomial text
-    once, and every record still passes `_plausible`; a save encodes each
-    distinct element and polynomial once and writes the records row by
+    a record with l(x) >= l(w) or a P that fails the packed _kl_shape, a
+    repeated pair or a column whose keys are not [e, w) make the whole
+    file ignored and rebuilt, never trusted, so P values read from a file
+    are only ever whole columns.  A load decodes, re-encodes and packs
+    each distinct element and polynomial text once; a save encodes each
+    distinct element and packed value once and writes the records row by
     row.
     HeckeContext.save_cache leaves a file alone while it holds every P
     value of the context, so a run that adds no P value does not rewrite
@@ -553,15 +712,15 @@ class KLCache:
         """Stage every record in its column, then add the columns to
         hctx._p_cols; returns the number of records, or 0 if the file is
         missing or rejected.  A column is trusted only whole: a repeated
-        pair, or a w whose column lacks one of the |[e, w]| - 1 entries
-        x < w, rejects the file.
+        pair, or a column that fails _whole, rejects the file.
 
-        Each distinct element string and polynomial text is decoded once
-        per load, and must encode back to itself, so no text is read as
-        another value.  Equal P values share one LaurentPoly, the one in
-        hctx._p_values when that holds the value already.  After a full
-        load hctx remembers that this file holds the loaded records, and
-        save_cache leaves it alone while no P value has been added.
+        Each distinct element string and polynomial text is decoded and
+        packed once per load, and must encode back to itself, so no text
+        is read as another value.  Equal P values share one packed int,
+        the one in hctx._p_values when that holds the value already.
+        After a full load hctx remembers that this file holds the loaded
+        records, and save_cache leaves it alone while no P value has been
+        added.
         """
         path = self.path(hctx.datum)
         hctx._cache_synced = None
@@ -573,7 +732,8 @@ class KLCache:
                 decode = hctx.group.decode
                 values = hctx._p_values
                 elements = {}
-                polys = {}
+                polys = {}  # text -> the packed value
+                decoded = {}  # packed value -> its polynomial
                 staged = {}
                 for line in fh:
                     parts = line.split()
@@ -589,11 +749,14 @@ class KLCache:
                             w = elements[we] = _canonical(decode, we)
                         p = polys.get(pe)
                         if p is None:
-                            p = _canonical(LaurentPoly.decode, pe)
+                            poly = _canonical(LaurentPoly.decode, pe)
+                            p = hctx._pack(poly)
                             p = polys[pe] = values.get(p, p)
+                            decoded[p] = poly
                     except (ValueError, DatumMismatch):
                         return 0
-                    if not _plausible(x, w, p):
+                    gap = w.length() - x.length()
+                    if gap <= 0 or not hctx._kl_shape(p, gap):
                         return 0
                     col = staged.get(w)
                     if col is None:
@@ -603,20 +766,43 @@ class KLCache:
                     col[x] = p
         except OSError:
             return 0
-        interval = hctx.group._interval
-        if any(len(col) != len(interval(w)) - 1 for w, col in staged.items()):
-            return 0  # a column that is not whole
-        for p in polys.values():
-            values.setdefault(p, p)
+        if not self._whole(hctx, staged):
+            return 0
+        for p, poly in decoded.items():
+            hctx._intern(p, poly)
         hctx._p_cols.update(staged)
         n = sum(map(len, staged.values()))
         hctx._cache_synced = (path, n)
         return n
 
+    @staticmethod
+    def _whole(hctx, staged):
+        """Every staged column of w has the keys [e, w) = {v} u K u Ks, where
+        s is the first right descent of w, v = ws and K the keys of the
+        staged column of v, empty when l(v) = 0 (subword property).  By
+        induction on length every key set is then [e, w), with no interval
+        and no Bruhat test; a column of v that is missing fails."""
+        g = hctx.group
+        for w, col in staged.items():
+            s = g.first_right_descent(w)
+            if s is None:
+                return False
+            nbr = hctx._right(s)
+            v = nbr[w]
+            keys = staged.get(v, {} if v.length() == 0 else None)
+            if keys is None:
+                return False
+            want = {v}
+            want.update(keys)
+            want.update(map(nbr.__getitem__, keys))
+            if col.keys() != want:
+                return False
+        return True
+
     def save_from(self, hctx):
         """Write every P of hctx._p_cols, records sorted by their text.
 
-        Each distinct element and each distinct polynomial is encoded once
+        Each distinct element and each distinct packed value is encoded once
         per save, and the elements are sorted by text once.  Walking w in
         that order inverts the columns into rows {x: [w, ...]} that come out
         sorted, and the file is written row by row in the same order.  No
@@ -629,6 +815,7 @@ class KLCache:
             return
         os.makedirs(self.directory, exist_ok=True)
         path = self.path(hctx.datum)
+        polys = hctx._p_polys
         text = {}
         ptext = {}
         for w, col in cols.items():
@@ -638,7 +825,7 @@ class KLCache:
                 if x not in text:
                     text[x] = x.encode()
                 if p not in ptext:
-                    ptext[p] = p.encode()
+                    ptext[p] = polys[p].encode()
         order = sorted(text, key=text.__getitem__)
         rows = {x: [] for x in order}
         for w in order:

@@ -128,15 +128,18 @@ def compute(datum, mu):
     coeffs = hctx.to_ic_basis(f)
     m_polys = {w: coeffs.get(w, LaurentPoly.zero()) for w in adm}
     # Adm is lower-closed, so the KL columns of its elements, which
-    # to_ic_basis has just solved, give every x > w
-    gaps = {w: [] for w in adm}
+    # to_ic_basis has just solved, give every x > w; counts[w][k] is the
+    # number of them with l(x) - l(w) = k <= l(t_mu) - l(w)
+    counts = {w: [0] * (ell_mu - w.length() + 1) for w in adm}
     for x in adm:
         lx = x.length()
         for w in hctx._kl_column(x):
-            gaps[w].append(lx - w.length())
-    configs = {
-        w: tuple(d.count(k) for k in range(1, max(d, default=0) + 1)) for w, d in gaps.items()
-    }
+            counts[w][lx - w.length()] += 1
+    configs = {}
+    for w, c in counts.items():
+        while len(c) > 1 and not c[-1]:
+            c.pop()
+        configs[w] = tuple(c[1:])
     return MultiplicityTable(datum, mu, adm, ell_mu, m_polys, configs)
 
 

@@ -447,3 +447,29 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("Number of admissible alcoves: 41")
+
+
+@pytest.mark.parametrize(
+    "bits,where", [(6, "the KL column of"), (12, "the C''-coefficient of")], ids=["column", "solve"]
+)
+def test_packed_digits_too_narrow_exit_3(tmp_path, bits, where):
+    # G2 3,0 needs more than 6-bit digits for its KL columns (P up to
+    # 14 q^k) and more than 12 for the bound of the downward solve; with
+    # digits that narrow, the guard ends the run before any decode
+    prelude = (
+        "import runpy, sys; from affhecke import hecke; hecke._K = {}; "
+        "sys.argv = ['affhecke', *sys.argv[1:]]; "
+        "runpy.run_module('affhecke.cli', run_name='__main__')"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    cache = tmp_path / "klc"
+    argv = ["table", "G2", "--mu", "3,0", "--cache-dir", str(cache)]
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude.format(bits), *argv], capture_output=True, env=env
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 3 and proc.stdout == b""
+    assert err.startswith(f"invariant violation: {where} ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not cache.exists() or list(cache.iterdir()) == []

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -231,24 +232,43 @@ def test_to_ic_basis_reads_each_pair_once(monkeypatch):
 
 
 def test_to_ic_basis_multiplies_only_by_p_other_than_one(monkeypatch):
-    # GL5 1,1,0,0,0: of the 2,020 pairs of Adm, 160 have P != 1
+    # GL5 1,1,0,0,0: of the 2,020 pairs of Adm, 160 have P != 1.  The solve
+    # multiplies packed integers, never LaurentPolys, and only by a P != 1
     monkeypatch.setattr(hecke, "_CONTEXTS", {})
     datum = create("GL", 5)
     f = kottwitz_function(datum, (1, 1, 0, 0, 0))
     H = context(datum)
-    calls = []
+    for x in f.terms:
+        H._kl_column(x)
+    pc = _pairs(H)
+    assert len(pc) == 2020
+    assert sum(p != 1 for p in pc.values()) == 160
+    products = []
+
+    class Counting(int):
+        """A held packed P that records every product it enters."""
+
+        def __rmul__(self, other):
+            products.append(int(self))
+            return int(self) * other
+
+        __mul__ = __rmul__
+
+    for col in H._p_cols.values():
+        for x, p in col.items():
+            col[x] = Counting(p)
+    laurent = []
     real = LaurentPoly.__mul__
 
     def counting(self, other):
-        calls.append(1)
+        laurent.append(1)
         return real(self, other)
 
     monkeypatch.setattr(LaurentPoly, "__mul__", counting)
     coeffs = H.to_ic_basis(f)
-    assert 0 < len(calls) <= 160
-    pc = _pairs(H)
-    assert len(pc) == 2020
-    assert sum(p != ONE for p in pc.values()) == 160
+    assert laurent == []
+    assert 0 < len(products) <= 160
+    assert 1 not in products
     monkeypatch.undo()
     assert H.from_ic_basis(coeffs) == f
 
@@ -275,9 +295,34 @@ def test_kl_columns_store_each_value_once(monkeypatch):
     monkeypatch.setattr(hecke, "_CONTEXTS", {})
     datum = create("GL", 4)
     multiplicity.compute(datum, (2, 1, 0, 0))
-    values = [p for p in _pairs(context(datum)).values() if p != ONE]
+    H = context(datum)
+    values = [p for p in _pairs(H).values() if p != 1]
     assert len(values) == 280
     assert len({id(p) for p in values}) == len(set(values)) == 2
+    # each stored int is the held one, with one decoded LaurentPoly
+    assert all(H._p_values[p] is p for p in values)
+    assert len({id(H._p_polys[p]) for p in values}) == 2
+
+
+def test_kl_poly_and_ic_basis_element_share_the_held_polynomials(monkeypatch):
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    datum = create("GL", 4)
+    multiplicity.compute(datum, (2, 1, 0, 0))
+    H = context(datum)
+    G = H.group
+    held = {id(q) for q in H._p_polys.values()}
+    seen = set()
+    for w, col in H._p_cols.items():
+        c = H.ic_basis_element(w)
+        for x in col:
+            p = H.kl_poly(x, w)
+            assert isinstance(p, LaurentPoly) and id(p) in held
+            assert (c.terms[x] is p) if w.sign() == 1 else (c.terms[x] == -p)
+            if p == ONE:
+                assert p is ONE
+            seen.add(id(p))
+    assert len(seen) == 3  # 1 and the two values of test_kl_columns_store_each_value_once
+    assert H.kl_poly(G.identity, G.identity) is ONE
 
 
 @pytest.mark.parametrize("fam,n,text", [("GL", 3, "2,1,0"), ("GL", 4, "2,1,0,0"), ("G2", 2, "2,1,0")])
@@ -339,13 +384,17 @@ def test_base_change():
 def test_kl_recursion_vs_bar_fixedness_oracle():
     results = checks.kl_solver_checks()
     assert [name for name, _, _ in results] == [
-        "kl-recursion-vs-bar-fixedness-GL4",
-        "kl-recursion-vs-bar-fixedness-GSp4",
-        "kl-recursion-vs-bar-fixedness-G2",
+        "kl-recursion-vs-bar-fixedness-GL4-2,1,0,0",
+        "kl-recursion-vs-bar-fixedness-GSp4-2,1,1,0",
+        "kl-recursion-vs-bar-fixedness-G2-2,1,0",
+        "kl-recursion-vs-bar-fixedness-GSp6-1,1,1,0,0,0",
+        "kl-recursion-vs-bar-fixedness-G2-3,0",
     ]
     for name, ok, detail in results:
         assert ok, (name, detail)
         assert detail.endswith(", 0 mismatches"), detail
+    # G2 3,0 checks the columns of 3 of its 6 translations, l(t_lambda) = 18
+    assert results[-1][2].startswith("1011 pairs of 3 translations x Adm(3,0) (864 with x <= w)")
 
 
 def test_pq_inversion_oracle():
@@ -471,7 +520,8 @@ def test_kl_column_solve_is_iterative():
 
 def test_kl_column_rejects_a_corrupted_dependency():
     # P_{x,v} with xs > x enters P_{x,y} with coefficient 1, so a constant
-    # term of 2 there must raise, not give a wrong P_{x,y}
+    # term of 2 there (the packed value plus 1) must raise, not give a
+    # wrong P_{x,y}
     H = HeckeContext(create("GL", 3))
     G = H.group
     y = G.translation((2, 1, 0))
@@ -480,13 +530,63 @@ def test_kl_column_rejects_a_corrupted_dependency():
     x = G.reduced_word(v)[0]  # the length-0 element below v
     assert G.mul_gen(x, s).length() > x.length()
     H._kl_column(v)
-    H._p_cols[v][x] = H._p_cols[v][x] + ONE
+    H._p_cols[v][x] = H._p_cols[v][x] + 1
     with pytest.raises(InvariantViolation):
         H._kl_column(y)
     assert y not in H._col_done
     assert y not in H._p_cols
     with pytest.raises(InvariantViolation):
         H.kl_poly(x, y)
+
+
+def _laurent_shape(p, gap):
+    """The shape of a KL polynomial as read off a LaurentPoly."""
+    return p.is_q_polynomial() and p.q_coeff(0) == 1 and 2 * p.q_degree() <= gap - 1
+
+
+def test_packed_shape_test_matches_the_laurent_one():
+    # coefficients at both ends of (-B/2, B/2), negative ones, constant
+    # terms other than 1, zero, and degrees at and above the bound
+    H = HeckeContext(create("GL", 3))
+    big = H._half - 1
+    digits = (-big, -2, -1, 0, 1, 2, big)
+    accepted = rejected = 0
+    for const in (-1, 0, 1, 2):
+        for rest in itertools.product(digits, repeat=3):
+            poly = LaurentPoly.from_q_coeffs([const, *rest])
+            packed = H._pack(poly)
+            assert H._unpack(packed) == poly
+            for gap in range(1, 9):
+                want = _laurent_shape(poly, gap)
+                assert H._kl_shape(packed, gap) == want, (poly, gap)
+                accepted += want
+                rejected += not want
+    # constant term 1 and degree <= (gap - 1) // 2 = 0, 0, 1, 1, 2, 2, 3, 3
+    assert accepted == 2 * (1 + 7 + 7 ** 2 + 7 ** 3) and rejected == 8 * 4 * 7 ** 3 - accepted
+    for bad in ({0: H._half}, {0: 1, 2: -H._half}, {1: 1}, {-2: 1}):
+        with pytest.raises(ValueError):
+            H._pack(LaurentPoly(bad))
+
+
+def test_to_ic_basis_solves_odd_and_negative_powers():
+    H = ctx("GL", 3)
+    G = H.group
+    t = G.translation((1, 1, 0))
+    s = G.simple_reflection(1)
+    h = H.T(t).scale(LaurentPoly({-3: 1, 2: 2, 5: -1})) + H.T(s).scale(LaurentPoly({1: 4, -4: -1}))
+    coeffs = H.to_ic_basis(h)
+    assert H.from_ic_basis(coeffs) == h
+    assert any(e % 2 for c in coeffs.values() for e in c.terms)
+
+
+def test_to_ic_basis_refuses_what_it_could_not_decode():
+    # a row is decoded only when its coefficients are bounded under B/2
+    H = ctx("GL", 3)
+    e = H.group.identity
+    edge = LaurentPoly({-3: H._half - 1, 2: 1 - H._half})
+    assert H.to_ic_basis(H.T(e).scale(edge)) == {e: edge}
+    with pytest.raises(InvariantViolation):
+        H.to_ic_basis(H.T(e).scale(H._half))
 
 
 def test_kl_cache_roundtrip(tmp_path):
@@ -552,12 +652,48 @@ def test_kl_cache_load_shares_equal_polynomials(gl5_cache):
     by_text = {}
     pc = _pairs(H)
     for p in pc.values():
-        by_text.setdefault(p.encode(), set()).add(id(p))
+        by_text.setdefault(H._p_polys[p].encode(), set()).add(id(p))
     assert set(by_text) == texts
     assert all(len(ids) == 1 for ids in by_text.values())
-    # the loaded values are the context's interned ones, 1 being the shared one
+    # the loaded packed values are the context's interned ones, each with
+    # one LaurentPoly, 1 being the shared one
     assert {id(p) for p in H._p_values.values()} == {id(p) for p in pc.values()}
-    assert H._p_values[ONE] is hecke._ONE
+    assert len({id(q) for q in H._p_polys.values()}) == 3
+    assert H._p_polys[1] is hecke._ONE
+
+
+def test_kl_cache_load_builds_no_interval(gl5_cache, monkeypatch):
+    # each column is checked whole against the column of ws, so the load
+    # needs no interval and no Bruhat test
+    monkeypatch.setattr(affweyl, "_GROUPS", {})
+    leq = []
+    monkeypatch.setattr(AffineWeylGroup, "leq", lambda g, x, y: leq.append(1))
+    H = HeckeContext(create("GL", 5))
+    assert gl5_cache.load_into(H) == 2020
+    assert H.group._intervals == {} and leq == []
+
+
+def test_kl_cache_load_needs_the_column_of_ws(gl5_cache, tmp_path):
+    datum = create("GL", 5)
+    G = group(datum)
+    records = _records(gl5_cache, datum)
+    cols = {}
+    for x, w, p in records:
+        cols.setdefault(w, []).append((x, w, p))
+
+    def ws(w_enc):
+        w = G.decode(w_enc)
+        return G.mul_gen(w, G.first_right_descent(w)).encode()
+
+    needed = {ws(w) for w in cols} & set(cols)
+    tops = set(cols) - needed
+    assert needed and tops
+    cache = KLCache(str(tmp_path))
+    for dropped, want in ((min(needed), 0), (min(tops), 2020 - len(cols[min(tops)]))):
+        with open(cache.path(datum), "w", encoding="ascii") as fh:
+            fh.write("klcache v1 GL5 base-alcove=dominant\n")
+            fh.writelines(" ".join(r) + "\n" for r in records if r[1] != dropped)
+        assert cache.load_into(HeckeContext(datum)) == want
 
 
 def test_cold_save_encodes_each_value_once(monkeypatch, tmp_path):
