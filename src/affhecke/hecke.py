@@ -622,7 +622,8 @@ class HeckeContext:
         the largest |k| of part plus the largest coefficient sum of a held
         P times the sum of the largest |coefficient| of the rows decoded
         before it; InvariantViolation is raised before a row whose bound
-        reaches B/2, so every decoded row is exact.
+        reaches B/2, and before it tests a row for 0, so every decoded row
+        is exact and no skipped row is one whose digits overflowed to 0.
         """
         k, half = self._k, self._half
         e0 = min(min(t) for t in part.values())
@@ -635,13 +636,15 @@ class HeckeContext:
         total = 0  # the sum of the largest |coefficient| of each decoded row
         for x in reversed(order):
             col = self._kl_column(x)
-            ex = acc.pop(x, 0)
-            if not ex:
+            ex = acc.pop(x, None)
+            if ex is None:
                 continue
             if top + self._l1_max * total >= half:
                 raise InvariantViolation(
                     f"the C''-coefficient of {x.encode()} may not fit {k}-bit packed digits"
                 )
+            if not ex:
+                continue
             row = rows[x] = self._unpack(ex, e0)
             total += max(map(abs, row.terms.values()))
             neg = -ex

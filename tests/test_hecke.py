@@ -281,10 +281,10 @@ def test_kl_columns_share_one_and_extremal_pairs(monkeypatch, fam, n, mu):
     H = context(datum)
     G = H.group
     pc = _pairs(H)
-    assert any(p != ONE for p in pc.values())
+    assert any(p != 1 for p in pc.values())
     for (x, y), p in pc.items():
-        if p == ONE:
-            assert p is ONE
+        if p == 1:
+            assert H._p_polys[p] is ONE
         s = G.first_right_descent(y)
         xs = G.mul_gen(x, s)
         if xs is not y:
@@ -587,6 +587,20 @@ def test_to_ic_basis_refuses_what_it_could_not_decode():
     assert H.to_ic_basis(H.T(e).scale(edge)) == {e: edge}
     with pytest.raises(InvariantViolation):
         H.to_ic_basis(H.T(e).scale(H._half))
+    # every input coefficient is under B/2, but the true rows below a
+    # overflow their digits and pack to 0: the guard must run before a
+    # row is skipped as 0, or the solve returns {a: r} alone
+    H = ctx("GL", 4)
+    a = H.group.decode("t[1,0,1,1]*w[s1.s2.s3]")
+    col = H._kl_column(a)
+    assert any(p != 1 for p in col.values())
+    t = H._half - 2
+    r = LaurentPoly({0: t, 2: t})
+    terms = {z: H._unpack(H._pack(r) * p) for z, p in col.items()}
+    terms[a] = r
+    assert all(abs(c) < H._half for v in terms.values() for c in v.terms.values())
+    with pytest.raises(InvariantViolation):
+        H.to_ic_basis(H.sum(H.T(w).scale(c) for w, c in terms.items()))
 
 
 def test_kl_cache_roundtrip(tmp_path):
