@@ -7,11 +7,13 @@ query   KIND GROUP ...      single objects: adm, kl, invkl, rpoly, theta,
                             z, kottwitz, wakimoto
 check   SUITE ...           properties | oracles | golden
 
-The KL cache is opt-in: `table`, `check properties|golden` and `query
-kl|invkl` load and save Kazhdan-Lusztig polynomials in `--cache-dir`,
-else in $AFFHECKE_CACHE_DIR.  With neither set (or set empty) a run
-reads and writes no file.  This module is the only one that touches the
-cache; the library computes in memory.
+The KL cache is opt-in and belongs to `table`: it loads Kazhdan-Lusztig
+polynomials from `--cache-dir`, else from $AFFHECKE_CACHE_DIR, before the
+table and saves them after it.  With neither set (or set empty) it reads
+and writes no file.  `query` and `check` accept the same option and
+variable, and JSON output echoes the value, but they read and write no
+file.  This module is the only one that touches the cache; the library
+computes in memory.
 
 Exit codes: 0 success, 2 usage, parse or I/O error, 3 failed check or
 internal invariant violation.  All output is deterministic: the computation is
@@ -28,7 +30,7 @@ from collections import namedtuple
 from . import multiplicity
 from .affweyl import DatumMismatch, group
 from .central import bernstein_central, kottwitz_function, theta
-from .hecke import InvariantViolation, context
+from .hecke import InvariantViolation, KLCache, context
 from .rootdata import (
     DimensionMismatch,
     NotDominant,
@@ -39,6 +41,7 @@ from .wakimoto import wakimoto_function
 
 CACHE_ENV_VAR = "AFFHECKE_CACHE_DIR"
 CACHE_HELP = f"KL cache directory, else ${CACHE_ENV_VAR}; with neither, no cache file"
+NO_CACHE_HELP = "accepted for compatibility; reads and writes no file"
 JOBS_HELP = "accepted for compatibility (at least 1); does not change the computation"
 
 
@@ -51,18 +54,6 @@ RunConfig = namedtuple("RunConfig", "command group mu format cache_dir")
 def _cache_dir(args):
     """--cache-dir, else $AFFHECKE_CACHE_DIR; None if both are unset or empty."""
     return args.cache_dir or os.environ.get(CACHE_ENV_VAR) or None
-
-
-def _cached(directory, datum, fn, *fn_args):
-    """fn(*fn_args) between loading and saving the KL cache of datum in
-    directory; with directory None no file is read or written."""
-    if directory is None:
-        return fn(*fn_args)
-    hctx = context(datum)
-    hctx.load_cache(directory)
-    result = fn(*fn_args)
-    hctx.save_cache(directory)
-    return result
 
 
 def _require_jobs(args):
@@ -91,7 +82,16 @@ def cmd_table(args):
     datum = parse_group(args.group)
     mu = datum.parse_coweight(args.mu)
     cache = _cache_dir(args)
-    table = _cached(cache, datum, multiplicity.compute, datum, mu)
+    if cache is None:
+        table = multiplicity.compute(datum, mu)
+    else:
+        # the file is rewritten unless it held every pair the context holds now
+        hctx = context(datum)
+        kl_cache = KLCache(cache)
+        loaded = kl_cache.load_into(hctx)
+        table = multiplicity.compute(datum, mu)
+        if sum(map(len, hctx._p_cols.values())) != loaded:
+            kl_cache.save_from(hctx)
     cfg = RunConfig(
         command="table",
         group=args.group,
@@ -162,9 +162,7 @@ def cmd_query(args):
         x = _parse_element(datum, args.elements[0])
         w = _parse_element(datum, args.elements[1])
         fn = {"kl": hctx.kl_poly, "invkl": hctx.inv_kl_poly, "rpoly": hctx.r_poly}[kind]
-        # R-polynomials never read P, so rpoly leaves the cache alone
-        poly = _cached(None if kind == "rpoly" else cache, datum, fn, x, w)
-        _emit_poly(args, cfg, poly)
+        _emit_poly(args, cfg, fn(x, w))
         return 0
     if kind == "theta":
         if not args.lam:
@@ -214,12 +212,11 @@ def cmd_check(args):
             return 2
         datum = parse_group(args.group)
         mu = datum.parse_coweight(args.mu)
-        cache = _cache_dir(args)
         if args.suite == "properties":
-            results = _cached(cache, datum, checks.property_checks, datum, mu)
+            results = checks.property_checks(datum, mu)
         else:
             try:
-                results = _cached(cache, datum, checks.golden_check, datum, mu)
+                results = checks.golden_check(datum, mu)
             except KeyError as exc:
                 print(str(exc), file=sys.stderr)
                 return 2
@@ -269,7 +266,7 @@ def build_parser():
     p_query.add_argument("--lam", help="coweight (theta, z)")
     p_query.add_argument("--format", choices=("text", "json"), default="text")
     p_query.add_argument("--out")
-    p_query.add_argument("--cache-dir", help=CACHE_HELP + " (kl, invkl)")
+    p_query.add_argument("--cache-dir", help=NO_CACHE_HELP)
     p_query.set_defaults(fn=cmd_query)
 
     p_check = sub.add_parser("check", help="run a verification suite")
@@ -279,7 +276,7 @@ def build_parser():
     p_check.add_argument("--seed", type=int, default=42)
     p_check.add_argument("--depth", type=int, default=5, help="ball radius for oracle sweeps")
     p_check.add_argument("--samples", type=int, default=50, help="random Wakimoto pairs per family")
-    p_check.add_argument("--cache-dir", help=CACHE_HELP + " (properties, golden)")
+    p_check.add_argument("--cache-dir", help=NO_CACHE_HELP)
     p_check.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p_check.set_defaults(fn=cmd_check)
     return parser

@@ -54,9 +54,12 @@ of the solve, and raise InvariantViolation when they fail.  Each packed
 value is held once (_p_values) with its LaurentPoly, decoded once
 (_p_polys), so equal P are one int and one LaurentPoly, and 1 is the
 module's _ONE.  The columns are _p_cols[w] = {x: P_{x,w}(B) for every
-x < w}, a column whole or not at all, optionally persisted to a
-versioned line-oriented cache file (see KLCache).  Every API takes and
-returns LaurentPoly: packing never leaves this module.
+x < w}, a column whole or not at all.  KLCache reads and writes them as
+a versioned line-oriented file, for the command line's `table` alone:
+the context itself computes in memory and knows no file.  Every API
+takes and returns LaurentPoly: packing never leaves this module.
+r_poly, kl_poly, inv_kl_poly, ic_basis_element and to_ic_basis raise
+DatumMismatch for an element or Hecke element of another context.
 """
 
 import os
@@ -199,7 +202,6 @@ class HeckeContext:
         self._nbrs = {}  # s -> {x: x s}
         self._q_cache = {}
         self._col_done = set()
-        self._cache_synced = None  # (path, n): the file at path holds these n P values
 
     # -- basis elements -----------------------------------------------
 
@@ -319,11 +321,19 @@ class HeckeContext:
 
     # -- R-polynomials -----------------------------------------------------
 
+    def _own(self, *elements):
+        """DatumMismatch unless every element is of this context's group."""
+        g = self.group
+        for x in elements:
+            if x.group is not g:
+                raise DatumMismatch(f"{x.encode()} is not an element of {self.datum.label}")
+
     def r_poly(self, x, y):
         """R_{x,y}(q); zero unless x <= y, R_{y,y} = 1, monic of degree l(y)-l(x).
 
         The descent recursion holds for every x and ends in 0 exactly when
         x is not <= y (Humphreys 7.5), so no Bruhat test is needed."""
+        self._own(x, y)
         if x is y:
             return _ONE
         g = self.group
@@ -347,13 +357,13 @@ class HeckeContext:
     # -- Kazhdan-Lusztig polynomials ------------------------------------------
 
     def kl_poly(self, x, w):
-        """P_{x,w}(q); zero unless x <= w, P_{w,w} = 1."""
+        """P_{x,w}(q); zero unless x <= w, P_{w,w} = 1.  Read off the column
+        of w, whose keys are [e, w): no Bruhat test and no interval."""
+        self._own(x, w)
         if x is w:
             return _ONE
-        g = self.group
-        if not g.leq(x, w):
-            return _ZERO
-        return self._p_polys[self._kl_column(w)[x]]
+        p = self._kl_column(w).get(x)
+        return _ZERO if p is None else self._p_polys[p]
 
     def _right(self, s):
         """The right-neighbour table {x: x s} of the generator s."""
@@ -537,15 +547,14 @@ class HeckeContext:
             e += 2
         return LaurentPoly(terms)
 
-    def _intern(self, p, poly=None):
-        """The held packed value equal to p, adding p, with its polynomial
-        (poly, else p decoded), when no held value equals it; keeps the
-        largest |coefficient| and coefficient sum of the held values."""
+    def _intern(self, p):
+        """The held packed value equal to p, adding p with its polynomial,
+        decoded once, when no held value equals it; keeps the largest
+        |coefficient| and coefficient sum of the held values."""
         got = self._p_values.get(p)
         if got is not None:
             return got
-        if poly is None:
-            poly = self._unpack(p)
+        poly = self._unpack(p)
         coefs = [abs(c) for c in poly.terms.values()]
         self._coef_max = max(self._coef_max, *coefs)
         self._l1_max = max(self._l1_max, sum(coefs))
@@ -560,12 +569,12 @@ class HeckeContext:
 
         sum_{x<=z<=w} (-1)^{l(z)-l(x)} P_{x,z} Q_{z,w} = delta_{x,w} says
         T_w = sum_z eps_w Q_{z,w} C''_z, so the column {Q_{z,w}}_z is read
-        off to_ic_basis(T_w) and cached per w.
+        off to_ic_basis(T_w) and cached per w; an x that is not a key there
+        is not <= w, and gets 0.
         """
+        self._own(x, w)
         if x is w:
             return _ONE
-        if not self.group.leq(x, w):
-            return _ZERO
         col = self._q_cache.get(w)
         if col is None:
             ic = self.to_ic_basis(self.T(w))
@@ -576,6 +585,7 @@ class HeckeContext:
 
     def ic_basis_element(self, w):
         """C''_w = eps_w sum_{x <= w} P_{x,w} T_x, read from the column of w."""
+        self._own(w)
         polys = self._p_polys
         terms = {x: polys[p] for x, p in self._kl_column(w).items()}
         terms[w] = _ONE
@@ -590,6 +600,8 @@ class HeckeContext:
         (see _solve_down) and the two results added; each sign is applied
         once, at the end.
         """
+        if h.hctx is not self:
+            raise DatumMismatch(f"a Hecke element of {h.datum.label} used in {self.datum.label}")
         out = {}
         for parity in (0, 1):
             part = {}
@@ -659,21 +671,6 @@ class HeckeContext:
             for w in sorted(coeffs, key=self.group.sort_key)
         )
 
-    # -- persistent P cache -------------------------------------------------
-
-    def load_cache(self, directory):
-        KLCache(directory).load_into(self)
-
-    def save_cache(self, directory):
-        """Write every held P to the cache file, unless that file already
-        holds all of them.  _p_cols only grows, so it holds the same pairs
-        as the file last loaded from or saved to this path iff it holds as
-        many pairs; an added empty length-0 column changes nothing."""
-        cache = KLCache(directory)
-        n = sum(map(len, self._p_cols.values()))
-        if self._cache_synced != (cache.path(self.datum), n):
-            cache.save_from(self)
-
 
 _CONVENTION_TAG = "base-alcove=dominant"
 
@@ -699,10 +696,9 @@ class KLCache:
     are only ever whole columns.  A load decodes, re-encodes and packs
     each distinct element and polynomial text once; a save encodes each
     distinct element and packed value once and writes the records row by
-    row.
-    HeckeContext.save_cache leaves a file alone while it holds every P
-    value of the context, so a run that adds no P value does not rewrite
-    it.
+    row.  The command line's `table` is the only caller: it loads before
+    the table and saves after it, unless the load returned every pair the
+    context then holds.
     """
 
     def __init__(self, directory):
@@ -720,15 +716,11 @@ class KLCache:
         Each distinct element string and polynomial text is decoded and
         packed once per load, and must encode back to itself, so no text
         is read as another value.  Equal P values share one packed int,
-        the one in hctx._p_values when that holds the value already.
-        After a full load hctx remembers that this file holds the loaded
-        records, and save_cache leaves it alone while no P value has been
-        added.
+        the one in hctx._p_values when that holds the value already; each
+        new one is interned, and decoded, once the file is accepted.
         """
-        path = self.path(hctx.datum)
-        hctx._cache_synced = None
         try:
-            with open(path, "r", encoding="ascii") as fh:
+            with open(self.path(hctx.datum), "r", encoding="ascii") as fh:
                 header = fh.readline().split()
                 if header != ["klcache", "v1", hctx.datum.label, _CONVENTION_TAG]:
                     return 0
@@ -736,7 +728,6 @@ class KLCache:
                 values = hctx._p_values
                 elements = {}
                 polys = {}  # text -> the packed value
-                decoded = {}  # packed value -> its polynomial
                 staged = {}
                 for line in fh:
                     parts = line.split()
@@ -752,10 +743,8 @@ class KLCache:
                             w = elements[we] = _canonical(decode, we)
                         p = polys.get(pe)
                         if p is None:
-                            poly = _canonical(LaurentPoly.decode, pe)
-                            p = hctx._pack(poly)
+                            p = hctx._pack(_canonical(LaurentPoly.decode, pe))
                             p = polys[pe] = values.get(p, p)
-                            decoded[p] = poly
                     except (ValueError, DatumMismatch):
                         return 0
                     gap = w.length() - x.length()
@@ -771,12 +760,10 @@ class KLCache:
             return 0
         if not self._whole(hctx, staged):
             return 0
-        for p, poly in decoded.items():
-            hctx._intern(p, poly)
+        for p in polys.values():
+            hctx._intern(p)
         hctx._p_cols.update(staged)
-        n = sum(map(len, staged.values()))
-        hctx._cache_synced = (path, n)
-        return n
+        return sum(map(len, staged.values()))
 
     @staticmethod
     def _whole(hctx, staged):
@@ -813,11 +800,9 @@ class KLCache:
         sorted record lines.
         """
         cols = hctx._p_cols
-        n = sum(map(len, cols.values()))
-        if not n:
+        if not any(cols.values()):
             return
         os.makedirs(self.directory, exist_ok=True)
-        path = self.path(hctx.datum)
         polys = hctx._p_polys
         text = {}
         ptext = {}
@@ -842,8 +827,7 @@ class KLCache:
             for x, row in rows.items():
                 tx = text[x]
                 fh.write("".join([f"{tx} {text[w]} {ptext[cols[w][x]]}\n" for w in row]))
-        os.replace(tmp, path)
-        hctx._cache_synced = (path, n)
+        os.replace(tmp, self.path(hctx.datum))
 
 
 _CONTEXTS = {}

@@ -2,10 +2,10 @@
 
 perfbench/spans.py wraps the entry points it lists by attribute, and
 perfbench/child.py reads hecke._CONTEXTS and HeckeContext._col_done and
-patches hecke.KLCache.load_into.  perfbench/bench.py runs `table` with
-`--cache-dir` and `--jobs 1` and compares stdout with a golden table.  A
-refactor that renames or removes any of them would break the benchmark
-runs, not this suite.
+patches hecke.KLCache.load_into, which `table --cache-dir` must call.
+perfbench/bench.py runs `table` with `--cache-dir` and `--jobs 1` and
+compares stdout with a golden table.  A refactor that renames or removes
+any of them would break the benchmark runs, not this suite.
 """
 
 import importlib.resources
@@ -13,7 +13,6 @@ import importlib.util
 import pathlib
 
 from affhecke import cli, hecke
-from affhecke.rootdata import create
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -32,18 +31,26 @@ def test_every_traced_entry_point_resolves():
         assert callable(getattr(owner, attr, None)), name
 
 
-def test_warm_cache_hooks_resolve(monkeypatch):
-    assert isinstance(hecke._CONTEXTS, dict)
-    assert isinstance(hecke.HeckeContext(create("GL", 3))._col_done, set)
-    assert callable(hecke.KLCache.load_into)
-    # load_cache goes through the class attribute, where cli-warm patches it
+def test_warm_cache_hooks_resolve(tmp_path, monkeypatch):
+    # child.py cli-warm patches KLCache.load_into on the class, runs the
+    # table, and counts the columns solved in hecke._CONTEXTS: a warm run in
+    # a new process must hand its context to the patched load and solve none
+    argv = ["table", "GL3", "--mu", "2,2,0", "--cache-dir", str(tmp_path), "--jobs", "1"]
+    load_into = hecke.KLCache.load_into
     seen = []
-    monkeypatch.setattr(
-        hecke.KLCache, "load_into", lambda cache, hctx: seen.append(hctx) or 0
-    )
-    hctx = hecke.HeckeContext(create("GL", 3))
-    hctx.load_cache("unused-directory")
-    assert seen == [hctx]
+
+    def counting(cache, hctx):
+        seen.append((hctx, load_into(cache, hctx)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(hecke.KLCache, "load_into", counting)
+    for warm in (False, True):
+        monkeypatch.setattr(hecke, "_CONTEXTS", {})
+        assert cli.main(argv) == 0
+        (hctx,) = hecke._CONTEXTS.values()
+        assert seen[-1][0] is hctx and bool(seen[-1][1]) is warm
+        assert isinstance(hctx._col_done, set) and bool(hctx._col_done) is not warm
+    assert len(seen) == 2
 
 
 def test_table_argv_of_the_benchmark(tmp_path, capsys):

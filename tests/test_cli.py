@@ -195,24 +195,46 @@ def test_check_oracles_quick(capsys):
     assert all(line.startswith("PASS") for line in out.strip().splitlines())
 
 
-def test_query_rpoly_skips_kl_cache(tmp_path, capsys, monkeypatch):
-    from affhecke import hecke
-    from affhecke.rootdata import create
+QUERY_X, QUERY_Y = "t[0,0,0]*w[]", "t[1,0,-1]*w[]"
 
-    cache = str(tmp_path)
-    x, y = "t[0,0,0]*w[]", "t[1,0,-1]*w[]"
-    code, _, _ = run(capsys, "query", "kl", "GL3", x, y, "--cache-dir", cache)
-    assert code == 0 and os.listdir(cache)  # the KL cache is not empty
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["query", "kl", "GL3", QUERY_X, QUERY_Y, "--format", "json"], "1*v^0"),
+        (["query", "invkl", "GL3", QUERY_X, QUERY_Y, "--format", "json"], "1*v^0"),
+        (
+            ["query", "rpoly", "GL3", QUERY_X, QUERY_Y, "--format", "json"],
+            "1*v^0+-3*v^2+4*v^4+-3*v^6+1*v^8",
+        ),
+        (["check", "golden", "GL3", "--mu", "2,2,0"], None),
+        (["check", "properties", "GL3", "--mu", "2,2,0"], None),
+    ],
+    ids=["query-kl", "query-invkl", "query-rpoly", "check-golden", "check-properties"],
+)
+def test_only_table_uses_the_kl_cache(tmp_path, capsys, monkeypatch, argv, value, via):
+    # query and check accept a cache directory, and query echoes it, but
+    # neither loads nor saves the KL cache
     def fail(cache, hctx):
-        raise AssertionError("query rpoly read the KL cache")
+        raise AssertionError(f"{' '.join(argv[:2])} touched the KL cache")
 
     monkeypatch.setattr(hecke.KLCache, "load_into", fail)
-    code, out, _ = run(capsys, "query", "rpoly", "GL3", x, y, "--cache-dir", cache)
+    monkeypatch.setattr(hecke.KLCache, "save_from", fail)
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    cache = tmp_path / "klc"
+    cache.mkdir()
+    if via == "flag":
+        monkeypatch.delenv("AFFHECKE_CACHE_DIR", raising=False)
+        argv = [*argv, "--cache-dir", str(cache)]
+    else:
+        monkeypatch.setenv("AFFHECKE_CACHE_DIR", str(cache))
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    H = hecke.HeckeContext(create("GL", 3))
-    r = H.r_poly(H.group.decode(x), H.group.decode(y))
-    assert r and out == r.encode() + "\n"
+    assert list(cache.iterdir()) == []
+    if value is not None:
+        doc = json.loads(out)
+        assert doc["value"] == value and doc["run_config"]["cache_dir"] == str(cache)
 
 
 def _counting_loads(monkeypatch):
@@ -269,22 +291,6 @@ def test_cache_dir_flag_then_env_then_none(monkeypatch, flag, env, want):
         monkeypatch.setenv("AFFHECKE_CACHE_DIR", env)
     argv = ["table", "GL3", "--mu", "1,0,0"] + (["--cache-dir", flag] if flag is not None else [])
     assert cli._cache_dir(cli.build_parser().parse_args(argv)) == want
-
-
-def test_query_invkl_saves_what_query_kl_loads(tmp_path, capsys, monkeypatch):
-    cache = str(tmp_path)
-    x, w = "t[0,0,0,0]*w[s2]", "t[0,0,0,0]*w[s2.s1.s3.s2]"
-    monkeypatch.setattr(hecke, "_CONTEXTS", {})
-    code, _, _ = run(capsys, "query", "invkl", "GL4", x, w, "--cache-dir", cache)
-    assert code == 0
-    with open(os.path.join(cache, "klcache_GL4.txt"), encoding="ascii") as fh:
-        records = len(fh.readlines()) - 1
-    assert records > 0
-    loads = _counting_loads(monkeypatch)
-    monkeypatch.setattr(hecke, "_CONTEXTS", {})
-    code, out, _ = run(capsys, "query", "kl", "GL4", x, w, "--cache-dir", cache)
-    assert code == 0 and out == "1*v^0+1*v^2\n"
-    assert loads == [records]
 
 
 def test_non_canonical_cache_record_is_rejected(tmp_path, capsys, monkeypatch):
@@ -349,6 +355,38 @@ def test_warm_table_leaves_the_cache_file_alone(tmp_path, capsys, monkeypatch):
     assert _fresh_table(capsys, monkeypatch, cache) == cold
     after = os.stat(path)
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def test_second_table_writes_a_fresh_directory_as_a_cold_run_does(tmp_path, capsys, monkeypatch):
+    # the context of the first run holds every column already; the second
+    # run's fresh directory must still get the cold bytes, and a warm run,
+    # in that process or a new one, must not save
+    cold_dir, fresh_dir = tmp_path / "cold", tmp_path / "fresh"
+    cold = _fresh_table(capsys, monkeypatch, str(cold_dir))
+    code, out, _ = run(capsys, "table", "GL4", "--mu", "1,1,0,0", "--cache-dir", str(fresh_dir))
+    assert code == 0 and out == cold
+    name = "klcache_GL4.txt"
+    assert (fresh_dir / name).read_bytes() == (cold_dir / name).read_bytes()
+    saves = []
+    monkeypatch.setattr(hecke.KLCache, "save_from", lambda cache, hctx: saves.append(hctx))
+    code, out, _ = run(capsys, "table", "GL4", "--mu", "1,1,0,0", "--cache-dir", str(fresh_dir))
+    assert code == 0 and out == cold
+    assert _fresh_table(capsys, monkeypatch, str(fresh_dir)) == cold
+    assert saves == []
+
+
+def test_table_that_adds_columns_rewrites_the_cache(tmp_path, capsys, monkeypatch):
+    # Adm(2,2,0) lies in Adm(3,1,0): a 3,1,0 run loads the 2,2,0 file whole,
+    # solves the rest, and rewrites the file as a cold 3,1,0 run writes it
+    cold_dir, grown_dir = tmp_path / "cold", tmp_path / "grown"
+    loads = _counting_loads(monkeypatch)
+    for mu, directory in (("3,1,0", cold_dir), ("2,2,0", grown_dir), ("3,1,0", grown_dir)):
+        monkeypatch.setattr(hecke, "_CONTEXTS", {})
+        code, _, _ = run(capsys, "table", "GL3", "--mu", mu, "--cache-dir", str(directory))
+        assert code == 0
+    assert loads[:2] == [0, 0] and loads[2] > 0
+    name = "klcache_GL3.txt"
+    assert (grown_dir / name).read_bytes() == (cold_dir / name).read_bytes()
 
 
 def test_cache_missing_a_record_is_rewritten_whole(tmp_path, capsys, monkeypatch):

@@ -354,12 +354,42 @@ def test_table_builds_no_interval_per_column(monkeypatch):
 
 
 def test_inv_kl_poly_rejects_elements_of_two_groups():
-    x = group(create("GL", 3)).identity
-    w = group(create("GL", 4)).translation((1, 0, 0, 0))
+    # every entry point refuses an element of another datum, whether one
+    # element or both are foreign, rather than answer for the wrong group
+    H3, H4 = ctx("GL", 3), ctx("GL", 4)
+    e3, w3 = H3.group.identity, H3.group.decode("t[1,0,-1]*w[]")
+    w4 = H4.group.translation((1, 0, 0, 0))
+    assert H3.r_poly(e3, w3) == LaurentPoly({0: 1, 2: -3, 4: 4, 6: -3, 8: 1})
+    for H, x, w in ((H4, e3, w4), (H3, w4, e3), (H4, e3, w3), (H4, w3, w3)):
+        for fn in (H.kl_poly, H.inv_kl_poly, H.r_poly):
+            with pytest.raises(DatumMismatch):
+                fn(x, w)
     with pytest.raises(DatumMismatch):
-        ctx("GL", 4).inv_kl_poly(x, w)
+        H4.ic_basis_element(w3)
     with pytest.raises(DatumMismatch):
-        ctx("GL", 3).inv_kl_poly(w, x)
+        H4.to_ic_basis(H3.T(w3))
+
+
+def test_kl_poly_reads_the_column_of_w(monkeypatch):
+    # P_{n_lambda, n_mu} on G2 2,0 comes off the column of n_mu, whose keys
+    # are [e, n_mu): no interval is built, x = w gives 1 and an x that is
+    # shorter than w but not below it gives 0
+    monkeypatch.setattr(affweyl, "_GROUPS", {})
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    datum = create("G2", 2)
+    H = context(datum)
+    G = H.group
+    mu = (2, 0)
+    n_mu = checks.longest_in_double_coset(G, mu)
+    for lam in datum.dominant_below(mu):
+        p = H.kl_poly(checks.longest_in_double_coset(G, lam), n_mu)
+        assert p.eval_at("v=1") == datum.weight_multiplicity(mu, lam)
+    assert H.kl_poly(n_mu, n_mu) is ONE
+    x = G.decode("t[-1,2]*w[]")
+    assert x.length() < n_mu.length() and G.omega_class(x) == G.omega_class(n_mu)
+    assert H.kl_poly(x, n_mu) == LaurentPoly.zero()
+    assert G._intervals == {}
+    assert not G.leq(x, n_mu)
 
 
 def test_base_change():
@@ -608,7 +638,7 @@ def test_kl_cache_roundtrip(tmp_path):
     G = H.group
     t = G.translation((1, 1, 0))
     H._kl_column(t)
-    H.save_cache(str(tmp_path))
+    KLCache(str(tmp_path)).save_from(H)
     path = KLCache(str(tmp_path)).path(H.datum)
     lines = open(path).read().splitlines()
     assert lines[0] == "klcache v1 GL3 base-alcove=dominant"
@@ -617,7 +647,6 @@ def test_kl_cache_roundtrip(tmp_path):
     from affhecke.hecke import HeckeContext
 
     H2 = HeckeContext(create("GL", 3))
-    assert H2.load_cache is not None
     n = KLCache(str(tmp_path)).load_into(H2)
     assert n == len(lines) - 1
     for x in G.below(t):
@@ -632,7 +661,7 @@ def gl5_cache(tmp_path_factory):
         mp.setattr(hecke, "_CONTEXTS", {})
         datum = create("GL", 5)
         multiplicity.compute(datum, (1, 1, 0, 0, 0))
-        context(datum).save_cache(directory)
+        KLCache(directory).save_from(context(datum))
     return KLCache(directory)
 
 
@@ -729,7 +758,7 @@ def test_cold_save_encodes_each_value_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(LaurentPoly, "encode", counting)
     monkeypatch.setattr(AffineWeylGroup, "encode", counting_group)
-    H.save_cache(str(tmp_path))
+    KLCache(str(tmp_path)).save_from(H)
     monkeypatch.undo()
     assert len(polys) == len(set(polys)) == 3
     assert len(elements) == len(set(elements)) == 131
@@ -743,7 +772,7 @@ def test_kl_cache_corruption_ignored(tmp_path):
     G = H.group
     t = G.translation((1, 1, 0))
     H._kl_column(t)
-    H.save_cache(str(tmp_path))
+    KLCache(str(tmp_path)).save_from(H)
     path = KLCache(str(tmp_path)).path(H.datum)
     with open(path, "a") as fh:
         fh.write("garbled line without structure\n")
@@ -760,7 +789,7 @@ def test_kl_cache_corruption_ignored(tmp_path):
     assert KLCache(str(tmp_path)).load_into(H3) == 0
     # a well-formed record with a wrong value (constant term 2) is rejected
     tampered = tmp_path / "tampered"
-    H.save_cache(str(tampered))
+    KLCache(str(tampered)).save_from(H)
     tpath = KLCache(str(tampered)).path(H.datum)
     lines = open(tpath).read().splitlines()
     x_enc, w_enc, poly = lines[1].split()
@@ -802,7 +831,7 @@ def test_kl_cache_rejects_implausible_records(tmp_path, mutate):
     H = ctx("GL", 3)
     G = H.group
     H._kl_column(G.translation((2, 1, 0)))
-    H.save_cache(str(tmp_path))
+    KLCache(str(tmp_path)).save_from(H)
     path = KLCache(str(tmp_path)).path(H.datum)
     lines = open(path).read().splitlines()
     assert KLCache(str(tmp_path)).load_into(HeckeContext(create("GL", 3))) == len(lines) - 1
@@ -821,7 +850,7 @@ def test_kl_cache_rejects_record_not_below(tmp_path):
     H = ctx("GL", 3)
     G = H.group
     H._kl_column(G.translation((2, 1, 0)))
-    H.save_cache(str(tmp_path))
+    KLCache(str(tmp_path)).save_from(H)
     path = KLCache(str(tmp_path)).path(H.datum)
     lines = open(path).read().splitlines()
     k, (x_enc, w_enc, poly) = max(
