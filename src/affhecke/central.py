@@ -7,14 +7,19 @@ For a coweight lambda, the Bernstein function is
 for any decomposition lambda = lambda_1 - lambda_2 with both parts
 dominant (the result does not depend on the choice; T~_x = q_x^{-1/2} T_x).
 Summing over a Weyl orbit gives the central element
-z_lambda = sum_{nu in W lambda} Theta_nu, added serially in orbit order
-(the orbit sums are too small to pay for worker processes).  The
-semisimple Frobenius trace of the nearby cycles on the local model
-attached to a dominant mu is the Kottwitz-conjecture function
+z_lambda = sum_{nu in W lambda} Theta_nu.  The semisimple Frobenius
+trace of the nearby cycles on the local model attached to a dominant mu
+is the Kottwitz-conjecture function
 
     eps_mu q_mu^{1/2} sum_{lambda <= mu dominant} m_mu(lambda) z_lambda,
 
 whose T-support is exactly the admissible set Adm(mu).
+
+This module holds the mathematics: the dominant pairs, the Weyl orbits,
+the weights m_mu(lambda) and the sign.  Theta_lambda, z_lambda and the
+Kottwitz function each become one list of parts (t1, t2, k, e), standing
+for k v^e T_{t1} T_{t2}^{-1}, and one call of HeckeContext.bernstein_sum,
+which computes their sum in packed integers.
 
 Property (P) is the palindromicity condition on trace functions behind
 the multiplicity theory: f satisfies (P) for the integer d when the
@@ -62,6 +67,17 @@ def shifted_dominant_pair(datum, lam):
     return vec_add(lam, shift), shift
 
 
+def _theta_part(g, nu, k=1, e=0, decomposition=minimal_dominant_pair):
+    """k v^e Theta_nu as a part (t1, t2, k, e + l(t2) - l(t1)) of
+    HeckeContext.bernstein_sum, for the group g, from the pair (lam1, lam2)
+    that decomposition returns: T~_{t1} T~^{-1}_{t2} =
+    v^{l(t2)-l(t1)} T_{t1} T_{t2}^{-1}."""
+    lam1, lam2 = decomposition(g.datum, nu)
+    t1 = g.translation(lam1)
+    t2 = g.translation(lam2)
+    return t1, t2, k, e + t2.length() - t1.length()
+
+
 def theta(datum, lam, decomposition=minimal_dominant_pair):
     """The Bernstein function Theta_lambda as a Hecke element.
 
@@ -70,19 +86,14 @@ def theta(datum, lam, decomposition=minimal_dominant_pair):
     element, which the test suite verifies.
     """
     hctx = context(datum)
-    g = hctx.group
-    lam1, lam2 = decomposition(datum, lam)
-    t1 = g.translation(lam1)
-    t2 = g.translation(lam2)
-    # T~_{t1} T~^{-1}_{t2} = v^{l(t2)-l(t1)} T_{t1} T_{t2}^{-1}
-    h = hctx.mul_T_inv(hctx.T(t1), t2)
-    return h.scale(LaurentPoly.v_power(t2.length() - t1.length()))
+    return hctx.bernstein_sum([_theta_part(hctx.group, lam, decomposition=decomposition)])
 
 
 def bernstein_central(datum, lam):
-    """z_lambda = sum_{nu in W lambda} Theta_nu in orbit order; lam must be dominant."""
+    """z_lambda = sum_{nu in W lambda} Theta_nu; lam must be dominant."""
     lam = datum.require_dominant(lam)
-    return context(datum).sum(theta(datum, nu) for nu in datum.weyl_orbit(lam))
+    hctx = context(datum)
+    return hctx.bernstein_sum(_theta_part(hctx.group, nu) for nu in datum.weyl_orbit(lam))
 
 
 def kottwitz_function(datum, mu):
@@ -92,15 +103,16 @@ def kottwitz_function(datum, mu):
     """
     mu = datum.require_dominant(mu)
     hctx = context(datum)
-    ell = hctx.group.translation(mu).length()
+    g = hctx.group
+    ell = g.translation(mu).length()
+    sign = -1 if ell % 2 else 1
     weights = datum.weight_table(mu)
-    acc = hctx.sum(
-        bernstein_central(datum, lam).scale(weights[lam])
+    return hctx.bernstein_sum(
+        _theta_part(g, nu, sign * weights[lam], ell)
         for lam in sorted(weights)
         if weights[lam]
+        for nu in datum.weyl_orbit(lam)
     )
-    sign = -1 if ell % 2 else 1
-    return acc.scale(LaurentPoly.v_power(ell, sign))
 
 
 def satisfies_property_P(f, d):

@@ -682,6 +682,56 @@ def theta_q1_checks():
     return [("theta-q1-specialisation", bad == 0, f"{bad} mismatches")]
 
 
+#: (group, mu) whose Bernstein functions, central elements and Kottwitz
+#: function the packed kernel is checked on
+BERNSTEIN_CASES = (("GL4", "2,1,0,0"), ("GSp4", "2,1,1,0"), ("G2", "3,0"))
+
+
+def bernstein_checks(cases=BERNSTEIN_CASES):
+    """The packed kernel HeckeContext.bernstein_sum against mul_T_inv on
+    LaurentPoly coefficients.  For every nu in the Weyl orbit of every
+    dominant lambda <= mu: theta with minimal_dominant_pair and with
+    shifted_dominant_pair against T~_{t1} T~^{-1}_{t2} =
+    v^{l(t2)-l(t1)} mul_T_inv(T_{t1}, t2) for the same pair; z_lambda
+    against the sum of those over the orbit; and kottwitz_function against
+    eps_mu q_mu^{1/2} sum m_mu(lambda) z_lambda built from those sums."""
+    results = []
+    pairs = (central.minimal_dominant_pair, central.shifted_dominant_pair)
+    for label, text in cases:
+        d = parse_group(label)
+        hctx = context(d)
+        g = hctx.group
+        mu = d.parse_coweight(text)
+        weights = d.weight_table(mu)
+        bad = n = 0
+        zs = []
+        for lam in sorted(weights):
+            orbit = []
+            for nu in d.weyl_orbit(lam):
+                for decomposition in pairs:
+                    t1, t2 = map(g.translation, decomposition(d, nu))
+                    want = hctx.mul_T_inv(hctx.T(t1), t2).scale(
+                        LaurentPoly.v_power(t2.length() - t1.length())
+                    )
+                    bad += central.theta(d, nu, decomposition) != want
+                    n += 1
+                orbit.append(want)
+            z = hctx.sum(orbit)
+            bad += central.bernstein_central(d, lam) != z
+            zs.append(z.scale(weights[lam]))
+        ell = g.translation(mu).length()
+        want = hctx.sum(zs).scale(LaurentPoly.v_power(ell, -1 if ell % 2 else 1))
+        bad += central.kottwitz_function(d, mu) != want
+        results.append(
+            (
+                f"bernstein-packed-vs-laurent-{label}-{text}",
+                bad == 0,
+                f"{n} Theta, {len(zs)} z and the Kottwitz function, {bad} mismatches",
+            )
+        )
+    return results
+
+
 def oracle_checks(seed=42, depth=5, samples=50):
     """Exact cross-oracle identities, mostly on GL_3 and GSp_4."""
     results = bruhat_oracle_checks(depth) + finite_index_checks()
@@ -690,7 +740,8 @@ def oracle_checks(seed=42, depth=5, samples=50):
     results += invkl_recursion_checks() + pq_inversion_checks()
     results += q_oracle_checks() + inverse_product_checks()
     results += sum_qr_checks() + wakimoto_checks(seed, samples)
-    return results + theta_q1_checks() + q_analogue_checks()
+    results += theta_q1_checks() + q_analogue_checks()
+    return results + bernstein_checks()
 
 
 def property_checks(datum, mu):

@@ -16,8 +16,17 @@ For y = omega s_1 ... s_k, h T_y^{-1} multiplies h by omega^{-1} first
 and then walks the word with each s_i conjugated by omega, by
 T_s^{-1} T_{omega^{-1}} = T_{omega^{-1}} T_{omega s omega^{-1}}^{-1}: the
 group law runs once per term of h, not once per term of the product.
-Sums add into one term dict.  On top of the ring operations this module
-computes
+Sums add into one term dict.
+
+The Bernstein kernel bernstein_sum adds k v^e T_{t1} T_{t2}^{-1} over
+parts (t1, t2, k, e) in packed integers; Theta_lambda, z_lambda and the
+Kottwitz function of `central` are one call each, and mul_T_inv is its
+oracle.  Each coefficient of T_{t1} T_{t2}^{-1} is a polynomial in
+u = q^{-1}, held as its value at u = 2^K.  A step at most triples the sum
+of |coefficients|, so every digit of the sum is under sum |k| 3^{l(t2)};
+K is chosen from that bound per call, before any arithmetic, and every
+decoded digit is exact with no runtime guard.  On top of the ring
+operations this module computes
 
 * R-polynomials         R_{x,y}:  T^{-1}_{y^{-1}} = eps_x eps_y q_y^{-1}
                         sum_x R_{x,y}(q) T_x, by the standard recursion;
@@ -57,9 +66,11 @@ module's _ONE.  The columns are _p_cols[w] = {x: P_{x,w}(B) for every
 x < w}, a column whole or not at all.  KLCache reads and writes them as
 a versioned line-oriented file, for the command line's `table` alone:
 the context itself computes in memory and knows no file.  Every API
-takes and returns LaurentPoly: packing never leaves this module.
-r_poly, kl_poly, inv_kl_poly, ic_basis_element and to_ic_basis raise
-DatumMismatch for an element or Hecke element of another context.
+takes and returns LaurentPoly: packing never leaves this module.  The
+basis elements, HeckeElement(hctx, terms), every product, r_poly,
+kl_poly, inv_kl_poly, ic_basis_element and to_ic_basis raise
+DatumMismatch for an element or Hecke element of another context, with
+one check per call, none per step of a walk.
 """
 
 import os
@@ -87,12 +98,34 @@ def _add_into(terms, x, c):
         del terms[x]
 
 
+def _decode(p, k, e0, step):
+    """The Laurent polynomial sum_i d_i v^{e0 + step i} of the digits d_i of
+    p = sum_i d_i 2^{k i}, each digit taken in [-2^{k-1}, 2^{k-1}); the
+    digits below the lowest set bit of p are 0, and skipped in one shift."""
+    mask = (1 << k) - 1
+    half = 1 << (k - 1)
+    terms = {}
+    zeros = ((p & -p).bit_length() - 1) // k if p else 0
+    p >>= k * zeros
+    e = e0 + step * zeros
+    while p:
+        d = p & mask
+        if d >= half:
+            d -= mask + 1
+        if d:
+            terms[e] = d
+        p = (p - d) >> k
+        e += step
+    return LaurentPoly(terms)
+
+
 class HeckeElement:
     """A finitely supported map W~ -> Z[v, v^{-1}] in the T basis."""
 
     __slots__ = ("hctx", "terms")
 
     def __init__(self, hctx, terms):
+        hctx._own(*terms)
         self.hctx = hctx
         self.terms = {x: c for x, c in terms.items() if c}
 
@@ -209,11 +242,13 @@ class HeckeContext:
         return HeckeElement(self, {})
 
     def T(self, x):
-        return HeckeElement(self, {x: _ONE})
+        self._own(x)
+        return HeckeElement._of(self, {x: _ONE})
 
     def T_tilde(self, x):
         """q_x^{-1/2} T_x."""
-        return HeckeElement(self, {x: LaurentPoly.v_power(-x.length())})
+        self._own(x)
+        return HeckeElement._of(self, {x: LaurentPoly.v_power(-x.length())})
 
     def from_encoding(self, data):
         g = self.group
@@ -246,23 +281,29 @@ class HeckeContext:
 
     def mul_gen_T(self, h, i):
         """h * T_{s_i}."""
+        self._mine(h)
         return self._gen_step(h, i, left=False, inverse=False)
 
     def mul_gen_T_inv(self, h, i):
         """h * T_{s_i}^{-1}."""
+        self._mine(h)
         return self._gen_step(h, i, left=False, inverse=True)
 
     def gen_mul_T(self, i, h):
         """T_{s_i} * h."""
+        self._mine(h)
         return self._gen_step(h, i, left=True, inverse=False)
 
     def mul_omega(self, h, omega):
         """h * T_omega for a length-zero omega (group translation of support)."""
+        self._mine(h)
+        self._own(omega)
         g = self.group
         return HeckeElement._of(self, {g.mul(x, omega): c for x, c in h.terms.items()})
 
     def mul_T(self, h, y):
         """h * T_y along the canonical reduced word of y."""
+        self._own(y)
         omega, word = self.group.reduced_word(y)
         out = self.mul_omega(h, omega)
         for i in word:
@@ -277,6 +318,7 @@ class HeckeContext:
         T_{omega s omega^{-1}}^{-1}: h is multiplied by omega^{-1} first,
         then stepped along the word with each s_i conjugated by omega.
         """
+        self._own(y)
         g = self.group
         omega, word = g.reduced_word(y)
         out = self.mul_omega(h, g.inv(omega))
@@ -286,6 +328,7 @@ class HeckeContext:
 
     def mul(self, a, b):
         """Full product; cost is |supp(b)| reduced-word walks over a."""
+        self._mine(a, b)
         out = {}
         for y, c in sorted(b.terms.items(), key=lambda kv: self.group.sort_key(kv[0])):
             part = self.mul_T(a, y)
@@ -297,6 +340,7 @@ class HeckeContext:
         """The sum of an iterable of elements, added into one term dict."""
         out = {}
         for h in parts:
+            self._mine(h)
             for x, c in h.terms.items():
                 _add_into(out, x, c)
         return HeckeElement._of(self, out)
@@ -305,6 +349,7 @@ class HeckeContext:
         """T_w^{-1} = T_{s_k}^{-1} ... T_{s_1}^{-1} T_{omega^{-1}},
         for the canonical factorisation w = omega s_1 ... s_k; built by
         successive left multiplications working from the inside out."""
+        self._own(w)
         omega, word = self.group.reduced_word(w)
         h = self.T(self.group.inv(omega))
         for i in word:
@@ -313,13 +358,82 @@ class HeckeContext:
 
     def bar(self, h):
         """The Kazhdan-Lusztig involution: bar coefficients, T_y -> T^{-1}_{y^{-1}}."""
+        self._mine(h)
         g = self.group
         return self.sum(
             self.inv_T(g.inv(y)).scale(c.bar())
             for y, c in sorted(h.terms.items(), key=lambda kv: g.sort_key(kv[0]))
         )
 
-    # -- R-polynomials -----------------------------------------------------
+    def bernstein_sum(self, parts):
+        """sum k v^e T_{t1} T_{t2}^{-1} over the parts (t1, t2, k, e), in
+        packed integers; the kernel of the Bernstein functions.
+
+        Every coefficient of T_{t1} T_{t2}^{-1} is an integer polynomial in
+        u = q^{-1}, held as its value at u = B = 2^K: a step by T_s^{-1}
+        sends c T_x to c T_{xs} when xs < x, else to (c << K) T_{xs} +
+        ((c << K) - c) T_x.  Parts with one t2 share its walk, which
+        multiplies by omega^{-1} once and steps by omega s omega^{-1} (as
+        mul_T_inv does), reading x s from the right-neighbour tables.  The
+        parts whose e has one parity add into one packed dict, at the digit
+        offset (E - e)/2 from the largest such e, E, and each distinct
+        packed value is decoded once, digit i giving v^{E - 2i}, so equal
+        coefficients are one LaurentPoly.  A step at most triples the sum
+        of |coefficients| of an element, so every digit of the sum is under
+        sum |k| 3^{l(t2)} in size; K is chosen before any arithmetic to keep
+        that under B/2, and every decoded digit is exact.
+        """
+        g = self.group
+        walks = {}  # (t2, parity of e) -> [(t1, k, e)]
+        tops = {}  # parity -> the largest e of that parity
+        mass = 0
+        for t1, t2, k, e in parts:
+            self._own(t1, t2)
+            if not k:
+                continue
+            walks.setdefault((t2, e & 1), []).append((t1, k, e))
+            tops[e & 1] = max(e, tops.get(e & 1, e))
+            mass += abs(k) * 3 ** t2.length()
+        k_bits = mass.bit_length() + 1
+        sums = {parity: {} for parity in tops}
+        for (t2, parity), starts in walks.items():
+            omega, word = g.reduced_word(t2)
+            oinv = g.inv(omega)
+            top = tops[parity]
+            cur = {}
+            for t1, k, e in starts:
+                x = g.mul(t1, oinv)
+                cur[x] = cur.get(x, 0) + (k << (k_bits * ((top - e) >> 1)))
+            for i in reversed(word):
+                nbr = self._right(g.conj_gen(omega, i))
+                nxt = {}
+                get = nxt.get
+                for x, c in cur.items():
+                    y = nbr[x]
+                    if y.length() < x.length():
+                        nxt[y] = get(y, 0) + c
+                    else:
+                        d = c << k_bits
+                        nxt[y] = get(y, 0) + d
+                        nxt[x] = get(x, 0) + d - c
+                cur = nxt
+            acc = sums[parity]
+            for x, c in cur.items():
+                acc[x] = acc.get(x, 0) + c
+        out = {}
+        for parity, acc in sums.items():
+            top = tops[parity]
+            polys = {}  # packed value -> its LaurentPoly, decoded once
+            for x, p in acc.items():
+                if p:
+                    c = polys.get(p)
+                    if c is None:
+                        c = polys[p] = _decode(p, k_bits, top, -2)
+                    old = out.get(x)
+                    out[x] = c if old is None else old + c
+        return HeckeElement._of(self, out)
+
+    # -- operand checks ----------------------------------------------------
 
     def _own(self, *elements):
         """DatumMismatch unless every element is of this context's group."""
@@ -327,6 +441,15 @@ class HeckeContext:
         for x in elements:
             if x.group is not g:
                 raise DatumMismatch(f"{x.encode()} is not an element of {self.datum.label}")
+
+    def _mine(self, *hs):
+        """DatumMismatch unless every Hecke element is of this context; its
+        terms then are, as every public constructor checks them."""
+        for h in hs:
+            if h.hctx is not self:
+                raise DatumMismatch(f"a Hecke element of {h.datum.label} used in {self.datum.label}")
+
+    # -- R-polynomials -----------------------------------------------------
 
     def r_poly(self, x, y):
         """R_{x,y}(q); zero unless x <= y, R_{y,y} = 1, monic of degree l(y)-l(x).
@@ -534,18 +657,7 @@ class HeckeContext:
     def _unpack(self, p, e0=0):
         """The Laurent polynomial sum_i d_i v^{e0 + 2i} of the digits d_i of
         p = sum_i d_i B^i, each digit taken in [-B/2, B/2)."""
-        k, mask, half = self._k, self._mask, self._half
-        terms = {}
-        e = e0
-        while p:
-            d = p & mask
-            if d >= half:
-                d -= mask + 1
-            if d:
-                terms[e] = d
-            p = (p - d) >> k
-            e += 2
-        return LaurentPoly(terms)
+        return _decode(p, self._k, e0, 2)
 
     def _intern(self, p):
         """The held packed value equal to p, adding p with its polynomial,
@@ -600,8 +712,7 @@ class HeckeContext:
         (see _solve_down) and the two results added; each sign is applied
         once, at the end.
         """
-        if h.hctx is not self:
-            raise DatumMismatch(f"a Hecke element of {h.datum.label} used in {self.datum.label}")
+        self._mine(h)
         out = {}
         for parity in (0, 1):
             part = {}

@@ -4,8 +4,10 @@ perfbench/spans.py wraps the entry points it lists by attribute, and
 perfbench/child.py reads hecke._CONTEXTS and HeckeContext._col_done and
 patches hecke.KLCache.load_into, which `table --cache-dir` must call.
 perfbench/bench.py runs `table` with `--cache-dir` and `--jobs 1` and
-compares stdout with a golden table.  A refactor that renames or removes
-any of them would break the benchmark runs, not this suite.
+compares stdout with a golden table, and checks `query kottwitz` output
+with KottwitzWorkload.check.  A refactor that renames or removes any of
+them, or that would fail one of those checks, would break the benchmark
+runs; these tests make it break this suite first.
 """
 
 import importlib.resources
@@ -14,18 +16,18 @@ import pathlib
 
 from affhecke import cli, hecke
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
 def test_every_traced_entry_point_resolves():
-    points = _spans().entry_points()
+    points = _load("spans").entry_points()
     assert points
     for name, owner, attr, _hook in points:
         assert callable(getattr(owner, attr, None)), name
@@ -58,3 +60,21 @@ def test_table_argv_of_the_benchmark(tmp_path, capsys):
     assert cli.main(argv + ["--jobs", "1"]) == 0
     golden = importlib.resources.files("affhecke").joinpath("golden", "GL3_2-2-0.txt")
     assert capsys.readouterr().out == golden.read_text(encoding="ascii")
+
+
+def test_trace_workload_check_passes(tmp_path, monkeypatch, capsys):
+    # the trace-gl5 workload: Adm from `query adm` in set-up, then each
+    # iteration's `query kottwitz` output must have that support, even
+    # powers of v only, and the bytes of the first iteration
+    monkeypatch.chdir(tmp_path)
+    work = _load("bench").WORKLOADS["trace-gl5"][0]()
+    kind, argv = work.program()
+    assert kind == "cli"
+    assert cli.main(["query", "adm", work.group, "--mu", work.mu]) == 0
+    work.adm = capsys.readouterr().out.split()
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out.encode("ascii")
+        assert work.check(tmp_path, out) is None
+    # and the check sees a missing term
+    assert work.check(tmp_path, out[: out.rindex(b"\n", 0, -1) + 1]) is not None

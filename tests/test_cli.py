@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -140,6 +141,39 @@ def test_query_theta_decomposition_wellposed(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.strip() == "t[1,0]*w[] 1*v^-1"
+
+
+#: sha256 of the stdout of `query`, in text and in JSON, as the LaurentPoly
+#: products computed it: the widest packed digits (kottwitz G2 4,0), the
+#: benchmark's trace case, a central element and the Bernstein function of
+#: a coweight that is not dominant
+QUERY_DIGESTS = {
+    "kottwitz GL5 --mu 2,1,0,0,0": (
+        "7dcacc391583842becf1b375b69c4444399e9f07db820e8727494424233aeeca",
+        "879cf6cd9ddb61645b879440bf5ac593864a6f602a756030c37a4f89153ab017",
+    ),
+    "kottwitz G2 --mu 4,0": (
+        "635647b9287dff27e15444c6b07539f0c453917e2654d792e8925a55500c2b9f",
+        "ee2227782ae071db07139e16172cc1c17a5588709de87f4377dff8e549d6cb8c",
+    ),
+    "z GSp4 --lam 2,1,1,0": (
+        "efca18ffb4fb502db602b0aeeff349627b8234a8efd64d010b7ecb266065c3d6",
+        "61a9eba102948a60e2006f3a8bd7cbf351624e1c1f2172487039ca1f93770d62",
+    ),
+    "theta GL4 --lam 0,2,-1,1": (
+        "d1b6dedcb39a18922483d8006c18a70ad82ba0689cbcce39e2fd9f9a49844c93",
+        "75d34417879362d7309a06d63282fb0c57f1a5224d443fe79d45542a7b6f337b",
+    ),
+}
+
+
+@pytest.mark.parametrize("query", sorted(QUERY_DIGESTS))
+def test_query_bytes_are_pinned(capsys, monkeypatch, query):
+    monkeypatch.delenv("AFFHECKE_CACHE_DIR", raising=False)
+    for fmt, want in zip(("text", "json"), QUERY_DIGESTS[query]):
+        code, out, _ = run(capsys, "query", *query.split(), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == want, (query, fmt)
 
 
 def test_query_json_roundtrip(capsys):

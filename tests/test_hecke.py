@@ -370,6 +370,66 @@ def test_inv_kl_poly_rejects_elements_of_two_groups():
         H4.to_ic_basis(H3.T(w3))
 
 
+def test_products_reject_elements_of_another_datum():
+    # a GL3 element or Hecke element handed to GL4's basis elements and
+    # products: to_ic_basis(T(w3)), mul_T and mul_T_inv used to fail deep
+    # in the walk with InvariantViolation, and T_tilde(w3) to answer
+    H3, H4 = ctx("GL", 3), ctx("GL", 4)
+    w3 = H3.group.decode("t[1,0,-1]*w[]")
+    e4 = H4.group.identity
+    h3, h4 = H3.T(w3), H4.T(e4)
+    calls = [
+        lambda: H4.to_ic_basis(H4.T(w3)),
+        lambda: H4.mul_T(h4, w3),
+        lambda: H4.mul_T_inv(h4, w3),
+        lambda: H4.T_tilde(w3),
+        lambda: H4.T(w3),
+        lambda: hecke.HeckeElement(H4, {e4: ONE, w3: ONE}),
+        lambda: H4.mul_T(h3, e4),
+        lambda: H4.mul_T_inv(h3, e4),
+        lambda: H4.mul_gen_T(h3, 1),
+        lambda: H4.mul_gen_T_inv(h3, 1),
+        lambda: H4.gen_mul_T(1, h3),
+        lambda: H4.mul_omega(h4, H3.group.identity),
+        lambda: H4.mul_omega(h3, e4),
+        lambda: H4.inv_T(w3),
+        lambda: H4.mul(h4, h3),
+        lambda: H4.sum([h4, h3]),
+        lambda: H4.bar(h3),
+        lambda: H4.bernstein_sum([(e4, w3, 1, 0)]),
+        lambda: H4.bernstein_sum([(w3, e4, 1, 0)]),
+    ]
+    for n, call in enumerate(calls):
+        with pytest.raises(DatumMismatch):
+            call()
+            pytest.fail(f"call {n} returned")
+
+
+def test_bernstein_sum_is_the_laurent_sum():
+    # sum k v^e T_{t1} T_{t2}^{-1} against mul_T_inv on LaurentPoly
+    # coefficients: parts sharing a t2 with e of either parity, a t2 with
+    # a length-zero part, a non-translation t1, negative and zero weights,
+    # and a weight of 2**80, whose digits are far wider than 48 bits
+    H = ctx("GL", 3)
+    G = H.group
+    t = G.translation
+    parts = [
+        (t((2, 1, 0)), t((1, 1, 0)), 2**80, 3),
+        (t((1, 0, 0)), t((1, 1, 0)), 1 - 2**80, -2),
+        (t((0, 0, 1)), t((1, 1, 0)), 5, 1),
+        (G.decode("t[1,0,-1]*w[s1]"), t((1, 0, 0)), -7, 0),
+        (t((2, 0, 0)), t((2, 1, 0)), 0, 4),
+        (t((0, 1, -1)), t((0, 0, 0)), 3, -1),
+    ]
+    want = H.sum(
+        H.mul_T_inv(H.T(t1), t2).scale(LaurentPoly.v_power(e, k)) for t1, t2, k, e in parts
+    )
+    got = H.bernstein_sum(parts)
+    assert got == want
+    assert max(abs(c) for p in got.terms.values() for c in p.terms.values()) >= 2**80
+    assert H.bernstein_sum([]) == H.zero()
+
+
 def test_kl_poly_reads_the_column_of_w(monkeypatch):
     # P_{n_lambda, n_mu} on G2 2,0 comes off the column of n_mu, whose keys
     # are [e, n_mu): no interval is built, x = w gives 1 and an x that is
