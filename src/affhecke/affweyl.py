@@ -6,9 +6,11 @@ key.  Each group indexes its finite Weyl elements lazily: an element gets
 an integer id the first time it appears, together with its permutation
 of the 2 * n_pos roots (perm[a] is the index of f_a o wbar, so the
 product wbar_1 wbar_2 has perm_2[perm_1[a]] and the inverse has the
-inverse permutation).  Products and inverses compose permutations and
-look the result up; a matrix is multiplied (or inverted) only when the
-result is a new id, so at most once per finite Weyl element.  Per-id
+inverse permutation).  Products compose permutations and look the
+result up; a matrix is multiplied only when the result is a new id, so
+at most once per finite Weyl element.  The inverse of wbar is built
+from the letters that strip its finite right descents, wbar s_{i_1} ...
+s_{i_l} = e, as s_{i_1} ... s_{i_l}: no matrix is inverted.  Per-id
 tables hold the root permutation, wbar(theta^vee), the ascent data
 below and the text of a reduced word of wbar, and elements are interned
 on (lambda, id), so an element is the one object with its (lambda, wbar):
@@ -50,7 +52,6 @@ is enumerated as the subword closure of the translations in the orbit.
 from .rootdata import (
     DimensionMismatch,
     dot,
-    mat_inv,
     mat_mul,
     mat_vec,
     vec_add,
@@ -173,7 +174,6 @@ class AffineWeylGroup:
         self._asc = []  # per generator (beta, bound): x s_i > x iff <beta, lambda> <= bound
         self._finv = []
         self._rmul = [[] for _ in range(self.n_gens)]  # id of wbar * s_i
-        self._lmul = [[] for _ in range(self.n_gens)]  # id of s_i * wbar
         self._fprod = {}  # (id, id) -> id of the product
         self._fword = []  # the text "s1.s2..." of a reduced word of wbar, for encode
         self._conj = {}  # (omega, i) -> j with omega s_i omega^{-1} = s_j
@@ -211,8 +211,6 @@ class AffineWeylGroup:
         self._finv.append(None)
         self._fword.append(None)
         for row in self._rmul:
-            row.append(None)
-        for row in self._lmul:
             row.append(None)
         return k
 
@@ -299,17 +297,6 @@ class AffineWeylGroup:
             y._len = a._len + (1 if dot(beta, a.trans) <= bound else -1)
         return y
 
-    def gen_mul(self, i, a):
-        """s_i * a."""
-        gamma, s = self.gens[i]
-        k = a._fi
-        j = self._lmul[i][k]
-        if j is None:
-            j = self._lmul[i][k] = self._compose(
-                self._gperm[i], self._perm[k], s, self._fmat[k]
-            )
-        return self._make(vec_add(gamma, mat_vec(s, a.trans)), j)
-
     def conj_gen(self, omega, i):
         """The j with omega s_i omega^{-1} = s_j, for omega of length zero.
 
@@ -332,13 +319,14 @@ class AffineWeylGroup:
         return j
 
     def inv(self, a):
+        """t_{-wbar^{-1} lambda} wbar^{-1} for a = t_lambda wbar; wbar^{-1} is
+        s_{i_1} ... s_{i_l} for the letters that strip the descents of wbar."""
         k = a._fi
         j = self._finv[k]
         if j is None:
-            inv = _inverse(self._perm[k])
-            j = self._pidx.get(inv)
-            if j is None:
-                j = self._register(mat_inv(self._fmat[k]), inv)
+            j = 0
+            for i in self._finite_descents(k):
+                j = self._fin_right(j, i)
             self._finv[k] = j
             self._finv[j] = k
         y = self._make(vec_scale(mat_vec(self._fmat[j], a.trans), -1), j)
@@ -464,28 +452,30 @@ class AffineWeylGroup:
         if x._enc is None:
             word = self._fword[x._fi]
             if word is None:
-                word = self._fword[x._fi] = self._finite_word(x._fi)
+                letters = reversed(self._finite_descents(x._fi))
+                word = self._fword[x._fi] = ".".join(f"s{i}" for i in letters)
             x._enc = f"t[{','.join(map(str, x.trans))}]*w[{word}]"
         return x._enc
 
-    def _finite_word(self, k):
-        """The text "s1.s2..." of the reduced word of the finite element k
-        that strips its smallest finite right descent until it is e (id 0),
-        l(wbar) steps; at lambda = 0 the ascent test of s_i, i >= 1, is
-        beta > 0, that is bound = 0, and a descent has bound = -1."""
-        fin_word = []
+    def _finite_descents(self, k):
+        """The letters i_1, ..., i_l, l = l(wbar), that strip the smallest
+        finite right descent of the finite element k until it is e (id 0):
+        k s_{i_1} ... s_{i_l} = e, so k = s_{i_l} ... s_{i_1}.  At lambda = 0
+        the ascent test of s_i, i >= 1, is beta > 0, that is bound = 0, and
+        a descent has bound = -1."""
+        letters = []
         n = self.datum.n_pos
         steps = sum(p >= n for p in self._perm[k][:n])  # l(wbar)
         while k:
             asc = self._asc[k]
             i = next((i for i in range(1, self.n_gens) if asc[i][1] < 0), None)
-            if i is None or len(fin_word) == steps:
+            if i is None or len(letters) == steps:
                 raise InvariantViolation(
-                    f"the finite part {self._fmat[k]} is not e after {len(fin_word)} descents"
+                    f"the finite part {self._fmat[k]} is not e after {len(letters)} descents"
                 )
-            fin_word.append(i)
+            letters.append(i)
             k = self._fin_right(k, i)
-        return ".".join(f"s{i}" for i in reversed(fin_word))
+        return letters
 
     def decode(self, text):
         text = text.strip()

@@ -14,7 +14,6 @@ from .laurent import LaurentPoly
 from .rootdata import (
     create,
     dot,
-    mat_inv,
     mat_mul,
     mat_vec,
     parse_group,
@@ -133,48 +132,6 @@ def _matrix_mismatches(g, want):
     )
 
 
-def finite_index_checks():
-    """The indexed group law against plain matrix arithmetic.
-
-    For every finite Weyl matrix m, translation lam of the case and
-    generator i, x = t_lam m is compared with x * s_i, s_i * x and x^{-1}
-    as (translation, matrix) pairs: the elements must be the interned ones
-    for those pairs, and their lengths the Iwahori-Matsumoto lengths.
-    """
-    results = []
-    for fam, n, regular, other in FINITE_INDEX_CASES:
-        d = create(fam, n)
-        g = group(d)
-        zero = (0,) * d.dim
-        gens = _affine_gens(d)
-        bad = cases = 0
-        for m, _sign in d.finite_weyl():
-            m_inv = mat_inv(m)
-            for lam in (zero, regular, other):
-                x = g.element(lam, m)
-                # (element, its translation, its matrix) by plain arithmetic
-                want = [(x, lam, m)]
-                want.append((g.inv(x), vec_scale(mat_vec(m_inv, lam), -1), m_inv))
-                for i, (gamma, s) in enumerate(gens):
-                    want.append(
-                        (g.mul_gen(x, i), vec_add(lam, mat_vec(m, gamma)), mat_mul(m, s))
-                    )
-                    want.append(
-                        (g.gen_mul(i, x), vec_add(gamma, mat_vec(s, lam)), mat_mul(s, m))
-                    )
-                cases += len(want)
-                bad += _matrix_mismatches(g, want)
-        results.append(
-            (
-                f"finite-index-vs-matrix-{d.label}",
-                bad == 0,
-                f"{cases} elements from {len(d.finite_weyl())} finite Weyl matrices, "
-                f"{bad} mismatches",
-            )
-        )
-    return results
-
-
 def _omega_generator(g):
     """A length-zero tau generating Omega (X_*/Q^vee = Z), or None when Omega
     is trivial: the Omega-part of the canonical word of a translation of
@@ -184,92 +141,91 @@ def _omega_generator(g):
     return None if lam is None else g.reduced_word(g.translation(lam))[0]
 
 
-def finite_product_checks():
-    """The indexed product and inverse against plain matrix arithmetic.
+def _product(a, b):
+    """The (translation, matrix) pair of t_{a[0]} a[1] * t_{b[0]} b[1] by
+    plain arithmetic: t_{a[0] + a[1] b[0]} a[1] b[1]."""
+    return vec_add(a[0], mat_vec(a[1], b[0])), mat_mul(a[1], b[1])
 
-    For every finite Weyl matrix m and translation lam of the case, x =
-    t_lam m is multiplied on either side by tau and tau^{-1}, tau a
-    length-zero generator of Omega (none for G2), and on the right by a
-    fixed sample of finite y; each result is compared, as in
-    finite_index_checks, with the (translation, matrix) pair computed
-    by mat_mul and mat_vec.
+
+def finite_weyl_checks():
+    """The indexed group law and the ascent test against plain matrix
+    arithmetic, in one sweep over x = t_lam m for every finite Weyl matrix
+    m and translation lam of each case of FINITE_INDEX_CASES.
+
+    * finite-index-vs-matrix: x, x^{-1}, x * s_i and s_i * x for every
+      generator i;
+    * finite-product-vs-matrix: x multiplied on either side by tau and
+      tau^{-1}, tau a length-zero generator of Omega (none for G2), and on
+      the right by a fixed sample of finite y;
+    * ascent-vs-length: x built in a fresh group, where no length is
+      known yet: i is a right descent of x iff l(x s_i) < l(x) by
+      matrix_length, and the length x * s_i inherits through mul_gen
+      from l(x) must be matrix_length of x s_i.
+
+    Each product or inverse is compared with its (translation, matrix)
+    pair from mat_mul and mat_vec: it must be the interned element for the
+    pair, with the Iwahori-Matsumoto length.  The inverse of a matrix m is
+    the matrix of finite_weyl() whose product with m is the identity.
+    Returns the three index entries, then the three product entries, then
+    the three ascent entries.
     """
-    results = []
+    results = ([], [], [])  # index, product, ascent
     for fam, n, regular, other in FINITE_INDEX_CASES:
         d = create(fam, n)
         g = group(d)
         zero = (0,) * d.dim
+        gens = _affine_gens(d)
         weyl = [m for m, _sign in d.finite_weyl()]
-        # (factor, its translation, its matrix, also multiply on the left)
-        factors = [(g.finite(m), zero, m, False) for m in weyl[::5]]
+        inverse = {m: next(u for u in weyl if mat_mul(m, u) == d.identity) for m in weyl}
+
+        def inverse_pair(trans, fin):
+            return vec_scale(mat_vec(inverse[fin], trans), -1), inverse[fin]
+
+        # (factor, its (translation, matrix) pair, multiply on both sides)
+        factors = [(g.finite(m), (zero, m), False) for m in weyl[::5]]
         tau = _omega_generator(g)
         if tau is not None:
-            t_inv = mat_inv(tau.fin)
-            factors.append((tau, tau.trans, tau.fin, True))
-            factors.append(
-                (g.inv(tau), vec_scale(mat_vec(t_inv, tau.trans), -1), t_inv, True)
-            )
-        bad = cases = 0
+            factors.append((tau, (tau.trans, tau.fin), True))
+            factors.append((g.inv(tau), inverse_pair(tau.trans, tau.fin), True))
+        cases = [0, 0, 0]
+        bad = [0, 0, 0]
         for m in weyl:
             for lam in (zero, regular, other):
                 x = g.element(lam, m)
+                pair = (lam, m)
+                right = [_product(pair, gen) for gen in gens]  # x s_i
                 # (element, its translation, its matrix) by plain arithmetic
+                want = [(x, lam, m), (g.inv(x), *inverse_pair(lam, m))]
+                for i, gen in enumerate(gens):
+                    want.append((g.mul_gen(x, i), *right[i]))
+                    want.append((g.mul(g.simple_reflection(i), x), *_product(gen, pair)))
+                cases[0] += len(want)
+                bad[0] += _matrix_mismatches(g, want)
                 want = []
-                for b, b_trans, b_fin, left in factors:
-                    want.append(
-                        (g.mul(x, b), vec_add(lam, mat_vec(m, b_trans)), mat_mul(m, b_fin))
-                    )
-                    if left:
-                        want.append(
-                            (g.mul(b, x), vec_add(b_trans, mat_vec(b_fin, lam)), mat_mul(b_fin, m))
-                        )
-                cases += len(want)
-                bad += _matrix_mismatches(g, want)
-        results.append(
-            (
-                f"finite-product-vs-matrix-{d.label}",
-                bad == 0,
-                f"{cases} products by Omega and {len(weyl[::5])} finite elements, "
-                f"{bad} mismatches",
-            )
+                for b, b_pair, two_sided in factors:
+                    want.append((g.mul(x, b), *_product(pair, b_pair)))
+                    if two_sided:
+                        want.append((g.mul(b, x), *_product(b_pair, pair)))
+                cases[1] += len(want)
+                bad[1] += _matrix_mismatches(g, want)
+                fresh = AffineWeylGroup(d)
+                y = fresh.element(lam, m)
+                descents = fresh.right_descents(y)
+                ly = matrix_length(d, lam, m)
+                bad[2] += y.length() != ly
+                cases[2] += len(right)
+                for i, ys in enumerate(right):
+                    lys = matrix_length(d, *ys)
+                    bad[2] += (i in descents) != (lys < ly) or fresh.mul_gen(y, i).length() != lys
+        details = (
+            f"{cases[0]} elements from {len(weyl)} finite Weyl matrices",
+            f"{cases[1]} products by Omega and {len(weyl[::5])} finite elements",
+            f"{cases[2]} (element, generator) pairs",
         )
-    return results
-
-
-def ascent_checks():
-    """The one-pairing ascent test against Iwahori-Matsumoto lengths.
-
-    For every finite Weyl matrix m, translation lam of the case and
-    generator i, x = t_lam m is built in a fresh group, where no length
-    is known yet: i is a right descent of x iff l(x s_i) < l(x) by
-    matrix_length, and the length x * s_i inherits through mul_gen from
-    l(x) must be matrix_length of x s_i.
-    """
-    results = []
-    for fam, n, regular, other in FINITE_INDEX_CASES:
-        d = create(fam, n)
-        zero = (0,) * d.dim
-        gens = _affine_gens(d)
-        bad = cases = 0
-        for m, _sign in d.finite_weyl():
-            for lam in (zero, regular, other):
-                g = AffineWeylGroup(d)
-                x = g.element(lam, m)
-                descents = g.right_descents(x)
-                lx = matrix_length(d, lam, m)
-                bad += x.length() != lx
-                for i, (gamma, s) in enumerate(gens):
-                    ly = matrix_length(d, vec_add(lam, mat_vec(m, gamma)), mat_mul(m, s))
-                    cases += 1
-                    bad += (i in descents) != (ly < lx) or g.mul_gen(x, i).length() != ly
-        results.append(
-            (
-                f"ascent-vs-length-{d.label}",
-                bad == 0,
-                f"{cases} (element, generator) pairs, {bad} mismatches",
-            )
-        )
-    return results
+        kinds = ("finite-index-vs-matrix", "finite-product-vs-matrix", "ascent-vs-length")
+        for kind, out, k, detail in zip(kinds, results, bad, details):
+            out.append((f"{kind}-{d.label}", k == 0, f"{detail}, {k} mismatches"))
+    return results[0] + results[1] + results[2]
 
 
 def longest_in_double_coset(g, lam):
@@ -594,8 +550,9 @@ def inverse_product_checks():
 
     mul_T_inv multiplies h by omega^{-1} first and then steps along the
     word of y with each s_i conjugated by omega; mul(h, inv_T(y)) builds
-    T_y^{-1} by left steps from T_{omega^{-1}} and multiplies it in along
-    the words of its support.  For h = T_x, x the identity, the first,
+    T_y^{-1} by right steps from T_e along the reversed word of y, with no
+    conjugation and omega^{-1} last, and multiplies it in along the words
+    of its support.  For h = T_x, x the identity, the first,
     a middle and the last element of Adm(mu): the two agree and
     mul_T(mul_T_inv(h, y), y) = h.  For each omega met, omega s_i omega^{-1}
     by the group law must be the simple reflection conj_gen names.  An
@@ -734,8 +691,7 @@ def bernstein_checks(cases=BERNSTEIN_CASES):
 
 def oracle_checks(seed=42, depth=5, samples=50):
     """Exact cross-oracle identities, mostly on GL_3 and GSp_4."""
-    results = bruhat_oracle_checks(depth) + finite_index_checks()
-    results += finite_product_checks() + ascent_checks()
+    results = bruhat_oracle_checks(depth) + finite_weyl_checks()
     results += r_recursion_checks(depth) + kl_solver_checks()
     results += invkl_recursion_checks() + pq_inversion_checks()
     results += q_oracle_checks() + inverse_product_checks()

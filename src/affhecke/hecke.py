@@ -29,7 +29,8 @@ decoded digit is exact with no runtime guard.  On top of the ring
 operations this module computes
 
 * R-polynomials         R_{x,y}:  T^{-1}_{y^{-1}} = eps_x eps_y q_y^{-1}
-                        sum_x R_{x,y}(q) T_x, by the standard recursion;
+                        sum_x R_{x,y}(q) T_x, by the standard recursion
+                        on an explicit stack;
 * Kazhdan-Lusztig       P_{x,w}: the coefficients of the self-dual basis
   polynomials           C''_w = eps_w sum_x P_{x,w} T_x.  A whole column
                         {P_{x,w}}_x is solved at once by the recursion
@@ -259,18 +260,18 @@ class HeckeContext:
 
     # -- products -------------------------------------------------------
 
-    def _gen_step(self, h, i, left, inverse):
-        """T_{s_i}^e * h if `left`, else h * T_{s_i}^e; e = -1 if `inverse`.
+    def _gen_step(self, h, i, inverse):
+        """h * T_{s_i}^e, e = -1 if `inverse`, else 1.
 
-        Per term c T_x, with y = s_i x (left) or x s_i (right): c T_y when
-        the step changes the length by e, otherwise the quadratic relation
-        d T_y + (d - c) T_x with d = q^e c, a shift of c.
+        Per term c T_x, with y = x s_i: c T_y when the step changes the
+        length by e, otherwise the quadratic relation d T_y + (d - c) T_x
+        with d = q^e c, a shift of c.
         """
         g = self.group
         step = -1 if inverse else 1
         out = {}
         for x, c in h.terms.items():
-            y = g.gen_mul(i, x) if left else g.mul_gen(x, i)
+            y = g.mul_gen(x, i)
             if y.length() - x.length() == step:
                 _add_into(out, y, c)
             else:
@@ -282,17 +283,16 @@ class HeckeContext:
     def mul_gen_T(self, h, i):
         """h * T_{s_i}."""
         self._mine(h)
-        return self._gen_step(h, i, left=False, inverse=False)
+        return self._gen_step(h, i, inverse=False)
 
     def mul_gen_T_inv(self, h, i):
         """h * T_{s_i}^{-1}."""
         self._mine(h)
-        return self._gen_step(h, i, left=False, inverse=True)
+        return self._gen_step(h, i, inverse=True)
 
     def gen_mul_T(self, i, h):
-        """T_{s_i} * h."""
-        self._mine(h)
-        return self._gen_step(h, i, left=True, inverse=False)
+        """T_{s_i} * h, as the product of T_{s_i} with h."""
+        return self.mul(self.T(self.group.simple_reflection(i)), h)
 
     def mul_omega(self, h, omega):
         """h * T_omega for a length-zero omega (group translation of support)."""
@@ -307,7 +307,7 @@ class HeckeContext:
         omega, word = self.group.reduced_word(y)
         out = self.mul_omega(h, omega)
         for i in word:
-            out = self._gen_step(out, i, left=False, inverse=False)
+            out = self._gen_step(out, i, inverse=False)
         return out
 
     def mul_T_inv(self, h, y):
@@ -323,7 +323,7 @@ class HeckeContext:
         omega, word = g.reduced_word(y)
         out = self.mul_omega(h, g.inv(omega))
         for i in reversed(word):
-            out = self._gen_step(out, g.conj_gen(omega, i), left=False, inverse=True)
+            out = self._gen_step(out, g.conj_gen(omega, i), inverse=True)
         return out
 
     def mul(self, a, b):
@@ -348,13 +348,16 @@ class HeckeContext:
     def inv_T(self, w):
         """T_w^{-1} = T_{s_k}^{-1} ... T_{s_1}^{-1} T_{omega^{-1}},
         for the canonical factorisation w = omega s_1 ... s_k; built by
-        successive left multiplications working from the inside out."""
+        right steps from T_e along the reversed word, with omega^{-1}
+        multiplied in last.  It conjugates no generator, unlike
+        mul_T_inv, whose oracle it is."""
         self._own(w)
-        omega, word = self.group.reduced_word(w)
-        h = self.T(self.group.inv(omega))
-        for i in word:
-            h = self._gen_step(h, i, left=True, inverse=True)
-        return h
+        g = self.group
+        omega, word = g.reduced_word(w)
+        h = self.T(g.identity)
+        for i in reversed(word):
+            h = self._gen_step(h, i, inverse=True)
+        return self.mul_omega(h, g.inv(omega))
 
     def bar(self, h):
         """The Kazhdan-Lusztig involution: bar coefficients, T_y -> T^{-1}_{y^{-1}}."""
@@ -455,27 +458,44 @@ class HeckeContext:
         """R_{x,y}(q); zero unless x <= y, R_{y,y} = 1, monic of degree l(y)-l(x).
 
         The descent recursion holds for every x and ends in 0 exactly when
-        x is not <= y (Humphreys 7.5), so no Bruhat test is needed."""
+        x is not <= y (Humphreys 7.5), so no Bruhat test is needed: with s
+        the first right descent of y, R_{x,y} = R_{xs,ys} if xs < x, else
+        (q - 1) R_{x,ys} + q R_{xs,ys}.  The pairs it needs are solved
+        first, on an explicit stack, and kept in _r_cache."""
         self._own(x, y)
+        got = self._r_known(x, y)
+        if got is not None:
+            return got
+        g = self.group
+        cache = self._r_cache
+        stack = [(x, y)]
+        while stack:
+            a, b = stack[-1]
+            if (a, b) in cache:  # pushed again before it was solved
+                stack.pop()
+                continue
+            i = g.first_right_descent(b)
+            bs = g.mul_gen(b, i)
+            as_ = g.mul_gen(a, i)
+            deps = [(as_, bs)] if as_.length() < a.length() else [(a, bs), (as_, bs)]
+            vals = [self._r_known(*pair) for pair in deps]
+            todo = [pair for pair, r in zip(deps, vals) if r is None]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            r = vals[0]
+            cache[a, b] = r if len(vals) == 1 else r.shift(2) - r + vals[1].shift(2)
+        return cache[x, y]
+
+    def _r_known(self, x, y):
+        """R_{x,y} when it is 1, 0 or held in _r_cache, else None."""
         if x is y:
             return _ONE
         g = self.group
         if x.length() >= y.length() or g.omega_class(x) != g.omega_class(y):
             return _ZERO
-        key = (x, y)
-        got = self._r_cache.get(key)
-        if got is not None:
-            return got
-        i = g.first_right_descent(y)
-        ys = g.mul_gen(y, i)
-        xs = g.mul_gen(x, i)
-        if xs.length() < x.length():
-            val = self.r_poly(xs, ys)
-        else:  # (q - 1) R_{x,ys} + q R_{xs,ys}
-            r = self.r_poly(x, ys)
-            val = r.shift(2) - r + self.r_poly(xs, ys).shift(2)
-        self._r_cache[key] = val
-        return val
+        return self._r_cache.get((x, y))
 
     # -- Kazhdan-Lusztig polynomials ------------------------------------------
 

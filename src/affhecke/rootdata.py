@@ -98,35 +98,6 @@ def identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_inv(m):
-    """Exact inverse of a unimodular integer matrix.
-
-    Fraction-free (Bareiss) Gauss-Jordan elimination on [m | 1]: after the
-    step on column k every entry is a minor of order k + 1, so each
-    division by the previous pivot is exact.  The pivots end at +-det(m)
-    and the right half at +-det(m) m^{-1}.
-    """
-    n = len(m)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    prev = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        top = a[col]
-        p = top[col]
-        for r in range(n):
-            if r != col:
-                row = a[r]
-                f = row[col]
-                a[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        prev = p
-    if prev not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return tuple(tuple(prev * x for x in row[n:]) for row in a)
-
-
 # -- the datum -----------------------------------------------------------
 
 
@@ -367,27 +338,21 @@ class RootDatum:
         return coords is not None and all(c >= 0 for c in coords)
 
     def dominant_below(self, mu):
-        """All dominant lam <= mu in dominance order, mu included, sorted."""
+        """All dominant lam <= mu in dominance order, mu included, sorted.
+
+        Walks down from mu by positive coroots through dominant coweights
+        only: every dominant lam < mu is reached so (Stembridge, "The
+        partial order of dominant weights", Adv. Math. 136, 1998)."""
         mu = self.require_dominant(mu)
-        simples = self.simple_coroots()
-        seen = {mu}
-        frontier = [mu]
-        found = [mu]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g in simples:
-                    u = vec_sub(v, g)
-                    if u in seen:
-                        continue
-                    # keep u only if it is still a weight under mu
-                    if not self.dominance_leq(self.dominant_rep(u), mu):
-                        continue
-                    seen.add(u)
-                    nxt.append(u)
-                    if self.is_dominant(u):
-                        found.append(u)
-            frontier = nxt
+        found = {mu}
+        todo = [mu]
+        while todo:
+            v = todo.pop()
+            for g in self.pos_coroots:
+                u = vec_sub(v, g)
+                if u not in found and self.is_dominant(u):
+                    found.add(u)
+                    todo.append(u)
         return tuple(sorted(found))
 
     # invariant form and Freudenthal weight multiplicities ---------------

@@ -221,12 +221,26 @@ def test_check_properties(tmp_path, capsys):
     assert any("minuscule-epsilon-sum" in line for line in lines)
 
 
+#: sha256 of the stdout of `check oracles --seed 42 --depth 3 --samples 5`:
+#: every entry, count and PASS line, in order
+ORACLES_QUICK_DIGEST = "c6af1f7c0b1f867adb3fcb0e9ec24ac5eb07c98000c39238d110bc31c988c4f9"
+
+
 def test_check_oracles_quick(capsys):
     code, out, _ = run(
         capsys, "check", "oracles", "--seed", "42", "--depth", "3", "--samples", "5"
     )
     assert code == 0
     assert all(line.startswith("PASS") for line in out.strip().splitlines())
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == ORACLES_QUICK_DIGEST
+
+
+def test_query_rpoly_deep_in_the_word(capsys):
+    # l(y) = 1200 and R_{x,y} = q - 1: the R recursion runs 1200 steps deep
+    code, out, err = run(
+        capsys, "query", "rpoly", "GL2", "t[-599,599]*w[s1]", "t[600,-600]*w[]"
+    )
+    assert (code, out, err) == (0, "-1*v^0+1*v^2\n", "")
 
 
 QUERY_X, QUERY_Y = "t[0,0,0]*w[]", "t[1,0,-1]*w[]"

@@ -608,6 +608,21 @@ def test_kl_column_solve_is_iterative():
     assert p.is_q_polynomial() and p.q_coeff(0) == 1
 
 
+def test_r_poly_is_iterative():
+    # l(t) = 28: R_{e,t} recursed once per generator of the word of t
+    H = HeckeContext(create("GL", 3))
+    G = H.group
+    t = G.translation((7, 0, -7))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 15)
+    try:
+        r = H.r_poly(G.identity, t)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert r.is_q_polynomial() and r.q_coeff(t.length()) == 1
+    assert r.eval_at("v=1") == 0
+
+
 def test_kl_column_rejects_a_corrupted_dependency():
     # P_{x,v} with xs > x enters P_{x,y} with coefficient 1, so a constant
     # term of 2 there (the packed value plus 1) must raise, not give a

@@ -13,6 +13,10 @@ computes in memory.
 Modules a table or query run does not use are imported where they are
 first needed: no module except checks imports one of LAZY at module level,
 and an import, a table and a query run load none of them.
+
+No function of the package calls itself: a recursion along a reduced word
+needs a stack frame per generator and fails on long elements, so the
+recursions run on explicit stacks.
 """
 
 import ast
@@ -155,3 +159,39 @@ def test_import_and_table_and_query_load_no_lazy_module(tmp_path):
         capture_output=True, env=env, cwd=tmp_path, check=True,
     )
     assert proc.stderr.decode() == "[[], [], ['json']]\n"
+
+
+def self_calls(source):
+    """(line, name) of every call of a function to itself: name(...) inside
+    def name, or self.name(...) inside the method name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if (isinstance(f, ast.Name) and f.id == node.name) or (
+                isinstance(f, ast.Attribute)
+                and f.attr == node.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id == "self"
+            ):
+                found.append((call.lineno, node.name))
+    return sorted(found)
+
+
+def test_the_scan_sees_self_calls():
+    src = (
+        "def f(n):\n    return f(n - 1)\n"
+        "class C:\n"
+        "    def g(self):\n        return self.g()\n"
+        "    def h(self, other):\n        return other.h() + self.g() + h()\n"
+    )
+    assert self_calls(src) == [(2, "f"), (5, "g"), (7, "h")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    assert self_calls(path.read_text(encoding="utf-8")) == []
