@@ -36,7 +36,9 @@ x = t_lambda wbar and beta = b_i o wbar^{-1},
     l(x s_i) = l(x) + 1  iff  c_i - <beta, lambda> >= (0 if beta > 0 else 1),
 
 and l(x s_i) = l(x) - 1 otherwise; right descents and the lengths that
-x * s_i inherits from x are read off this test.  Elements of length zero
+x * s_i inherits from x are read off this test.  Each product x * s_i is
+made once, on first lookup, in one table {x: x s_i} per generator, which
+mul_gen and every walk along a word read.  Elements of length zero
 form the subgroup Omega that permutes the walls of the base alcove;
 reduced words are written x = omega * s_{i_1} ... s_{i_k}.
 
@@ -135,6 +137,29 @@ def _rebuild_element(family, rank, trans, fin):
     return group(rootdata.create(family, rank)).element(trans, fin)
 
 
+class _RightTable(dict):
+    """{x: x s_i} for one generator s_i of the group g, each product made
+    once, on first lookup, without building the generator element; the
+    length of x s_i follows from that of x by the ascent test.  The only
+    memo of x s_i: mul_gen reads it, and so do the walks of hecke."""
+
+    __slots__ = ("g", "i")
+
+    def __init__(self, g, i):
+        super().__init__()
+        self.g = g
+        self.i = i
+
+    def __missing__(self, a):
+        g, i, k = self.g, self.i, a._fi
+        trans = vec_add(a.trans, g._g0[k]) if i == 0 else a.trans
+        y = self[a] = g._make(trans, g._fin_right(k, i))
+        if y._len is None and a._len is not None:
+            beta, bound = g._asc[k][i]
+            y._len = a._len + (1 if dot(beta, a.trans) <= bound else -1)
+        return y
+
+
 class AffineWeylGroup:
     """Group operations, lengths, words, Bruhat order, Adm enumeration."""
 
@@ -177,6 +202,7 @@ class AffineWeylGroup:
         self._fprod = {}  # (id, id) -> id of the product
         self._fword = []  # the text "s1.s2..." of a reduced word of wbar, for encode
         self._conj = {}  # (omega, i) -> j with omega s_i omega^{-1} = s_j
+        self._right = [_RightTable(self, i) for i in range(self.n_gens)]  # {x: x s_i}
         self.identity = self._make(zero, self._fid(d.identity))
 
     # -- the finite Weyl index ---------------------------------------------
@@ -196,22 +222,26 @@ class AffineWeylGroup:
         return k
 
     def _register(self, m, perm):
-        """Give the matrix m, whose root permutation is perm, the next id."""
+        """Give the matrix m, whose root permutation is perm, the next id.
+
+        Every per-id value is computed and appended before the id is
+        published in _fidx and _pidx, so a failure leaves no id that the
+        lookups find but the lists lack."""
         n = self.datum.n_pos
+        g0 = mat_vec(m, self.gens[0][0])
+        inv = _inverse(perm)
+        asc = tuple((self._roots[inv[b]], c - (inv[b] >= n)) for b, c in self._aff_simple)
         k = len(self._fmat)
-        self._fidx[m] = k
-        self._pidx[perm] = k
         self._fmat.append(m)
         self._perm.append(perm)
-        self._g0.append(mat_vec(m, self.gens[0][0]))
-        inv = _inverse(perm)
-        self._asc.append(tuple(
-            (self._roots[inv[b]], c - (inv[b] >= n)) for b, c in self._aff_simple
-        ))
+        self._g0.append(g0)
+        self._asc.append(asc)
         self._finv.append(None)
         self._fword.append(None)
         for row in self._rmul:
             row.append(None)
+        self._fidx[m] = k
+        self._pidx[perm] = k
         return k
 
     def _compose(self, p, q, m1, m2):
@@ -285,17 +315,8 @@ class AffineWeylGroup:
         return y
 
     def mul_gen(self, a, i):
-        """a * s_i without building the generator element; the length of
-        a * s_i follows from that of a by the ascent test."""
-        k = a._fi
-        j = self._rmul[i][k]
-        if j is None:
-            j = self._fin_right(k, i)
-        y = self._make(vec_add(a.trans, self._g0[k]) if i == 0 else a.trans, j)
-        if y._len is None and a._len is not None:
-            beta, bound = self._asc[k][i]
-            y._len = a._len + (1 if dot(beta, a.trans) <= bound else -1)
-        return y
+        """a * s_i, read from the table of s_i (see _RightTable)."""
+        return self._right[i][a]
 
     def conj_gen(self, omega, i):
         """The j with omega s_i omega^{-1} = s_j, for omega of length zero.
@@ -405,8 +426,9 @@ class AffineWeylGroup:
             z, word = self.reduced_word(y)
             got = cache.setdefault(z, frozenset((z,)))
             for i in word:
-                z = self.mul_gen(z, i)
-                got = cache.get(z) or got.union([self.mul_gen(u, i) for u in got])
+                nbr = self._right[i]
+                z = nbr[z]
+                got = cache.get(z) or got.union(map(nbr.__getitem__, got))
                 cache[z] = got
         return got
 

@@ -1,32 +1,38 @@
 """The Iwahori-Hecke algebra of an extended affine Weyl group.
 
 H = (+)_{w} Z[v, v^{-1}] T_w with the quadratic relation
-(T_s - q)(T_s + 1) = 0 and braid relations, q = v^2.  Products are
-computed by walking reduced words one generator at a time:
+(T_s - q)(T_s + 1) = 0 and braid relations, q = v^2.  A product h T_y is
+computed by walking the reduced word of y one generator at a time:
 
-    T_x T_s     = T_{xs}                if xs > x
-                  q T_{xs} + (q-1) T_x  if xs < x
-    T_x T_s^{-1} = T_{xs}                     if xs < x
-                   q^{-1} T_{xs} + (q^{-1}-1) T_x  if xs > x
+    T_x T_s = T_{xs}                if xs > x
+              q T_{xs} + (q-1) T_x  if xs < x
 
-A quadratic step is a shift of v-exponents: with d = c v^{+-2}, the
+A quadratic step is a shift of v-exponents: with d = q c, the
 coefficient c of T_x gives d to T_{xs} and d - c to T_x, with no
-polynomial product.  Length-zero elements multiply by the group law.
-For y = omega s_1 ... s_k, h T_y^{-1} multiplies h by omega^{-1} first
-and then walks the word with each s_i conjugated by omega, by
-T_s^{-1} T_{omega^{-1}} = T_{omega^{-1}} T_{omega s omega^{-1}}^{-1}: the
-group law runs once per term of h, not once per term of the product.
-Sums add into one term dict.
+polynomial product.  Length-zero elements multiply by the group law, and
+x s is read from the group's table of s.  Sums add into one term dict.
 
-The Bernstein kernel bernstein_sum adds k v^e T_{t1} T_{t2}^{-1} over
-parts (t1, t2, k, e) in packed integers; Theta_lambda, z_lambda and the
-Kottwitz function of `central` are one call each, and mul_T_inv is its
-oracle.  Each coefficient of T_{t1} T_{t2}^{-1} is a polynomial in
-u = q^{-1}, held as its value at u = 2^K.  A step at most triples the sum
-of |coefficients|, so every digit of the sum is under sum |k| 3^{l(t2)};
-K is chosen from that bound per call, before any arithmetic, and every
-decoded digit is exact with no runtime guard.  On top of the ring
-operations this module computes
+Every product with an inverse is one call of the Bernstein kernel
+bernstein_sum, which adds k v^e T_{t1} T_{t2}^{-1} over parts
+(t1, t2, k, e) in packed integers, by the steps
+
+    T_x T_s^{-1} = T_{xs}                          if xs < x
+                   q^{-1} T_{xs} + (q^{-1}-1) T_x  if xs > x:
+
+mul_T_inv, mul_gen_T_inv, inv_T and the involution bar here,
+Theta_lambda, z_lambda and the Kottwitz function of `central`, and the
+Wakimoto functions.  For t2 = omega s_1 ... s_k it multiplies by
+omega^{-1} first and then walks the word with each s_i conjugated by
+omega, by T_s^{-1} T_{omega^{-1}} = T_{omega^{-1}} T_{omega s omega^{-1}}^{-1}:
+the group law runs once per part, not once per term of the product.
+Its oracle is the identity that defines it, mul_T(mul_T_inv(h, y), y) = h,
+by the forward walk, which shares no step with the kernel; T_y is
+invertible, so the identity pins h T_y^{-1} down.  Each coefficient of
+T_{t1} T_{t2}^{-1} is a polynomial in u = q^{-1}, held as its value at
+u = 2^K.  A step at most triples the sum of |coefficients|, so every
+digit of the sum is under sum |k| 3^{l(t2)}; K is chosen from that bound
+per call, before any arithmetic, and every decoded digit is exact with
+no runtime guard.  On top of the ring operations this module computes
 
 * R-polynomials         R_{x,y}:  T^{-1}_{y^{-1}} = eps_x eps_y q_y^{-1}
                         sum_x R_{x,y}(q) T_x, by the standard recursion
@@ -204,21 +210,8 @@ class HeckeElement:
         return " + ".join(parts) if parts else "0"
 
 
-class _RightNeighbours(dict):
-    """{x: x s} for one generator s, each product made once, on first lookup."""
-
-    def __init__(self, g, s):
-        super().__init__()
-        self.g = g
-        self.s = s
-
-    def __missing__(self, x):
-        y = self[x] = self.g.mul_gen(x, self.s)
-        return y
-
-
 class HeckeContext:
-    """Per-datum state: generator tables and polynomial caches."""
+    """Per-datum state: the polynomial caches."""
 
     def __init__(self, datum):
         self.datum = datum
@@ -233,7 +226,6 @@ class HeckeContext:
         self._limits = [0]  # _limits[d]: the largest packed value of d digits in (-B/2, B/2)
         self._coef_max = 1  # the largest |coefficient| of a held P
         self._l1_max = 1  # the largest sum of |coefficients| of a held P
-        self._nbrs = {}  # s -> {x: x s}
         self._q_cache = {}
         self._col_done = set()
 
@@ -260,22 +252,20 @@ class HeckeContext:
 
     # -- products -------------------------------------------------------
 
-    def _gen_step(self, h, i, inverse):
-        """h * T_{s_i}^e, e = -1 if `inverse`, else 1.
+    def _gen_step(self, h, i):
+        """h * T_{s_i}.
 
-        Per term c T_x, with y = x s_i: c T_y when the step changes the
-        length by e, otherwise the quadratic relation d T_y + (d - c) T_x
-        with d = q^e c, a shift of c.
+        Per term c T_x, with y = x s_i: c T_y when y > x, otherwise the
+        quadratic relation d T_y + (d - c) T_x with d = q c, a shift of c.
         """
-        g = self.group
-        step = -1 if inverse else 1
+        nbr = self.group._right[i]
         out = {}
         for x, c in h.terms.items():
-            y = g.mul_gen(x, i)
-            if y.length() - x.length() == step:
+            y = nbr[x]
+            if y.length() > x.length():
                 _add_into(out, y, c)
             else:
-                d = c.shift(2 * step)
+                d = c.shift(2)
                 _add_into(out, y, d)
                 _add_into(out, x, d - c)
         return HeckeElement._of(self, out)
@@ -283,12 +273,11 @@ class HeckeContext:
     def mul_gen_T(self, h, i):
         """h * T_{s_i}."""
         self._mine(h)
-        return self._gen_step(h, i, inverse=False)
+        return self._gen_step(h, i)
 
     def mul_gen_T_inv(self, h, i):
-        """h * T_{s_i}^{-1}."""
-        self._mine(h)
-        return self._gen_step(h, i, inverse=True)
+        """h * T_{s_i}^{-1}, by the Bernstein kernel."""
+        return self.mul_T_inv(h, self.group.simple_reflection(i))
 
     def gen_mul_T(self, i, h):
         """T_{s_i} * h, as the product of T_{s_i} with h."""
@@ -307,24 +296,17 @@ class HeckeContext:
         omega, word = self.group.reduced_word(y)
         out = self.mul_omega(h, omega)
         for i in word:
-            out = self._gen_step(out, i, inverse=False)
+            out = self._gen_step(out, i)
         return out
 
     def mul_T_inv(self, h, y):
-        """h * T_y^{-1} along the canonical reduced word of y.
-
-        For y = omega s_1 ... s_k, T_y^{-1} = T_{s_k}^{-1} ... T_{s_1}^{-1}
-        T_{omega^{-1}}, and T_s^{-1} T_{omega^{-1}} = T_{omega^{-1}}
-        T_{omega s omega^{-1}}^{-1}: h is multiplied by omega^{-1} first,
-        then stepped along the word with each s_i conjugated by omega.
-        """
+        """h * T_y^{-1}: one call of the Bernstein kernel, with a part
+        (x, y, k, e) for each monomial k v^e of each coefficient c_x of h."""
+        self._mine(h)
         self._own(y)
-        g = self.group
-        omega, word = g.reduced_word(y)
-        out = self.mul_omega(h, g.inv(omega))
-        for i in reversed(word):
-            out = self._gen_step(out, g.conj_gen(omega, i), inverse=True)
-        return out
+        return self.bernstein_sum(
+            (x, y, k, e) for x, c in h.terms.items() for e, k in c.terms.items()
+        )
 
     def mul(self, a, b):
         """Full product; cost is |supp(b)| reduced-word walks over a."""
@@ -346,45 +328,37 @@ class HeckeContext:
         return HeckeElement._of(self, out)
 
     def inv_T(self, w):
-        """T_w^{-1} = T_{s_k}^{-1} ... T_{s_1}^{-1} T_{omega^{-1}},
-        for the canonical factorisation w = omega s_1 ... s_k; built by
-        right steps from T_e along the reversed word, with omega^{-1}
-        multiplied in last.  It conjugates no generator, unlike
-        mul_T_inv, whose oracle it is."""
-        self._own(w)
-        g = self.group
-        omega, word = g.reduced_word(w)
-        h = self.T(g.identity)
-        for i in reversed(word):
-            h = self._gen_step(h, i, inverse=True)
-        return self.mul_omega(h, g.inv(omega))
+        """T_w^{-1}, by the Bernstein kernel."""
+        return self.mul_T_inv(self.T(self.group.identity), w)
 
     def bar(self, h):
-        """The Kazhdan-Lusztig involution: bar coefficients, T_y -> T^{-1}_{y^{-1}}."""
+        """The Kazhdan-Lusztig involution: bar coefficients, T_y -> T^{-1}_{y^{-1}};
+        one call of the Bernstein kernel, a part per monomial of h."""
         self._mine(h)
         g = self.group
-        return self.sum(
-            self.inv_T(g.inv(y)).scale(c.bar())
-            for y, c in sorted(h.terms.items(), key=lambda kv: g.sort_key(kv[0]))
+        e = g.identity
+        return self.bernstein_sum(
+            (e, g.inv(y), k, -d) for y, c in h.terms.items() for d, k in c.terms.items()
         )
 
     def bernstein_sum(self, parts):
         """sum k v^e T_{t1} T_{t2}^{-1} over the parts (t1, t2, k, e), in
-        packed integers; the kernel of the Bernstein functions.
+        packed integers; the kernel of every product with an inverse.
 
         Every coefficient of T_{t1} T_{t2}^{-1} is an integer polynomial in
         u = q^{-1}, held as its value at u = B = 2^K: a step by T_s^{-1}
         sends c T_x to c T_{xs} when xs < x, else to (c << K) T_{xs} +
         ((c << K) - c) T_x.  Parts with one t2 share its walk, which
-        multiplies by omega^{-1} once and steps by omega s omega^{-1} (as
-        mul_T_inv does), reading x s from the right-neighbour tables.  The
-        parts whose e has one parity add into one packed dict, at the digit
-        offset (E - e)/2 from the largest such e, E, and each distinct
-        packed value is decoded once, digit i giving v^{E - 2i}, so equal
-        coefficients are one LaurentPoly.  A step at most triples the sum
-        of |coefficients| of an element, so every digit of the sum is under
-        sum |k| 3^{l(t2)} in size; K is chosen before any arithmetic to keep
-        that under B/2, and every decoded digit is exact.
+        multiplies by omega^{-1} once and steps by omega s omega^{-1}, by
+        T_s^{-1} T_{omega^{-1}} = T_{omega^{-1}} T_{omega s omega^{-1}}^{-1},
+        reading x s from the group's table of s.  The parts whose e has one
+        parity add into one packed dict, at the digit offset (E - e)/2 from
+        the largest such e, E, and each distinct packed value is decoded
+        once, digit i giving v^{E - 2i}, so equal coefficients are one
+        LaurentPoly.  A step at most triples the sum of |coefficients| of an
+        element, so every digit of the sum is under sum |k| 3^{l(t2)} in
+        size; K is chosen before any arithmetic to keep that under B/2, and
+        every decoded digit is exact.
         """
         g = self.group
         walks = {}  # (t2, parity of e) -> [(t1, k, e)]
@@ -408,7 +382,7 @@ class HeckeContext:
                 x = g.mul(t1, oinv)
                 cur[x] = cur.get(x, 0) + (k << (k_bits * ((top - e) >> 1)))
             for i in reversed(word):
-                nbr = self._right(g.conj_gen(omega, i))
+                nbr = g._right[g.conj_gen(omega, i)]
                 nxt = {}
                 get = nxt.get
                 for x, c in cur.items():
@@ -508,13 +482,6 @@ class HeckeContext:
         p = self._kl_column(w).get(x)
         return _ZERO if p is None else self._p_polys[p]
 
-    def _right(self, s):
-        """The right-neighbour table {x: x s} of the generator s."""
-        nbr = self._nbrs.get(s)
-        if nbr is None:
-            nbr = self._nbrs[s] = _RightNeighbours(self.group, s)
-        return nbr
-
     def _kl_column(self, y):
         """The packed column {x: P_{x,y}(B)} for every x < y, held in
         _p_cols; a column not held is solved by the Kazhdan-Lusztig
@@ -552,7 +519,7 @@ class HeckeContext:
             if s is None:  # length 0: no x < w
                 cols[w] = {}
                 continue
-            v = self._right(s)[w]
+            v = g._right[s][w]
             if v not in cols:
                 stack.append(v)
                 continue
@@ -575,7 +542,7 @@ class HeckeContext:
         packed P_{z,v}: its lower digits sum to less than B^d/2 in size, so
         the digit is P_{z,v}(B) / B^d rounded to the nearest integer."""
         k = self._k
-        nbr = self._right(s)
+        nbr = self.group._right[s]
         ly, lv = y.length(), v.length()
         out = []
         for z, p in self._p_cols[v].items():
@@ -600,7 +567,7 @@ class HeckeContext:
         [e, y] = [e, v] u [e, v]s (subword property), so it splits into
         pairs {x, xs}, each with its bottom in [e, v]: the pair {v, y}, and
         one pair {u, us} for each key u of the column of v, a pair met twice
-        being skipped; us is read from the right-neighbour table of s.
+        being skipped; us is read from the group's table of s.
         P_{x,y} = P_{xs,y} because ys < y.  The recursion runs on the top x
         (xs < x) only, where it reads P_{x,y} = P_{xs,v} + q P_{x,v} -
         sum_z ..., in integers: a q-shift is a shift by k bits.  The bottom
@@ -617,7 +584,7 @@ class HeckeContext:
                 f"the KL column of {y.encode()} may not fit {self._k}-bit packed digits"
             )
         k = self._k
-        nbr = self._right(s)
+        nbr = self.group._right[s]
         cols = self._p_cols
         values = self._p_values
         pv = cols[v]
@@ -908,7 +875,7 @@ class KLCache:
             s = g.first_right_descent(w)
             if s is None:
                 return False
-            nbr = hctx._right(s)
+            nbr = g._right[s]
             v = nbr[w]
             keys = staged.get(v, {} if v.length() == 0 else None)
             if keys is None:

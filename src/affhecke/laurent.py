@@ -28,7 +28,7 @@ class LaurentPoly:
     between threads or processes.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         t = {}
@@ -37,7 +37,6 @@ class LaurentPoly:
                 if c:
                     t[int(e)] = c
         self.terms = t
-        self._hash = None
 
     # -- constructors ------------------------------------------------
 
@@ -75,9 +74,7 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self.terms.items())))
-        return self._hash
+        return hash(tuple(sorted(self.terms.items())))
 
     def __add__(self, other):
         t = dict(self.terms)
@@ -89,7 +86,6 @@ class LaurentPoly:
                 t.pop(e, None)
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = t
-        out._hash = None
         return out
 
     def __sub__(self, other):
@@ -102,13 +98,11 @@ class LaurentPoly:
                 t.pop(e, None)
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = t
-        out._hash = None
         return out
 
     def __neg__(self):
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = {e: -c for e, c in self.terms.items()}
-        out._hash = None
         return out
 
     def __mul__(self, other):
@@ -125,7 +119,6 @@ class LaurentPoly:
                     del t[e]
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = t
-        out._hash = None
         return out
 
     def __rmul__(self, other):
@@ -140,7 +133,6 @@ class LaurentPoly:
             return self
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = {e: c * k for e, k in self.terms.items()}
-        out._hash = None
         return out
 
     def shift(self, e):
@@ -149,7 +141,6 @@ class LaurentPoly:
             return self
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = {k + e: c for k, c in self.terms.items()}
-        out._hash = None
         return out
 
     # -- involutions and evaluation ----------------------------------
@@ -158,7 +149,6 @@ class LaurentPoly:
         """The involution v -> v^{-1} (equivalently q -> q^{-1})."""
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = {-e: c for e, c in self.terms.items()}
-        out._hash = None
         return out
 
     def eval_at(self, at):
@@ -318,6 +308,3 @@ _ONE = LaurentPoly({0: 1})
 #: q^{-1/2} - q^{1/2}, the parameter of the distinguished-subexpression
 #: expansions.
 Q_PARAM = LaurentPoly({-1: 1, 1: -1})
-
-ZERO = _ZERO
-ONE = _ONE

@@ -117,14 +117,14 @@ def rv_poly_laurent(v, w, x, word=None):
 def wakimoto_function(v, w):
     """The Hecke element T~_v T~^{-1}_{w^{-1}} (any v, w, length-zero
     parts handled by the group law), together with its normalisation
-    eps_v eps_w q_v^{1/2} q_w^{1/2} T~_v T~^{-1}_{w^{-1}}.
+    eps_v eps_w q_v^{1/2} q_w^{1/2} T~_v T~^{-1}_{w^{-1}}.  The raw element
+    is v^{l(w)-l(v)} T_v T^{-1}_{w^{-1}}, one part of the Bernstein kernel.
 
     Returns (raw, normalized).
     """
     g = v.group
     hctx = context(g.datum)
-    raw = hctx.mul_T_inv(hctx.T_tilde(v), g.inv(w))
-    raw = raw.scale(LaurentPoly.v_power(w.length()))
+    raw = hctx.bernstein_sum([(v, g.inv(w), 1, w.length() - v.length())])
     sign = 1 if (v.length() + w.length()) % 2 == 0 else -1
     normalized = raw.scale(LaurentPoly.v_power(v.length() + w.length(), sign))
     return raw, normalized

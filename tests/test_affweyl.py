@@ -302,6 +302,54 @@ def test_index_fills_each_table_cell_once(monkeypatch):
     assert 0 < len(calls) <= G.n_gens * len(datum.finite_weyl())
 
 
+def test_a_failed_registration_publishes_no_id(monkeypatch):
+    # a failure inside the registration of a new finite Weyl element must
+    # leave no id that _fidx or _pidx find but the per-id lists lack
+    datum = create("GL", 3)
+    G = affweyl.AffineWeylGroup(datum)
+    s1 = datum.simple_reflections[0]
+    assert s1 not in G._fidx
+    failed = []
+    real = affweyl.mat_vec
+
+    def fail_once(m, v):
+        if not failed:
+            failed.append(1)
+            raise RuntimeError("injected")
+        return real(m, v)
+
+    monkeypatch.setattr(affweyl, "mat_vec", fail_once)
+    with pytest.raises(RuntimeError):
+        G.element((1, 0, 0), s1)
+    n = len(G._fmat)
+    for per_id in (G._perm, G._g0, G._asc, G._finv, G._fword, *G._rmul):
+        assert len(per_id) == n
+    assert all(k < n for k in (*G._fidx.values(), *G._pidx.values()))
+    x = G.element((1, 0, 0), s1)
+    assert x.fin == s1 and x.length() == G._length(x.trans, x._fi) == 1
+
+
+def test_mul_gen_makes_each_product_once(monkeypatch):
+    # every x s_i comes from one table per generator that the group owns:
+    # a second sweep over the same elements computes no product
+    made = []
+    real = affweyl._RightTable.__missing__
+
+    def counting(table, x):
+        made.append(1)
+        return real(table, x)
+
+    monkeypatch.setattr(affweyl._RightTable, "__missing__", counting)
+    G = affweyl.AffineWeylGroup(create("GL", 3))
+    pool = ball(G, 4)
+    first = [G.mul_gen(x, i) for x in pool for i in range(G.n_gens)]
+    assert made
+    made.clear()
+    second = [G.mul_gen(x, i) for x in pool for i in range(G.n_gens)]
+    assert made == []
+    assert all(a is b for a, b in zip(first, second))
+
+
 def test_elements_hash_and_compare_by_identity():
     # interning makes equal elements one object, so the default object
     # hash and equality are exact

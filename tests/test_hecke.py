@@ -147,7 +147,7 @@ def test_kl_s4_singular_example():
     # the base point is singular too: P_{e,w} = 1 + q for w = 3412
     assert H.kl_poly(G.identity, w) == LaurentPoly({0: 1, 2: 1})
     # the self-dual basis element is bar-fixed up to q_w^{-1} (checked
-    # through the independent inv_T-based involution)
+    # through the involution of the Bernstein kernel, not the KL recursion)
     cw = H.ic_basis_element(w)
     assert H.bar(cw) == cw.scale(LaurentPoly.q_power(-w.length()))
     # vanishing off the order
@@ -387,6 +387,7 @@ def test_products_reject_elements_of_another_datum():
         lambda: hecke.HeckeElement(H4, {e4: ONE, w3: ONE}),
         lambda: H4.mul_T(h3, e4),
         lambda: H4.mul_T_inv(h3, e4),
+        lambda: H4.mul_T_inv(H4.zero(), w3),
         lambda: H4.mul_gen_T(h3, 1),
         lambda: H4.mul_gen_T_inv(h3, 1),
         lambda: H4.gen_mul_T(1, h3),
@@ -406,10 +407,11 @@ def test_products_reject_elements_of_another_datum():
 
 
 def test_bernstein_sum_is_the_laurent_sum():
-    # sum k v^e T_{t1} T_{t2}^{-1} against mul_T_inv on LaurentPoly
-    # coefficients: parts sharing a t2 with e of either parity, a t2 with
-    # a length-zero part, a non-translation t1, negative and zero weights,
-    # and a weight of 2**80, whose digits are far wider than 48 bits
+    # sum k v^e T_{t1} T_{t2}^{-1}: each part multiplied back by T_{t2}
+    # with the forward walk mul_T gives k v^e T_{t1}, and the sum is the
+    # sum of the parts.  Parts sharing a t2 with e of either parity, a t2
+    # with a length-zero part, a non-translation t1, negative and zero
+    # weights, and a weight of 2**80, whose digits are far wider than 48 bits
     H = ctx("GL", 3)
     G = H.group
     t = G.translation
@@ -421,11 +423,13 @@ def test_bernstein_sum_is_the_laurent_sum():
         (t((2, 0, 0)), t((2, 1, 0)), 0, 4),
         (t((0, 1, -1)), t((0, 0, 0)), 3, -1),
     ]
-    want = H.sum(
-        H.mul_T_inv(H.T(t1), t2).scale(LaurentPoly.v_power(e, k)) for t1, t2, k, e in parts
-    )
+    each = []
+    for t1, t2, k, e in parts:
+        part = H.bernstein_sum([(t1, t2, k, e)])
+        assert H.mul_T(part, t2) == H.T(t1).scale(LaurentPoly.v_power(e, k))
+        each.append(part)
     got = H.bernstein_sum(parts)
-    assert got == want
+    assert got == H.sum(each)
     assert max(abs(c) for p in got.terms.values() for c in p.terms.values()) >= 2**80
     assert H.bernstein_sum([]) == H.zero()
 

@@ -112,3 +112,18 @@ def test_big_coefficients_exact():
     # binomial coefficients of (1+q)^65; exactness matters
     assert g.q_coeff(32) == math.comb(65, 32)
     assert g.q_coeff(0) == 1 and g.q_coeff(65) == 1
+
+
+def test_equal_polynomials_hash_equal():
+    # built by constructor, arithmetic, decoding and shifting, equal
+    # polynomials hash equal and find each other as dict keys
+    a = lp({0: 1, 2: -2, 4: 1})
+    b = lp({0: 1, 2: -1}) * lp({0: 1, 2: -1})
+    c = LaurentPoly.decode("1*v^0+-2*v^2+1*v^4")
+    d = (lp({-2: 1, 0: -2, 2: 1}) + lp({5: 3}) - lp({5: 3})).shift(2)
+    assert a == b == c == d
+    assert len({hash(p) for p in (a, b, c, d)}) == 1
+    table = {a: "a"}
+    assert table[b] == table[c] == table[d] == "a"
+    assert {b: 1, c: 2, d: 3} == {a: 3}
+    assert hash(LaurentPoly.zero()) == hash(lp({3: 0}))

@@ -10,6 +10,9 @@ The KL cache file is read and written by cli alone: no module except
 hecke, which defines it, and cli refers to KLCache, so the library
 computes in memory.
 
+The products x s_i are memoised in one place, the group's table per
+generator in affweyl: no other module defines a class with __missing__.
+
 Modules a table or query run does not use are imported where they are
 first needed: no module except checks imports one of LAZY at module level,
 and an import, a table and a query run load none of them.
@@ -90,6 +93,38 @@ def test_the_scan_sees_the_cli_cache_calls():
 )
 def test_only_cli_touches_the_kl_cache(path):
     assert cache_references(path.read_text(encoding="utf-8")) == []
+
+
+def missing_memos(source):
+    """(line, class) of every class that defines __missing__: a dict
+    subclass that makes its values on first lookup."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and f.name == "__missing__"
+            for f in node.body
+        )
+    )
+
+
+def test_the_scan_sees_the_group_table():
+    # the one table {x: x s_i} per generator
+    found = missing_memos((PACKAGE / "affweyl.py").read_text(encoding="utf-8"))
+    assert [name for _, name in found] == ["_RightTable"]
+    assert missing_memos("class A(dict):\n    def __missing__(self, k):\n        pass\n") == [
+        (1, "A")
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "affweyl.py"), ids=lambda p: p.name
+)
+def test_only_the_group_memoises_on_missing(path):
+    # x s_i is made in the group's table alone, so no second memo of it
+    # grows back elsewhere
+    assert missing_memos(path.read_text(encoding="utf-8")) == []
 
 
 LAZY = {
