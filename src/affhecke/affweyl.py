@@ -1,23 +1,26 @@
 """The extended affine Weyl group W~ = X_*(T) x| W.
 
 Elements are stored in the canonical form t_lambda * wbar with lambda a
-coweight and wbar a finite Weyl matrix, so (lambda, wbar) is a unique
-key.  Each group indexes its finite Weyl elements lazily: an element gets
-an integer id the first time it appears, together with its permutation
-of the 2 * n_pos roots (perm[a] is the index of f_a o wbar, so the
-product wbar_1 wbar_2 has perm_2[perm_1[a]] and the inverse has the
-inverse permutation).  Products compose permutations and look the
-result up; a matrix is multiplied only when the result is a new id, so
-at most once per finite Weyl element.  The inverse of wbar is built
-from the letters that strip its finite right descents, wbar s_{i_1} ...
-s_{i_l} = e, as s_{i_1} ... s_{i_l}: no matrix is inverted.  Per-id
-tables hold the root permutation, wbar(theta^vee), the ascent data
-below and the text of a reduced word of wbar, and elements are interned
-on (lambda, id), so an element is the one object with its (lambda, wbar):
-elements hash and compare by identity, at C speed in dicts and sets.
-Ids and hashes follow the order of first appearance and the memory
-layout, so they differ between processes: pickles carry the matrix,
-never the id, and no output depends on them or on set order.
+coweight and wbar a finite Weyl element, so (lambda, wbar) is a unique
+key.  Each group indexes its finite Weyl elements lazily by one key, the
+permutation wbar makes of the 2 * n_pos roots: an element gets an
+integer id the first time its permutation appears (perm[a] is the index
+of f_a o wbar, so the product wbar_1 wbar_2 has perm_2[perm_1[a]] and
+the inverse has the inverse permutation).  Products compose
+permutations and look the result up, and an inverse looks up the
+inverse permutation: no matrix is multiplied or inverted.  The letters
+that strip the finite right descents of wbar, wbar s_{i_1} ... s_{i_l}
+= e, give the matrix of wbar = s_{i_l} ... s_{i_1}, which is built per
+id only when something reads it: the translation part of a product or
+an inverse, the affine action, `fin`, a pickle or `element`.  Per-id
+tables hold the root permutation, wbar(theta^vee) (the coroot of the
+root wbar(theta)), the ascent data below and the text of a reduced word
+of wbar, and elements are interned on (lambda, id), so an element is
+the one object with its (lambda, wbar): elements hash and compare by
+identity, at C speed in dicts and sets.  Ids and hashes follow the
+order of first appearance and the memory layout, so they differ between
+processes: pickles still carry the matrix, never the id, and no output
+depends on them or on set order.
 The Coxeter structure is taken with respect to the dominant base
 alcove {0 < <alpha, x> < 1 for all positive roots alpha}: the simple
 affine reflections are the finite simple reflections s_1..s_r together
@@ -54,10 +57,8 @@ is enumerated as the subword closure of the translations in the orbit.
 from .rootdata import (
     DimensionMismatch,
     dot,
-    mat_mul,
     mat_vec,
     vec_add,
-    vec_mat,
     vec_scale,
 )
 
@@ -81,23 +82,27 @@ class InvariantViolation(AssertionError):
 class AffineWeylElement:
     """t_lambda * wbar; immutable, interned per group on (trans, _fi).
 
-    `fin` is the matrix of wbar and `_fi` its id in the group's finite
-    Weyl index.  Interning makes equal elements the same object, so the
-    default identity hash and equality are exact; ids are private to one
-    process, so pickling carries the matrix.
+    `_fi` is the id of wbar in the group's finite Weyl index, keyed by
+    its root permutation; `fin`, the matrix of wbar, is built for the id
+    on first read.  Interning makes equal elements the same object, so
+    the default identity hash and equality are exact; ids are private to
+    one process, so pickling carries the matrix.
     """
 
-    __slots__ = ("group", "trans", "fin", "_fi", "_len", "_rdesc", "_word", "_enc")
+    __slots__ = ("group", "trans", "_fi", "_len", "_rdesc", "_word", "_enc")
 
     def __init__(self, group, trans, fi):
         self.group = group
         self.trans = trans
-        self.fin = group._fmat[fi]
         self._fi = fi
         self._len = None
         self._rdesc = None
         self._word = None
         self._enc = None
+
+    @property
+    def fin(self):
+        return self.group._matrix(self._fi)
 
     def __mul__(self, other):
         return self.group.mul(self, other)
@@ -171,95 +176,93 @@ class AffineWeylGroup:
         self._adm = {}
         self._weyl = None
         d = datum
-        zero = (0,) * d.dim
-        # generator 0 is the affine reflection through <theta, x> = 1
-        theta = d.highest_root()
-        theta_covee = d.highest_coroot()
-        s_theta = d.reflection(theta, theta_covee)
-        self.gens = [(theta_covee, s_theta)]
-        for i, s in enumerate(d.simple_reflections):
-            self.gens.append((zero, s))
-        self.n_gens = len(self.gens)
+        # generator 0 is the affine reflection through <theta, x> = 1; its
+        # finite part s_theta, like s_i, enters only as a root permutation
+        fins = (d.reflection(d.highest_root(), d.highest_coroot()),) + d.simple_reflections
+        self.n_gens = len(fins)
         # the roots: index a < n_pos is pos_roots[a], a + n_pos its negative
         n = d.n_pos
         self._roots = d.pos_roots + tuple(vec_scale(f, -1) for f in d.pos_roots)
+        self._coroots = d.pos_coroots + tuple(vec_scale(f, -1) for f in d.pos_coroots)
         self._root_idx = {f: a for a, f in enumerate(self._roots)}
         # (index of b_i, c_i) for the affine simple roots alpha_i = b_i + c_i
         self._aff_simple = [(d.theta_idx + n, 1)] + [(a, 0) for a in d.simple_idx]
-        self._gperm = [self._perm_of(s) for _gamma, s in self.gens]
-        # the finite Weyl index: id k stands for the matrix _fmat[k] with the
-        # root permutation _perm[k]; every per-id list grows when an element
-        # is first seen, and the products and inverses are filled in on
-        # their first lookup
-        self._fmat = []
-        self._fidx = {}  # matrix -> id
+        self._gperm = [self._perm_of(s) for s in fins]
+        # the finite Weyl index: id k stands for the root permutation
+        # _perm[k]; every per-id list grows when an element is first seen,
+        # and the matrices and products are filled in on their first lookup
         self._pidx = {}  # root permutation -> id
         self._perm = []
+        self._fmat = []  # the matrix of wbar, or None until it is read
         self._g0 = []  # wbar(theta^vee), the translation part of wbar * s_0
         self._asc = []  # per generator (beta, bound): x s_i > x iff <beta, lambda> <= bound
-        self._finv = []
         self._rmul = [[] for _ in range(self.n_gens)]  # id of wbar * s_i
         self._fprod = {}  # (id, id) -> id of the product
         self._fword = []  # the text "s1.s2..." of a reduced word of wbar, for encode
         self._conj = {}  # (omega, i) -> j with omega s_i omega^{-1} = s_j
         self._right = [_RightTable(self, i) for i in range(self.n_gens)]  # {x: x s_i}
-        self.identity = self._make(zero, self._fid(d.identity))
+        self.identity = self._make((0,) * d.dim, self._register(tuple(range(2 * n))))
 
     # -- the finite Weyl index ---------------------------------------------
 
     def _perm_of(self, m):
-        """The root permutation of the finite Weyl matrix m."""
+        """The root permutation of the finite Weyl matrix m: f o m has the
+        entries <f, column> over the columns of m."""
         n = self.datum.n_pos
         idx = self._root_idx
-        half = tuple(idx[vec_mat(f, m)] for f in self.datum.pos_roots)
+        cols = tuple(zip(*m))
+        half = tuple([idx[tuple([dot(f, c) for c in cols])] for f in self.datum.pos_roots])
         return half + tuple(p - n if p >= n else p + n for p in half)
 
-    def _fid(self, m):
-        """The id of the finite Weyl matrix m, registered on first sight."""
-        k = self._fidx.get(m)
-        if k is None:
-            k = self._register(m, self._perm_of(m))
-        return k
+    def _register(self, perm):
+        """Give the finite Weyl element with root permutation perm the next id.
 
-    def _register(self, m, perm):
-        """Give the matrix m, whose root permutation is perm, the next id.
-
-        Every per-id value is computed and appended before the id is
-        published in _fidx and _pidx, so a failure leaves no id that the
-        lookups find but the lists lack."""
+        wbar(theta^vee) is the coroot of the root wbar(theta), of index
+        inv[theta_idx].  Every per-id value is computed and appended
+        before the id is published in _pidx, so a failure leaves no id
+        that the lookup finds but the lists lack."""
         n = self.datum.n_pos
-        g0 = mat_vec(m, self.gens[0][0])
         inv = _inverse(perm)
+        g0 = self._coroots[inv[self.datum.theta_idx]]
         asc = tuple((self._roots[inv[b]], c - (inv[b] >= n)) for b, c in self._aff_simple)
-        k = len(self._fmat)
-        self._fmat.append(m)
+        k = len(self._perm)
         self._perm.append(perm)
+        self._fmat.append(None)
         self._g0.append(g0)
         self._asc.append(asc)
-        self._finv.append(None)
         self._fword.append(None)
         for row in self._rmul:
             row.append(None)
-        self._fidx[m] = k
         self._pidx[perm] = k
         return k
 
-    def _compose(self, p, q, m1, m2):
-        """The id of m1 * m2, given their root permutations p and q."""
-        perm = tuple([q[a] for a in p])
+    def _fid(self, perm):
+        """The id of the root permutation perm, registered on first sight."""
         k = self._pidx.get(perm)
-        if k is None:
-            k = self._register(mat_mul(m1, m2), perm)
-        return k
+        return self._register(perm) if k is None else k
+
+    def _compose(self, p, q):
+        """The id of the product of the elements with root permutations p, q."""
+        return self._fid(tuple([q[a] for a in p]))
 
     def _fin_right(self, k, i):
-        """The id of _fmat[k] * s_i."""
+        """The id of wbar_k * s_i."""
         j = self._rmul[i][k]
         if j is None:
-            j = self._rmul[i][k] = self._compose(
-                self._perm[k], self._gperm[i], self._fmat[k], self.gens[i][1]
-            )
+            j = self._rmul[i][k] = self._compose(self._perm[k], self._gperm[i])
         return j
+
+    def _matrix(self, k):
+        """The matrix of wbar_k, built on first read: wbar_k = s_{i_l} ...
+        s_{i_1} for the letters of _finite_descents, applied to the unit
+        vectors as simple reflections of coweights."""
+        m = self._fmat[k]
+        if m is None:
+            cols = self.datum.identity
+            for i in self._finite_descents(k):
+                cols = [self.datum.reflect_simple(i - 1, v) for v in cols]
+            m = self._fmat[k] = tuple(zip(*cols))
+        return m
 
     # -- construction --------------------------------------------------
 
@@ -271,17 +274,23 @@ class AffineWeylGroup:
         return el
 
     def element(self, trans, fin):
-        """t_trans * fin; fin must be a matrix of the finite Weyl group."""
+        """t_trans * fin; fin must be a matrix of the finite Weyl group.
+
+        The id is looked up by the root permutation of fin and taken only
+        if its matrix is fin; any other fin must be in finite_weyl()."""
         trans = self.datum.check_coweight(trans)
-        k = self._fidx.get(fin)
-        if k is None:
+        try:
+            k = self._pidx.get(self._perm_of(fin))
+        except (KeyError, IndexError, TypeError):  # fin does not permute the roots
+            k = None
+        if k is None or self._matrix(k) != fin:
             if self._weyl is None:
                 self._weyl = frozenset(m for m, _sign in self.datum.finite_weyl())
             if fin not in self._weyl:
                 raise ValueError(
                     f"{fin!r} is not in the finite Weyl group of {self.datum.label}"
                 )
-            k = self._fid(fin)
+            k = self._fid(self._perm_of(fin))
         return self._make(trans, k)
 
     def translation(self, lam):
@@ -291,8 +300,7 @@ class AffineWeylGroup:
         return self.element((0,) * self.datum.dim, mat)
 
     def simple_reflection(self, i):
-        gamma, s = self.gens[i]
-        return self._make(gamma, self._fid(s))
+        return self.mul_gen(self.identity, i)
 
     # -- group law -------------------------------------------------------
 
@@ -302,10 +310,9 @@ class AffineWeylGroup:
         key = (a._fi, b._fi)
         k = self._fprod.get(key)
         if k is None:
-            k = self._fprod[key] = self._compose(
-                self._perm[a._fi], self._perm[b._fi], a.fin, b.fin
-            )
-        y = self._make(vec_add(a.trans, mat_vec(a.fin, b.trans)), k)
+            k = self._fprod[key] = self._compose(self._perm[a._fi], self._perm[b._fi])
+        m = self._fmat[a._fi] or self._matrix(a._fi)
+        y = self._make(vec_add(a.trans, mat_vec(m, b.trans)), k)
         # multiplying by a length-zero element keeps the length
         if y._len is None:
             if b._len == 0:
@@ -340,17 +347,10 @@ class AffineWeylGroup:
         return j
 
     def inv(self, a):
-        """t_{-wbar^{-1} lambda} wbar^{-1} for a = t_lambda wbar; wbar^{-1} is
-        s_{i_1} ... s_{i_l} for the letters that strip the descents of wbar."""
-        k = a._fi
-        j = self._finv[k]
-        if j is None:
-            j = 0
-            for i in self._finite_descents(k):
-                j = self._fin_right(j, i)
-            self._finv[k] = j
-            self._finv[j] = k
-        y = self._make(vec_scale(mat_vec(self._fmat[j], a.trans), -1), j)
+        """t_{-wbar^{-1} lambda} wbar^{-1} for a = t_lambda wbar; wbar^{-1} has
+        the inverse root permutation."""
+        j = self._fid(_inverse(self._perm[a._fi]))
+        y = self._make(vec_scale(mat_vec(self._matrix(j), a.trans), -1), j)
         if y._len is None:
             y._len = a._len
         return y
@@ -379,8 +379,13 @@ class AffineWeylGroup:
         return x._rdesc
 
     def first_right_descent(self, x):
-        ds = self.right_descents(x)
-        return ds[0] if ds else None
+        """The smallest right descent of x, or None: the held descents if
+        any, else the ascent test up to the first generator that fails it."""
+        if x._rdesc is not None:
+            return x._rdesc[0] if x._rdesc else None
+        lam = x.trans
+        asc = enumerate(self._asc[x._fi])
+        return next((i for i, (beta, bound) in asc if dot(beta, lam) > bound), None)
 
     def reduced_word(self, x):
         """Canonical factorisation x = omega * s_{i_1} ... s_{i_k}.
@@ -493,7 +498,7 @@ class AffineWeylGroup:
             i = next((i for i in range(1, self.n_gens) if asc[i][1] < 0), None)
             if i is None or len(letters) == steps:
                 raise InvariantViolation(
-                    f"the finite part {self._fmat[k]} is not e after {len(letters)} descents"
+                    f"the finite part {self._perm[k]} is not e after {len(letters)} descents"
                 )
             letters.append(i)
             k = self._fin_right(k, i)

@@ -6,6 +6,7 @@ command-line front end and the test suite can consume the same checks.
 
 import importlib.resources
 import random
+from functools import reduce
 
 from . import central, multiplicity, wakimoto
 from .affweyl import AffineWeylGroup, group
@@ -111,8 +112,8 @@ def matrix_length(datum, trans, fin):
 
 def _affine_gens(d):
     """(translation, matrix) of s_0, ..., s_n by plain arithmetic, s_0 the
-    affine reflection through <theta, x> = 1; independent of
-    AffineWeylGroup.gens."""
+    affine reflection through <theta, x> = 1; independent of the root
+    permutations that AffineWeylGroup keeps for them."""
     zero = (0,) * d.dim
     theta_covee = d.highest_coroot()
     gens = [(theta_covee, d.reflection(d.highest_root(), theta_covee))]
@@ -150,7 +151,11 @@ def _product(a, b):
 def finite_weyl_checks():
     """The indexed group law and the ascent test against plain matrix
     arithmetic, in one sweep over x = t_lam m for every finite Weyl matrix
-    m and translation lam of each case of FINITE_INDEX_CASES.
+    m and translation lam of each case of FINITE_INDEX_CASES.  The group
+    keys a finite Weyl element by its root permutation alone and builds
+    its matrix on first read (pickles still carry that matrix), so every
+    matrix it returns is checked here against finite_weyl(), mat_mul and
+    mat_vec.
 
     * finite-index-vs-matrix: x, x^{-1}, x * s_i and s_i * x for every
       generator i;
@@ -160,16 +165,22 @@ def finite_weyl_checks():
     * ascent-vs-length: x built in a fresh group, where no length is
       known yet: i is a right descent of x iff l(x s_i) < l(x) by
       matrix_length, and the length x * s_i inherits through mul_gen
-      from l(x) must be matrix_length of x s_i.
+      from l(x) must be matrix_length of x s_i;
+    * finite-walk-vs-matrix: every finite element of a fresh group,
+      reached from e by mul_gen walks only, so that each id is made by
+      composing permutations and no matrix is handed in: its `fin`, built
+      on that read, must be the mat_mul product of the generator matrices
+      along the walk, and wbar(theta^vee), which the group reads from the
+      permutation, must be mat_vec(m, theta^vee).
 
     Each product or inverse is compared with its (translation, matrix)
     pair from mat_mul and mat_vec: it must be the interned element for the
     pair, with the Iwahori-Matsumoto length.  The inverse of a matrix m is
     the matrix of finite_weyl() whose product with m is the identity.
     Returns the three index entries, then the three product entries, then
-    the three ascent entries.
+    the three ascent entries, then the three walk entries.
     """
-    results = ([], [], [])  # index, product, ascent
+    results = ([], [], [], [])  # index, product, ascent, walk
     for fam, n, regular, other in FINITE_INDEX_CASES:
         d = create(fam, n)
         g = group(d)
@@ -187,8 +198,8 @@ def finite_weyl_checks():
         if tau is not None:
             factors.append((tau, (tau.trans, tau.fin), True))
             factors.append((g.inv(tau), inverse_pair(tau.trans, tau.fin), True))
-        cases = [0, 0, 0]
-        bad = [0, 0, 0]
+        cases = [0, 0, 0, 0]
+        bad = [0, 0, 0, 0]
         for m in weyl:
             for lam in (zero, regular, other):
                 x = g.element(lam, m)
@@ -217,15 +228,25 @@ def finite_weyl_checks():
                 for i, ys in enumerate(right):
                     lys = matrix_length(d, *ys)
                     bad[2] += (i in descents) != (lys < ly) or fresh.mul_gen(y, i).length() != lys
+        fresh = AffineWeylGroup(d)
+        words = [g.reduced_word(g.finite(m))[1] for m in weyl]
+        prods = [reduce(mat_mul, [gens[i][1] for i in w], d.identity) for w in words]
+        want = [(fresh.from_word(fresh.identity, w), zero, m) for w, m in zip(words, prods)]
+        cases[3] = len(want)
+        bad[3] = (sorted(m for _, _, m in want) != weyl) + any(fresh._fmat)  # no matrix yet
+        bad[3] += _matrix_mismatches(fresh, want)
+        bad[3] += sum(fresh._g0[y._fi] != mat_vec(m, gens[0][0]) for y, _, m in want)
         details = (
             f"{cases[0]} elements from {len(weyl)} finite Weyl matrices",
             f"{cases[1]} products by Omega and {len(weyl[::5])} finite elements",
             f"{cases[2]} (element, generator) pairs",
+            f"{cases[3]} finite elements reached by mul_gen walks",
         )
-        kinds = ("finite-index-vs-matrix", "finite-product-vs-matrix", "ascent-vs-length")
+        kinds = ("finite-index-vs-matrix", "finite-product-vs-matrix", "ascent-vs-length",
+                 "finite-walk-vs-matrix")
         for kind, out, k, detail in zip(kinds, results, bad, details):
             out.append((f"{kind}-{d.label}", k == 0, f"{detail}, {k} mismatches"))
-    return results[0] + results[1] + results[2]
+    return results[0] + results[1] + results[2] + results[3]
 
 
 def longest_in_double_coset(g, lam):

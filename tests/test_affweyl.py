@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from affhecke import affweyl, checks
+from affhecke import affweyl, checks, cli, hecke, rootdata
 from affhecke.affweyl import DatumMismatch, group
 from affhecke.checks import ball
 from affhecke.rootdata import DimensionMismatch, NotDominant, create, dot, mat_vec
@@ -283,48 +283,60 @@ def test_finite_index_vs_matrix_oracle(finite_weyl_results):
         assert not datum.is_dominant(other)
 
 
+def count_index_calls(monkeypatch):
+    """Patch AffineWeylGroup._register and _compose to record their calls."""
+    calls = {"_register": [], "_compose": []}
+    for name, made in calls.items():
+        real = getattr(affweyl.AffineWeylGroup, name)
+
+        def counting(self, *args, real=real, made=made):
+            made.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(affweyl.AffineWeylGroup, name, counting)
+    return calls
+
+
 def test_index_fills_each_table_cell_once(monkeypatch):
     # Adm, encode and decode read the finite Weyl index: at most one
-    # mat_mul per cell of the right generator table
-    calls = []
-    real = affweyl.mat_mul
-
-    def counting(a, b):
-        calls.append(1)
-        return real(a, b)
-
-    monkeypatch.setattr(affweyl, "mat_mul", counting)
+    # registration per element of W and one permutation composition per
+    # cell of the right generator tables
+    calls = count_index_calls(monkeypatch)
     datum = create("GL", 4)
     G = affweyl.AffineWeylGroup(datum)
     adm = G.adm((2, 1, 1, 0))
     for x in adm:
         assert G.decode(G.encode(x)) is x
-    assert 0 < len(calls) <= G.n_gens * len(datum.finite_weyl())
+    assert 0 < len(calls["_register"]) == len(G._perm) <= len(datum.finite_weyl())
+    assert 0 < len(calls["_compose"]) <= G.n_gens * len(datum.finite_weyl())
+    assert len(set(calls["_compose"])) == len(calls["_compose"])
 
 
 def test_a_failed_registration_publishes_no_id(monkeypatch):
     # a failure inside the registration of a new finite Weyl element must
-    # leave no id that _fidx or _pidx find but the per-id lists lack
+    # leave no id that _pidx finds but the per-id lists lack
     datum = create("GL", 3)
     G = affweyl.AffineWeylGroup(datum)
     s1 = datum.simple_reflections[0]
-    assert s1 not in G._fidx
+    perm = G._perm_of(s1)
+    assert perm not in G._pidx
     failed = []
-    real = affweyl.mat_vec
+    real = affweyl._inverse
 
-    def fail_once(m, v):
+    def fail_once(p):
         if not failed:
             failed.append(1)
             raise RuntimeError("injected")
-        return real(m, v)
+        return real(p)
 
-    monkeypatch.setattr(affweyl, "mat_vec", fail_once)
+    monkeypatch.setattr(affweyl, "_inverse", fail_once)
     with pytest.raises(RuntimeError):
         G.element((1, 0, 0), s1)
-    n = len(G._fmat)
-    for per_id in (G._perm, G._g0, G._asc, G._finv, G._fword, *G._rmul):
+    assert failed and perm not in G._pidx
+    n = len(G._perm)
+    for per_id in (G._fmat, G._g0, G._asc, G._fword, *G._rmul):
         assert len(per_id) == n
-    assert all(k < n for k in (*G._fidx.values(), *G._pidx.values()))
+    assert all(k < n for k in G._pidx.values())
     x = G.element((1, 0, 0), s1)
     assert x.fin == s1 and x.length() == G._length(x.trans, x._fi) == 1
 
@@ -362,17 +374,11 @@ def test_elements_hash_and_compare_by_identity():
             assert pickle.loads(pickle.dumps(x)) is x
 
 
-def test_group_law_makes_one_matrix_product_per_finite_element(monkeypatch):
-    # products and inverses compose root permutations; a matrix is
-    # multiplied only to register a new finite Weyl element
-    calls = []
-    real = affweyl.mat_mul
-
-    def counting(a, b):
-        calls.append(1)
-        return real(a, b)
-
-    monkeypatch.setattr(affweyl, "mat_mul", counting)
+def test_group_law_registers_each_finite_element_once(monkeypatch):
+    # products compose root permutations and inverses invert them: each
+    # finite Weyl element is registered once, and each composition fills
+    # one cell of a right generator table or one id pair of the products
+    calls = count_index_calls(monkeypatch)
     datum = create("GL", 4)
     G = affweyl.AffineWeylGroup(datum)
     adm = G.adm((2, 1, 1, 0))
@@ -383,7 +389,32 @@ def test_group_law_makes_one_matrix_product_per_finite_element(monkeypatch):
         assert G.mul(G.inv(x), x) is G.identity
         for omega in (tau, G.inv(tau)):
             assert G.mul(x, omega).length() == G.mul(omega, x).length() == x.length()
-    assert 0 < len(calls) <= len(G._fmat) <= len(datum.finite_weyl()) == 24
+    assert 0 < len(calls["_register"]) == len(G._perm) <= len(datum.finite_weyl()) == 24
+    cells = sum(j is not None for row in G._rmul for j in row)
+    assert 0 < len(calls["_compose"]) == cells + len(G._fprod)
+    assert cells <= G.n_gens * 24
+
+
+def test_table_and_trace_multiply_no_matrices(monkeypatch, capsys):
+    # the finite Weyl index composes root permutations and builds a matrix
+    # from simple reflections: no matrix product on the table or trace path
+    assert not hasattr(affweyl, "mat_mul")
+    calls = []
+    real = rootdata.mat_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(rootdata, "mat_mul", counting)
+    # fresh data, groups and contexts, so every finite element is new
+    monkeypatch.setattr(rootdata, "_DATA", {})
+    monkeypatch.setattr(affweyl, "_GROUPS", {})
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    assert cli.main(["table", "GL5", "--mu", "1,1,0,0,0"]) == 0
+    assert cli.main(["query", "kottwitz", "GL5", "--mu", "2,1,0,0,0"]) == 0
+    assert capsys.readouterr().out.startswith("Number of admissible alcoves: 131")
+    assert calls == []
 
 
 def test_finite_product_vs_matrix_oracle(finite_weyl_results):
@@ -412,6 +443,19 @@ def test_ascent_vs_length_oracle(finite_weyl_results):
     assert [int(detail.split()[0]) for _, _, detail in results] == [
         24 * 3 * 4, 48 * 3 * 4, 12 * 3 * 3
     ]
+
+
+def test_finite_walk_vs_matrix_oracle(finite_weyl_results):
+    results = finite_weyl_results[9:12]
+    assert [name for name, _, _ in results] == [
+        f"finite-walk-vs-matrix-{label}" for label in ("GL4", "GSp6", "G2")
+    ]
+    for name, ok, detail in results:
+        assert ok, (name, detail)
+        assert detail.endswith(", 0 mismatches"), detail
+    # the walks reach every element of W
+    assert [int(detail.split()[0]) for _, _, detail in results] == [24, 48, 12]
+    assert len(finite_weyl_results) == 12
 
 
 def test_pickle_returns_the_interned_element():
@@ -457,13 +501,19 @@ def test_pickle_carries_the_matrix_across_processes():
 
 def test_element_rejects_non_weyl_matrix_and_wrong_length():
     G = gl(3)
-    known = len(G._fmat)
+    known = len(G._perm)
     shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
-    for make in (lambda: G.element((0, 0, 0), shear), lambda: G.finite(shear)):
-        with pytest.raises(ValueError) as info:
-            make()
-        assert not isinstance(info.value, DimensionMismatch)
-    assert len(G._fmat) == known
+    # fixes every root, so it has the root permutation of the identity
+    fixes_roots = ((2, 0, 0), (1, 1, 0), (1, 0, 1))
+    # sends e1 - e2 to e1 - 2 e2, which is not a root
+    off_roots = ((1, 0, 0), (0, 2, 0), (0, 0, 1))
+    for fin in (shear, fixes_roots, off_roots):
+        for make in (lambda: G.element((0, 0, 0), fin), lambda: G.finite(fin)):
+            with pytest.raises(ValueError) as info:
+                make()
+            assert not isinstance(info.value, (DimensionMismatch, KeyError))
+    assert G._perm_of(fixes_roots) == G._perm[G.identity._fi]
+    assert len(G._perm) == known
     ident = create("GL", 3).identity
     for trans in ((0, 0), (1, 0, 0, 0)):
         with pytest.raises(DimensionMismatch):
