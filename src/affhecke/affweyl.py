@@ -174,7 +174,6 @@ class AffineWeylGroup:
         self._intervals = {}
         self._below = {}
         self._adm = {}
-        self._weyl = None
         d = datum
         # generator 0 is the affine reflection through <theta, x> = 1; its
         # finite part s_theta, like s_i, enters only as a root permutation
@@ -253,16 +252,19 @@ class AffineWeylGroup:
         return j
 
     def _matrix(self, k):
-        """The matrix of wbar_k, built on first read: wbar_k = s_{i_l} ...
-        s_{i_1} for the letters of _finite_descents, applied to the unit
-        vectors as simple reflections of coweights."""
+        """The matrix of wbar_k, built on first read (see _word_matrix)."""
         m = self._fmat[k]
         if m is None:
-            cols = self.datum.identity
-            for i in self._finite_descents(k):
-                cols = [self.datum.reflect_simple(i - 1, v) for v in cols]
-            m = self._fmat[k] = tuple(zip(*cols))
+            m = self._fmat[k] = self._word_matrix(self._finite_descents(k))
         return m
+
+    def _word_matrix(self, letters):
+        """The matrix of s_{i_l} ... s_{i_1} for letters i_1, ..., i_l: the
+        simple reflections of coweights applied to the unit vectors."""
+        cols = self.datum.identity
+        for i in letters:
+            cols = [self.datum.reflect_simple(i - 1, v) for v in cols]
+        return tuple(zip(*cols))
 
     # -- construction --------------------------------------------------
 
@@ -277,20 +279,24 @@ class AffineWeylGroup:
         """t_trans * fin; fin must be a matrix of the finite Weyl group.
 
         The id is looked up by the root permutation of fin and taken only
-        if its matrix is fin; any other fin must be in finite_weyl()."""
+        if its matrix is fin.  A permutation not seen yet gets an id only
+        if the letters that strip its finite descents reach e within
+        l(wbar) steps and their simple reflections multiply to fin: no
+        enumeration of W."""
         trans = self.datum.check_coweight(trans)
         try:
-            k = self._pidx.get(self._perm_of(fin))
+            perm = self._perm_of(fin)
         except (KeyError, IndexError, TypeError):  # fin does not permute the roots
-            k = None
+            perm = None
+        k = self._pidx.get(perm)
+        if k is None and perm is not None:
+            letters = self._descents(perm)
+            m = None if letters is None else self._word_matrix(letters)
+            if m == fin:
+                k = self._register(perm)
+                self._fmat[k] = m
         if k is None or self._matrix(k) != fin:
-            if self._weyl is None:
-                self._weyl = frozenset(m for m, _sign in self.datum.finite_weyl())
-            if fin not in self._weyl:
-                raise ValueError(
-                    f"{fin!r} is not in the finite Weyl group of {self.datum.label}"
-                )
-            k = self._fid(self._perm_of(fin))
+            raise ValueError(f"{fin!r} is not in the finite Weyl group of {self.datum.label}")
         return self._make(trans, k)
 
     def translation(self, lam):
@@ -485,23 +491,32 @@ class AffineWeylGroup:
         return x._enc
 
     def _finite_descents(self, k):
-        """The letters i_1, ..., i_l, l = l(wbar), that strip the smallest
-        finite right descent of the finite element k until it is e (id 0):
-        k s_{i_1} ... s_{i_l} = e, so k = s_{i_l} ... s_{i_1}.  At lambda = 0
-        the ascent test of s_i, i >= 1, is beta > 0, that is bound = 0, and
-        a descent has bound = -1."""
-        letters = []
+        """The letters of _descents for the finite element k: k s_{i_1} ...
+        s_{i_l} = e, so k = s_{i_l} ... s_{i_1}."""
+        letters = self._descents(self._perm[k])
+        if letters is None:
+            raise InvariantViolation(f"the finite part {self._perm[k]} does not strip to e")
+        return letters
+
+    def _descents(self, perm):
+        """The letters i_1, ..., i_l that strip the smallest finite right
+        descent of the root permutation perm until it is e, or None if no
+        descent is left before e or e is not reached in l = l(wbar) steps,
+        the number of positive roots perm makes negative.  Walks the
+        inverse q = perm^{-1}: s_i is a descent iff q sends alpha_i to a
+        negative root, and (wbar s_i)^{-1} = s_i wbar^{-1}.  Registers no
+        id, so it can test a permutation that is not in W."""
         n = self.datum.n_pos
-        steps = sum(p >= n for p in self._perm[k][:n])  # l(wbar)
-        while k:
-            asc = self._asc[k]
-            i = next((i for i in range(1, self.n_gens) if asc[i][1] < 0), None)
+        steps = sum(p >= n for p in perm[:n])
+        q = _inverse(perm)
+        e = self._perm[0]
+        letters = []
+        while q != e:
+            i = next((i for i, a in enumerate(self.datum.simple_idx, 1) if q[a] >= n), None)
             if i is None or len(letters) == steps:
-                raise InvariantViolation(
-                    f"the finite part {self._perm[k]} is not e after {len(letters)} descents"
-                )
+                return None
             letters.append(i)
-            k = self._fin_right(k, i)
+            q = tuple([q[a] for a in self._gperm[i]])
         return letters
 
     def decode(self, text):

@@ -15,6 +15,15 @@ variable, and JSON output echoes the value, but they read and write no
 file.  This module is the only one that touches the cache; the library
 computes in memory.
 
+Arguments are read from one table, COMMANDS, as argparse read them:
+`--opt value` or `--opt=value`, a long option cut to a unique prefix,
+options before, between or after the positionals, the last of a
+repeated option wins, a negative number such as `--jobs -3` or an
+empty string is a value, and `--` ends the options.  `-h`/`--help`
+prints the usage to stdout and exits 0.  The module imports no argparse:
+every run is a short process, and argparse with gettext, locale and
+shutil cost about 8 ms of it.
+
 Exit codes: 0 success, 2 usage, parse or I/O error, 3 failed check or
 internal invariant violation.  All output is deterministic: the computation is
 serial and every ordering is fixed.  `table` and `check` accept
@@ -22,7 +31,6 @@ serial and every ordering is fixed.  `table` and `check` accept
 computation.
 """
 
-import argparse
 import os
 import sys
 from collections import namedtuple
@@ -232,59 +240,266 @@ def cmd_check(args):
     return 0 if ok else 3
 
 
+
+
 # -- argument parsing -----------------------------------------------------------
+#
+# COMMANDS is the whole grammar of the command line.  Per command: the
+# handler, a help line, the positionals as (name, nargs, choices, help)
+# with nargs 1, "?" or "*" (the last two after every nargs 1), and the
+# long options as _opt makes them.  parse_args reads argv against it and
+# _help renders it.
+
+DESCRIPTION = (
+    "Exact Iwahori-Hecke algebra computations for extended affine Weyl "
+    "groups: admissible sets, Kazhdan-Lusztig data, Bernstein functions "
+    "and nearby-cycles multiplicity tables."
+)
+HELP_FLAGS = ("-h", "--help")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="affhecke",
-        description=(
-            "Exact Iwahori-Hecke algebra computations for extended affine "
-            "Weyl groups: admissible sets, Kazhdan-Lusztig data, Bernstein "
-            "functions and nearby-cycles multiplicity tables."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _opt(flag, help="", type=str, default=None, choices=None, required=False):
+    return flag, type, default, choices, required, help
 
-    p_table = sub.add_parser("table", help="emit the multiplicity table for (group, mu)")
-    p_table.add_argument("group", help="group label: GL4, GSp6, G2, ...")
-    p_table.add_argument("--mu", required=True, help="dominant coweight, e.g. 1,1,0,0")
-    p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_table.add_argument("--out", help="write output to a file instead of stdout")
-    p_table.add_argument("--cache-dir", help=CACHE_HELP)
-    p_table.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    p_table.set_defaults(fn=cmd_table)
 
-    p_query = sub.add_parser("query", help="compute a single object")
-    p_query.add_argument(
-        "kind",
-        choices=("adm", "kl", "invkl", "rpoly", "theta", "z", "kottwitz", "wakimoto"),
-    )
-    p_query.add_argument("group")
-    p_query.add_argument("elements", nargs="*", help="element encodings t[...]*w[...]")
-    p_query.add_argument("--mu", help="dominant coweight")
-    p_query.add_argument("--lam", help="coweight (theta, z)")
-    p_query.add_argument("--format", choices=("text", "json"), default="text")
-    p_query.add_argument("--out")
-    p_query.add_argument("--cache-dir", help=NO_CACHE_HELP)
-    p_query.set_defaults(fn=cmd_query)
+COMMANDS = {
+    "table": (
+        cmd_table,
+        "emit the multiplicity table for (group, mu)",
+        [("group", 1, None, "group label: GL4, GSp6, G2, ...")],
+        [
+            _opt("--mu", "dominant coweight, e.g. 1,1,0,0", required=True),
+            _opt("--format", "output format", choices=("text", "csv", "json"), default="text"),
+            _opt("--out", "write output to a file instead of stdout"),
+            _opt("--cache-dir", CACHE_HELP),
+            _opt("--jobs", JOBS_HELP, int, 1),
+        ],
+    ),
+    "query": (
+        cmd_query,
+        "compute a single object",
+        [
+            ("kind", 1, ("adm", "kl", "invkl", "rpoly", "theta", "z", "kottwitz", "wakimoto"),
+             "what to compute"),
+            ("group", 1, None, "group label"),
+            ("elements", "*", None, "element encodings t[...]*w[...]"),
+        ],
+        [
+            _opt("--mu", "dominant coweight"),
+            _opt("--lam", "coweight (theta, z)"),
+            _opt("--format", "output format", choices=("text", "json"), default="text"),
+            _opt("--out", "write output to a file instead of stdout"),
+            _opt("--cache-dir", NO_CACHE_HELP),
+        ],
+    ),
+    "check": (
+        cmd_check,
+        "run a verification suite",
+        [
+            ("suite", 1, ("properties", "oracles", "golden"), "which suite"),
+            ("group", "?", None, "group label (properties, golden)"),
+        ],
+        [
+            _opt("--mu", "dominant coweight (properties, golden)"),
+            _opt("--seed", "seed of the random samples", int, 42),
+            _opt("--depth", "ball radius for oracle sweeps", int, 5),
+            _opt("--samples", "random Wakimoto pairs per family", int, 50),
+            _opt("--cache-dir", NO_CACHE_HELP),
+            _opt("--jobs", JOBS_HELP, int, 1),
+        ],
+    ),
+}
 
-    p_check = sub.add_parser("check", help="run a verification suite")
-    p_check.add_argument("suite", choices=("properties", "oracles", "golden"))
-    p_check.add_argument("group", nargs="?", help="group label (properties, golden)")
-    p_check.add_argument("--mu")
-    p_check.add_argument("--seed", type=int, default=42)
-    p_check.add_argument("--depth", type=int, default=5, help="ball radius for oracle sweeps")
-    p_check.add_argument("--samples", type=int, default=50, help="random Wakimoto pairs per family")
-    p_check.add_argument("--cache-dir", help=NO_CACHE_HELP)
-    p_check.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    p_check.set_defaults(fn=cmd_check)
-    return parser
+
+class Args:
+    """A parsed command line: `command`, its handler `fn` and one attribute
+    per argument (`--cache-dir` is `cache_dir`)."""
+
+    def __init__(self, values):
+        self.__dict__.update(values)
+
+
+class ParseExit(Exception):
+    """parse_args ends the run: code 0 with the help for stdout, or code 2
+    with the usage and an error message for stderr."""
+
+    def __init__(self, code, text):
+        super().__init__(code, text)
+        self.code = code
+        self.text = text
+
+
+def _metavar(flag, choices):
+    return "{" + ",".join(choices) + "}" if choices else flag[2:].replace("-", "_").upper()
+
+
+def _usage(command):
+    if command is None:
+        return "usage: affhecke [-h] {" + ",".join(COMMANDS) + "} ..."
+    _fn, _about, positionals, options = COMMANDS[command]
+    words = ["[-h]"]
+    for flag, _type, _default, choices, required, _help in options:
+        word = f"{flag} {_metavar(flag, choices)}"
+        words.append(word if required else f"[{word}]")
+    shapes = {1: "{}", "?": "[{}]", "*": "[{} ...]"}
+    words += [shapes[nargs].format(name) for name, nargs, _choices, _help in positionals]
+    return f"usage: affhecke {command} " + " ".join(words)
+
+
+def _help(command):
+    """The help of the program (command None) or of one command."""
+    if command is None:
+        about = DESCRIPTION
+        rows = [(name, spec[1]) for name, spec in COMMANDS.items()]
+    else:
+        _fn, about, positionals, options = COMMANDS[command]
+        rows = [(name, help + (f": {', '.join(choices)}" if choices else ""))
+                for name, _nargs, choices, help in positionals]
+        rows.append(("-h, --help", "show this help and exit"))
+        for flag, _type, default, choices, required, help in options:
+            note = " (required)" if required else "" if default is None else f" (default: {default})"
+            rows.append((f"{flag} {_metavar(flag, choices)}", help + note))
+    lines = [_usage(command), "", about, ""] + [f"  {a:<25} {b}".rstrip() for a, b in rows]
+    return "\n".join(lines)
+
+
+def _error(command, message):
+    prog = "affhecke" if command is None else f"affhecke {command}"
+    return ParseExit(2, f"{_usage(command)}\n{prog}: error: {message}")
+
+
+def _choose(command, label, value, choices):
+    if choices and value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise _error(command, f"argument {label}: invalid choice: {value!r} (choose from {listed})")
+    return value
+
+
+def _help_flag(command, flag, value):
+    """-h or --help, with the value attached to it or None: argparse took
+    "-hh" for "-h -h" and refused any other attached value."""
+    if value is None or flag == "-h" and value and not value.strip("h"):
+        raise ParseExit(0, _help(command))
+    raise _error(command, f"argument -h/--help: ignored explicit argument {value!r}")
+
+
+def _classify(arg, flags, command):
+    """How argparse read an argument before `--`: None for a positional,
+    else (flag, the value given with it or None), flag None for an unknown
+    option.  A long option may be cut to a unique prefix and take its value
+    after "="; a negative number or an argument with a space is a
+    positional."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in flags:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in flags:
+        return name, value
+    if arg[1] == "-":
+        hits = [f for f in flags if f.startswith(name)]
+        value = value if eq else None
+    else:
+        hits = [f for f in flags if f == arg[:2]]
+        value = arg[2:]
+    if len(hits) > 1:
+        raise _error(command, f"ambiguous option: {arg} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], value
+    head, _dot, tail = arg[1:].rpartition(".")
+    if " " in arg or tail.isdecimal() and (not head or head.isdecimal()):
+        return None
+    return None, None
+
+
+def parse_args(argv):
+    """argv read against COMMANDS as argparse read it: `--opt value` or
+    `--opt=value`, unique prefixes of options, options before, between or
+    after positionals, the last repeat wins and `--` ends the options.  A
+    run of positionals fills the positionals in order, each taking what it
+    can, so a "?" or "*" positional is closed by the first run that
+    reaches it.  Returns Args; raises ParseExit for a help flag or an
+    error."""
+    extras = []  # unknown options: an error once no help flag ends the run
+    for i, arg in enumerate(argv):
+        opt = None if arg == "--" else _classify(arg, HELP_FLAGS, None)
+        if opt is None:
+            break
+        if opt[0] is None:
+            extras.append(arg)
+        else:
+            _help_flag(None, *opt)
+    else:
+        raise _error(None, "the following arguments are required: command")
+    command = _choose(None, "command", argv[i], COMMANDS)
+    fn, _about, positionals, options = COMMANDS[command]
+    flags = {spec[0]: spec for spec in options}
+    flags.update(dict.fromkeys(HELP_FLAGS))
+    rest = argv[i + 1:]
+    mark = rest.index("--") if "--" in rest else len(rest)  # every later word is positional
+    kinds = [_classify(a, flags, command) if k < mark else None for k, a in enumerate(rest)]
+    values = {"command": command, "fn": fn}
+    values.update((spec[0], None) for spec in positionals)
+    values.update((flag[2:].replace("-", "_"), default) for flag, _type, default, *_ in options)
+    seen, filled, k = set(), 0, 0
+    while True:
+        j = next((j for j in range(k, len(rest)) if kinds[j]), len(rest))
+        if k < j or j == len(rest):  # a run of positionals, or the end
+            avail = j - k - (k <= mark < j)
+            todo = positionals[filled:]
+            if avail < sum(nargs == 1 for _name, nargs, *_ in todo):
+                todo = todo[:avail]
+            filled += len(todo)
+            for name, nargs, choices, _help in todo:
+                count = avail if nargs == "*" else min(avail, 1)
+                avail -= count
+                got = []
+                while k < j and (k == mark or count):
+                    count -= k != mark
+                    got.append(rest[k])
+                    k += 1
+                if "--" in got:
+                    got.remove("--")
+                if nargs == 1 and not got:
+                    raise _error(command, f"argument {name}: expected one argument")
+                values[name] = got if nargs == "*" else _choose(
+                    command, name, got[0] if got else None, choices)
+            extras += rest[k:j]
+        if j == len(rest):
+            break
+        (flag, value), k = kinds[j], j + 1
+        if flag is None:
+            extras.append(rest[j])
+            continue
+        if flag in HELP_FLAGS:
+            _help_flag(command, flag, value)
+        _flag, kind, _default, choices, _required, _help = flags[flag]
+        if value is None:
+            if k == len(rest) or k == mark or kinds[k]:
+                raise _error(command, f"argument {flag}: expected one argument")
+            value, k = rest[k], k + 1
+        try:
+            value = kind(value)
+        except ValueError:
+            msg = f"argument {flag}: invalid {kind.__name__} value: {value!r}"
+            raise _error(command, msg) from None
+        values[flag[2:].replace("-", "_")] = _choose(command, flag, value, choices)
+        seen.add(flag)
+    missing = [name for name, nargs, *_ in positionals[filled:] if nargs == 1]
+    missing += [flag for flag, _t, _d, _c, required, _h in options if required and flag not in seen]
+    if missing:
+        raise _error(command, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise _error(None, "unrecognized arguments: " + " ".join(extras))
+    return Args(values)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except ParseExit as stop:
+        print(stop.text, file=sys.stderr if stop.code else sys.stdout)
+        return stop.code
     try:
         return args.fn(args)
     except (

@@ -787,7 +787,8 @@ class KLCache:
 
     Header "klcache v1 <label> <convention>"; one record per line:
     "<x> <w> <poly>" in the canonical text encodings.  Unknown versions,
-    wrong labels, garbled lines, text that does not re-encode to itself,
+    wrong labels, a byte that is not ASCII, garbled lines, text that does
+    not re-encode to itself,
     a record with l(x) >= l(w) or a P that fails the packed _kl_shape, a
     repeated pair or a column whose keys are not [e, w) make the whole
     file ignored and rebuilt, never trusted, so P values read from a file
@@ -854,7 +855,7 @@ class KLCache:
                     elif x in col:
                         return 0  # a repeated pair
                     col[x] = p
-        except OSError:
+        except (OSError, UnicodeDecodeError):  # missing, unreadable or not ASCII
             return 0
         if not self._whole(hctx, staged):
             return 0

@@ -97,10 +97,10 @@ def test_reduced_word_stops_at_the_length(monkeypatch):
 
 
 def test_encode_stops_at_the_finite_length(monkeypatch):
-    # a finite index whose products never reach e must raise in encode
+    # a finite walk whose steps never reach e must raise in encode
     G = affweyl.AffineWeylGroup(create("GL", 3))
     s = G.simple_reflection(1)
-    monkeypatch.setattr(affweyl.AffineWeylGroup, "_fin_right", lambda self, k, i: k)
+    monkeypatch.setattr(G, "_gperm", [G._perm[0]] * G.n_gens)
     with pytest.raises(affweyl.InvariantViolation):
         G.encode(s)
 
@@ -497,6 +497,49 @@ def test_pickle_carries_the_matrix_across_processes():
     rows = [line.split(" ", 1) for line in out.splitlines()]
     assert [enc for _, enc in rows] == [x.encode() for x in pool]
     assert any(int(fi) != x._fi for (fi, _), x in zip(rows, pool))
+
+
+def test_element_lists_no_weyl_group(monkeypatch):
+    # unpickling t[1,0,0,0,0,0,0]*w[s1.s2.s3] in a fresh GL7 checks the
+    # matrix along its own descents: W (5,040 matrices) is never listed
+    datum = create("GL", 7)
+    s = datum.simple_reflections
+    m = rootdata.mat_mul(rootdata.mat_mul(s[0], s[1]), s[2])
+    data = pickle.dumps(affweyl.AffineWeylGroup(datum).element((1, 0, 0, 0, 0, 0, 0), m))
+
+    def fail(self):
+        raise AssertionError("finite_weyl() was called")
+
+    monkeypatch.setattr(rootdata.RootDatum, "finite_weyl", fail)
+    monkeypatch.setattr(rootdata, "_DATA", {})
+    monkeypatch.setattr(affweyl, "_GROUPS", {})
+    y = pickle.loads(data)
+    assert y.fin == m and y.encode() == "t[1,0,0,0,0,0,0]*w[s1.s2.s3]"
+    assert y.group.decode(y.encode()) is y
+
+
+@pytest.mark.parametrize(
+    "n, fin",
+    [
+        # -w0 sends positive roots to positive roots: no descent before e
+        (3, ((0, 0, -1), (0, -1, 0), (-1, 0, 0))),
+        # -1 permutes the roots as s1 does, but it is not s1
+        (2, ((-1, 0), (0, -1))),
+        # 2 * 1 permutes no roots
+        (3, ((2, 0, 0), (0, 2, 0), (0, 0, 2))),
+    ],
+    ids=["minus-w0-GL3", "minus-one-GL2", "two-GL3"],
+)
+def test_element_rejects_matrices_outside_w(n, fin):
+    datum = create("GL", n)
+    G = affweyl.AffineWeylGroup(datum)
+    for _ in range(2):  # in a fresh group, then with all of W indexed
+        known = len(G._perm)
+        with pytest.raises(ValueError):
+            G.element((0,) * n, fin)
+        assert len(G._perm) == known
+        for m, _sign in datum.finite_weyl():
+            G.finite(m)
 
 
 def test_element_rejects_non_weyl_matrix_and_wrong_length():

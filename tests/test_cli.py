@@ -1,7 +1,13 @@
+import argparse
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
 import pathlib
+import random
+import shlex
 import subprocess
 import sys
 
@@ -338,7 +344,7 @@ def test_cache_dir_flag_then_env_then_none(monkeypatch, flag, env, want):
     else:
         monkeypatch.setenv("AFFHECKE_CACHE_DIR", env)
     argv = ["table", "GL3", "--mu", "1,0,0"] + (["--cache-dir", flag] if flag is not None else [])
-    assert cli._cache_dir(cli.build_parser().parse_args(argv)) == want
+    assert cli._cache_dir(cli.parse_args(argv)) == want
 
 
 def test_non_canonical_cache_record_is_rejected(tmp_path, capsys, monkeypatch):
@@ -385,6 +391,32 @@ def test_cache_reused_and_rebuilt(tmp_path, capsys):
     # by the context that wrote the file, too: rebuilt whole
     with open(cache_file, "rb") as fh:
         assert fh.read() == cold
+
+
+@pytest.mark.parametrize("where", ["header", "record"])
+def test_cache_with_a_non_ascii_byte_is_rebuilt(tmp_path, capsys, monkeypatch, where):
+    # the file is ignored as any other garbled file: the table is the one a
+    # run without a cache prints, and the file is written anew
+    monkeypatch.delenv("AFFHECKE_CACHE_DIR", raising=False)
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    code, plain, _ = run(capsys, "table", "GL3", "--mu", "2,2,0")
+    assert code == 0
+    cache = tmp_path / "klc"
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    assert run(capsys, "table", "GL3", "--mu", "2,2,0", "--cache-dir", str(cache))[:2] == (0, plain)
+    path = cache / "klcache_GL3.txt"
+    cold = path.read_bytes()
+    lines = cold.splitlines(keepends=True)
+    if where == "header":
+        path.write_bytes(b"klcache v1 GL3 \xe9\n" + b"".join(lines[1:]))
+    else:
+        path.write_bytes(b"".join(lines[:-1]) + lines[-1].replace(b"*v^", b"*\xe9^", 1))
+    loads = _counting_loads(monkeypatch)
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    code, out, err = run(capsys, "table", "GL3", "--mu", "2,2,0", "--cache-dir", str(cache))
+    assert (code, out, err) == (0, plain, "")
+    assert loads == [0]
+    assert path.read_bytes() == cold
 
 
 def _fresh_table(capsys, monkeypatch, cache):
@@ -559,3 +591,237 @@ def test_packed_digits_too_narrow_exit_3(tmp_path, bits, where):
     assert err.startswith(f"invariant violation: {where} ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not cache.exists() or list(cache.iterdir()) == []
+
+
+@functools.cache
+def reference_parser():
+    """The argparse grammar the command line had before it read argv from
+    cli.COMMANDS: the oracle for parse_args."""
+    parser = argparse.ArgumentParser(prog="affhecke")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("table")
+    p.add_argument("group")
+    p.add_argument("--mu", required=True)
+    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    p.add_argument("--out")
+    p.add_argument("--cache-dir")
+    p.add_argument("--jobs", type=int, default=1)
+    p.set_defaults(fn=cli.cmd_table)
+    p = sub.add_parser("query")
+    p.add_argument(
+        "kind", choices=("adm", "kl", "invkl", "rpoly", "theta", "z", "kottwitz", "wakimoto")
+    )
+    p.add_argument("group")
+    p.add_argument("elements", nargs="*")
+    p.add_argument("--mu")
+    p.add_argument("--lam")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--out")
+    p.add_argument("--cache-dir")
+    p.set_defaults(fn=cli.cmd_query)
+    p = sub.add_parser("check")
+    p.add_argument("suite", choices=("properties", "oracles", "golden"))
+    p.add_argument("group", nargs="?")
+    p.add_argument("--mu")
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--depth", type=int, default=5)
+    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--cache-dir")
+    p.add_argument("--jobs", type=int, default=1)
+    p.set_defaults(fn=cli.cmd_check)
+    return parser
+
+
+X3, Y3 = "t[0,0,0]*w[]", "t[1,0,-1]*w[]"
+
+#: argv vectors with the reading argparse gave them; each is checked
+#: against the reference parser, so a wrong label here fails too
+PARSER_CORPUS = [
+    # --opt value and --opt=value; the defaults
+    ("table GL5 --mu 1,1,0,0,0", "ok"),
+    ("table GL5 --mu=1,1,0,0,0 --format=json --out=o.json --cache-dir=d --jobs=2", "ok"),
+    ("query adm GL4 --mu 1,1,0,0", "ok"),
+    ("check oracles", "ok"),
+    # unique prefixes
+    ("table GL3 --m 1,0,0 --f csv --o o --c d --j 3", "ok"),
+    ("table GL3 --mu 1,0,0 --form=json --cache=d", "ok"),
+    ("check oracles --se 1 --sa 2 --d 3", "ok"),
+    ("query theta GL2 --l 1,0", "ok"),
+    # options before, between or after positionals
+    ("table --mu 1,0,0 GL3", "ok"),
+    ("table --jobs 1 GL3 --mu 1,0,0 --format csv", "ok"),
+    ("query --format json kl GL3 X3 Y3", "ok"),
+    ("query kl --format json GL3 X3 Y3", "ok"),
+    ("query kl GL3 X3 Y3 --format json", "ok"),
+    ("check --seed 7 golden GL3 --mu 2,2,0", "ok"),
+    ("check golden GL3 --mu 2,2,0", "ok"),
+    # the last repeat wins
+    ("table GL3 --mu 1,0,0 --mu 2,1,0 --format csv --format=json", "ok"),
+    ("check oracles --seed 1 --seed=2 --jobs 3 --jobs 1", "ok"),
+    # values that look like options
+    ("table GL3 --mu 1,0,0 --jobs -3", "ok"),
+    ("table GL3 --mu 1,0,0 --jobs=-3", "ok"),
+    ("table GL3 --mu 1,0,0 --cache-dir ''", "ok"),
+    ("table GL3 --mu=-1,0,0", "ok"),
+    ("check oracles --seed -5", "ok"),
+    ("table GL3 --mu 1,0,0 --out -", "ok"),
+    ("table GL3 --mu '1, 0, 0'", "ok"),
+    ("query theta GL3 --lam '-1 0 0'", "ok"),
+    # -- ends the options
+    ("table --mu 1,0,0 -- GL3", "ok"),
+    ("query kl GL3 -- X3 Y3", "ok"),
+    ("query adm GL3 -- --mu 1,0,0", "ok"),
+    ("check oracles --", "ok"),
+    ("check oracles -- GL3", "ok"),
+    ("check -- oracles", "ok"),
+    ("query kl GL3 -- X3 -- Y3", "ok"),
+    # query with 0, 1 and 2 elements; check with and without GROUP
+    ("query kl GL3", "ok"),
+    ("query kl GL3 X3", "ok"),
+    ("query kl GL3 X3 Y3", "ok"),
+    ("query wakimoto GL3 X3 Y3 X3", "ok"),
+    ("check properties GSp4 --mu 1,1,0,0", "ok"),
+    ("check golden --mu 2,2,0", "ok"),
+    # help, at the top and per command, wherever argparse reached it
+    ("-h", "help"),
+    ("--help", "help"),
+    ("--he", "help"),
+    ("--bogus -h", "help"),
+    ("-h table", "help"),
+    ("table -h", "help"),
+    ("table --help GL3", "help"),
+    ("query kl GL3 X3 -h", "help"),
+    ("check -h --seed x", "help"),
+    ("table --bogus -h", "help"),
+    ("table GL3 --mu 1,0,0 -hh", "help"),
+    ("table -- -h", "error"),
+    ("table --format xml -h", "error"),
+    ("table GL3 --mu 1,0,0 -hx", "error"),
+    ("table GL3 --mu 1,0,0 --help=x", "error"),
+    # rejected: bad choices
+    ("", "error"),
+    ("tables GL3 --mu 1,0,0", "error"),
+    ("-- table GL3 --mu 1,0,0", "error"),
+    ("table GL3 --mu 1,0,0 --format xml", "error"),
+    ("query csv GL3", "error"),
+    ("query z GL3 --lam 1,0,0 --format csv", "error"),
+    ("check everything", "error"),
+    # rejected: missing --mu, GROUP or a value
+    ("table GL3", "error"),
+    ("table --mu 1,0,0", "error"),
+    ("table GL3 -- --mu 1,0,0", "error"),
+    ("query kl", "error"),
+    ("check", "error"),
+    ("table GL3 --mu", "error"),
+    ("table GL3 --mu --jobs 1", "error"),
+    ("table GL3 --mu -1,0,0", "error"),
+    ("table GL3 --mu -- 1,0,0", "error"),
+    # rejected: unknown or ambiguous options, stray arguments
+    ("table GL3 --mu 1,0,0 --bogus", "error"),
+    ("table GL3 --mu 1,0,0 -x", "error"),
+    ("--bogus table GL3 --mu 1,0,0", "error"),
+    ("query kl GL3 --l 1,0 --lam=1", "ok"),
+    ("check oracles --s 1", "error"),
+    ("table GL3 --mu 1,0,0 --=x", "error"),
+    ("table GL3 GL4 --mu 1,0,0", "error"),
+    ("table GL3 --mu 1,0,0 --", "error"),
+    ("query adm GL3 --mu 1,0,0 --", "error"),
+    ("query kl GL3 X3 --format json Y3", "error"),
+    ("check golden --mu 2,2,0 GL3", "error"),
+    # rejected: non-integer --jobs, --seed, --depth, --samples
+    ("table GL3 --mu 1,0,0 --jobs x", "error"),
+    ("table GL3 --mu 1,0,0 --jobs 1.5", "error"),
+    ("check oracles --seed x", "error"),
+    ("check oracles --depth=", "error"),
+    ("check oracles --samples 2.0", "error"),
+]
+
+
+def _reference(argv):
+    """vars() of the argparse reading, or its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(reference_parser().parse_args(argv))
+        except SystemExit as stop:
+            return stop.code
+
+
+def _ours(argv):
+    try:
+        return vars(cli.parse_args(argv))
+    except cli.ParseExit as stop:
+        return stop.code
+
+
+def _argv(line):
+    return [{"X3": X3, "Y3": Y3}.get(a, a) for a in shlex.split(line)]
+
+
+@pytest.mark.parametrize("line, reading", PARSER_CORPUS, ids=[c[0] for c in PARSER_CORPUS])
+def test_parse_args_reads_argv_as_argparse_did(line, reading):
+    argv = _argv(line)
+    want = _reference(argv)
+    assert ("ok" if isinstance(want, dict) else {0: "help", 2: "error"}[want]) == reading
+    assert _ours(argv) == want
+
+
+def test_parse_args_on_random_argv():
+    # seeded vectors: a command's positionals with its options, each as
+    # --opt value or --opt=value, cut to a prefix or not, inserted anywhere,
+    # and now and then a stray word, help flag or --
+    values = ["1,0,0", "-1,0,0", "", "json", "csv", "xml", "-3", "x", "--", "-"]
+    positionals = {
+        "table": ["GL3"], "query": ["kl", "GL3", X3, Y3], "check": ["golden", "GL3"],
+    }
+    stray = ["--", "-h", "-hh", "--bogus", "-x", "--s", "x", "a b", "-1", "--help=x"]
+    good = {"--format": "json", "--jobs": "-3", "--seed": "7", "--depth": "3", "--samples": "5"}
+    rng = random.Random(22)
+    readings = {}
+    for _ in range(1500):
+        command = rng.choice(sorted(positionals))
+        argv = positionals[command][: rng.choice((0, 1, 2, 3, 4, 4, 4))]
+        for flag, *_ in cli.COMMANDS[command][3] * 2:
+            if rng.random() < 0.3:
+                value = good.get(flag, "1,0,0") if rng.random() < 0.6 else rng.choice(values)
+                flag = flag[: rng.randint(3, len(flag))]
+                # "--opt=--" is left out: see the test after this one
+                attached = rng.random() < 0.3 and value != "--"
+                words = [f"{flag}={value}"] if attached else [flag, value]
+                at = rng.randint(0, len(argv))
+                argv[at:at] = words
+        if rng.random() < 0.3:
+            argv.insert(rng.randint(0, len(argv)), rng.choice(stray))
+        argv.insert(0 if rng.random() < 0.95 else rng.randint(0, len(argv)), command)
+        want = _reference(argv)
+        readings[type(want)] = readings.get(type(want), 0) + 1
+        assert _ours(argv) == want, argv
+    assert readings[dict] > 150 and readings[int] > 500
+
+
+@pytest.mark.parametrize("line", [c[0] for c in PARSER_CORPUS if c[1] == "error"])
+def test_rejected_argv_exits_2_with_a_message_on_stderr(capsys, line):
+    code, out, err = run(capsys, *_argv(line))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: affhecke") and ": error: " in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["table", "--help"], ["query", "-h"], ["check", "-h"]])
+def test_help_goes_to_stdout_and_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    command = argv[0] if len(argv) == 2 else None
+    assert out.startswith(f"usage: affhecke {command or '[-h]'}")
+    if command:
+        _fn, _about, positionals, options = cli.COMMANDS[command]
+        assert all(name in out for name, *_ in positionals)
+        assert all(flag in out for flag, *_ in options)
+
+
+def test_an_attached_double_dash_is_the_value():
+    # argparse dropped the "--" of "--out=--" and read an empty list, which
+    # --jobs could not compare with 1; the value is now the text given
+    args = cli.parse_args(["table", "GL3", "--mu", "1,0,0", "--out=--", "--cache-dir=--"])
+    assert (args.out, args.cache_dir) == ("--", "--")
+    with pytest.raises(cli.ParseExit) as stop:
+        cli.parse_args(["table", "GL3", "--mu", "1,0,0", "--jobs=--"])
+    assert stop.value.code == 2
