@@ -19,7 +19,9 @@ Arguments are read from one table, COMMANDS, as argparse read them:
 `--opt value` or `--opt=value`, a long option cut to a unique prefix,
 options before, between or after the positionals, the last of a
 repeated option wins, a negative number such as `--jobs -3` or an
-empty string is a value, and `--` ends the options.  `-h`/`--help`
+empty string is a value, and `--` ends the options.  One reading differs
+from argparse's: a word of comma-separated integers, a coweight such as
+`--mu -1,-1,-2`, is a value too where argparse refused it.  `-h`/`--help`
 prints the usage to stdout and exits 0.  The module imports no argparse:
 every run is a short process, and argparse with gettext, locale and
 shutil cost about 8 ms of it.
@@ -134,12 +136,11 @@ def _emit_poly(args, cfg, poly):
 
 
 def _emit_hecke(args, cfg, h):
+    terms = h.encode()
     if args.format == "json":
-        _emit_json(args, cfg, {"terms": h.encode()})
+        _emit_json(args, cfg, {"terms": terms})
     else:
-        lines = [f"{x.encode()} {c.encode()}" for x, c in
-                 sorted(h.terms.items(), key=lambda kv: h.hctx.group.sort_key(kv[0]))]
-        _emit(args, "\n".join(lines) + ("\n" if lines else ""))
+        _emit(args, "".join(f"{x} {c}\n" for x, c in terms.items()))
 
 
 def cmd_query(args):
@@ -191,15 +192,14 @@ def cmd_query(args):
             args, cfg, kottwitz_function(datum, datum.parse_coweight(args.mu))
         )
         return 0
-    if kind == "wakimoto":
-        if len(args.elements) != 2:
-            raise DimensionMismatch("query wakimoto requires two element arguments")
-        v = _parse_element(datum, args.elements[0])
-        w = _parse_element(datum, args.elements[1])
-        raw, _normalized = wakimoto_function(v, w)
-        _emit_hecke(args, cfg, raw)
-        return 0
-    raise DimensionMismatch(f"unknown query kind {kind!r}")
+    # wakimoto, the last kind the parser admits
+    if len(args.elements) != 2:
+        raise DimensionMismatch("query wakimoto requires two element arguments")
+    v = _parse_element(datum, args.elements[0])
+    w = _parse_element(datum, args.elements[1])
+    raw, _normalized = wakimoto_function(v, w)
+    _emit_hecke(args, cfg, raw)
+    return 0
 
 
 # -- check -------------------------------------------------------------------
@@ -209,12 +209,11 @@ def cmd_check(args):
     from . import checks
 
     _require_jobs(args)
-    results = []
     if args.suite == "oracles":
         results = checks.oracle_checks(
             seed=args.seed, depth=args.depth, samples=args.samples
         )
-    elif args.suite in ("properties", "golden"):
+    else:
         if not args.group or not args.mu:
             print("check properties/golden requires GROUP and --mu", file=sys.stderr)
             return 2
@@ -228,9 +227,6 @@ def cmd_check(args):
             except KeyError as exc:
                 print(str(exc), file=sys.stderr)
                 return 2
-    else:
-        print(f"unknown suite {args.suite!r}", file=sys.stderr)
-        return 2
     ok = True
     for name, passed, detail in results:
         status = "PASS" if passed else "FAIL"
@@ -387,8 +383,9 @@ def _classify(arg, flags, command):
     """How argparse read an argument before `--`: None for a positional,
     else (flag, the value given with it or None), flag None for an unknown
     option.  A long option may be cut to a unique prefix and take its value
-    after "="; a negative number or an argument with a space is a
-    positional."""
+    after "="; a negative number, an argument with a space or, unlike in
+    argparse, a word of comma-separated integers such as "-1,0,2" is a
+    positional, so a negative coweight may follow --mu or --lam."""
     if arg[:1] != "-" or arg == "-":
         return None
     if arg in flags:
@@ -407,7 +404,8 @@ def _classify(arg, flags, command):
     if hits:
         return hits[0], value
     head, _dot, tail = arg[1:].rpartition(".")
-    if " " in arg or tail.isdecimal() and (not head or head.isdecimal()):
+    if (" " in arg or tail.isdecimal() and (not head or head.isdecimal())
+            or all(p.removeprefix("-").isdecimal() for p in arg.split(","))):
         return None
     return None, None
 

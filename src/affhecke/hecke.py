@@ -198,16 +198,21 @@ class HeckeElement:
             raise DatumMismatch("Hecke elements over different data")
 
     def encode(self):
-        """JSON-ready dict: element encoding -> coefficient encoding."""
-        return {
-            x.encode(): c.encode()
-            for x, c in sorted(self.terms.items(), key=lambda kv: self.hctx.group.sort_key(kv[0]))
-        }
+        """The one text form: element encoding -> coefficient encoding, in
+        sort_key order.  Equal coefficients are often one shared object,
+        so each distinct object is encoded once."""
+        texts = {}
+        out = {}
+        for x in sorted(self.terms, key=self.hctx.group.sort_key):
+            c = self.terms[x]
+            text = texts.get(id(c))
+            if text is None:
+                text = texts[id(c)] = c.encode()
+            out[x.encode()] = text
+        return out
 
     def __repr__(self):
-        parts = [f"({c.encode()})*T[{x.encode()}]" for x, c in
-                 sorted(self.terms.items(), key=lambda kv: self.hctx.group.sort_key(kv[0]))]
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(f"({c})*T[{x}]" for x, c in self.encode().items()) or "0"
 
 
 class HeckeContext:
@@ -312,7 +317,7 @@ class HeckeContext:
         """Full product; cost is |supp(b)| reduced-word walks over a."""
         self._mine(a, b)
         out = {}
-        for y, c in sorted(b.terms.items(), key=lambda kv: self.group.sort_key(kv[0])):
+        for y, c in b.terms.items():
             part = self.mul_T(a, y)
             for x, d in part.terms.items():
                 _add_into(out, x, d * c)
@@ -764,10 +769,7 @@ class HeckeContext:
 
     def from_ic_basis(self, coeffs):
         """sum_w c_w C''_w as a T-basis element."""
-        return self.sum(
-            self.ic_basis_element(w).scale(coeffs[w])
-            for w in sorted(coeffs, key=self.group.sort_key)
-        )
+        return self.sum(self.ic_basis_element(w).scale(c) for w, c in coeffs.items())
 
 
 _CONVENTION_TAG = "base-alcove=dominant"

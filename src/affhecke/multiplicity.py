@@ -202,24 +202,32 @@ def render_text(table):
     return "\n".join(lines) + "\n"
 
 
+def _element_rows(table):
+    """The per-element fields of the CSV and JSON tables, one dict per
+    element of Adm in order; the keys are the CSV columns."""
+    return [
+        {
+            "element": w.encode(),
+            "length": w.length(),
+            "multiplicities": list(table.mult_vector(w)),
+            "bruhat_configuration": list(table.bruhat_config(w)),
+            "m_poly": table.m_polys[w].encode(),
+        }
+        for w in table.adm
+    ]
+
+
 def render_csv(table):
     import csv
     import io
 
+    rows = _element_rows(table)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["element", "length", "multiplicities", "bruhat_configuration", "m_poly"]
-    )
-    for w in table.adm:
+    writer.writerow(rows[0].keys())
+    for row in rows:
         writer.writerow(
-            [
-                w.encode(),
-                w.length(),
-                ",".join(str(c) for c in table.mult_vector(w)),
-                ",".join(str(c) for c in table.bruhat_config(w)),
-                table.m_polys[w].encode(),
-            ]
+            ",".join(map(str, v)) if isinstance(v, list) else v for v in row.values()
         )
     return buf.getvalue()
 
@@ -232,16 +240,7 @@ def render_json(table, run_config=None):
         "mu": table.datum.format_coweight(table.mu),
         "length_t_mu": table.ell_mu,
         "admissible_count": len(table.adm),
-        "rows": [
-            {
-                "element": w.encode(),
-                "length": w.length(),
-                "multiplicities": list(table.mult_vector(w)),
-                "bruhat_configuration": list(table.bruhat_config(w)),
-                "m_poly": table.m_polys[w].encode(),
-            }
-            for w in table.adm
-        ],
+        "rows": _element_rows(table),
         "grouped": [
             {
                 "length": r.length,

@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -14,6 +15,9 @@ import sys
 import pytest
 
 from affhecke import cli, hecke
+from affhecke.affweyl import group
+from affhecke.laurent import LaurentPoly
+from affhecke.rootdata import parse_group
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -196,6 +200,30 @@ def test_query_json_roundtrip(capsys):
     from affhecke.central import bernstein_central
 
     assert h == bernstein_central(create("GL", 2), (1, 0))
+
+
+@pytest.mark.parametrize("query", ["kottwitz GL4 --mu 2,1,0,0", "z GSp4 --lam 2,1,1,0"])
+def test_query_text_lines_are_the_json_terms_in_order(capsys, query):
+    # one text form: the text lines are the JSON terms, in the order of the
+    # group's sort_key (the JSON file itself sorts its keys as strings)
+    _, text, _ = run(capsys, "query", *query.split())
+    _, doc, _ = run(capsys, "query", *query.split(), "--format", "json")
+    lines = [line.split(" ") for line in text.splitlines()]
+    assert len(lines) > 10 and dict(lines) == json.loads(doc)["terms"]
+    g = group(parse_group(query.split()[1]))
+    keys = [g.sort_key(g.decode(x)) for x, _c in lines]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_query_encodes_each_coefficient_object_once(capsys, monkeypatch, fmt):
+    # the 701 terms of the benchmark's trace case share 21 coefficient objects
+    seen = []
+    encode = LaurentPoly.encode
+    monkeypatch.setattr(LaurentPoly, "encode", lambda p: seen.append(p) or encode(p))
+    code, out, _ = run(capsys, "query", "kottwitz", "GL5", "--mu", "2,1,0,0,0", "--format", fmt)
+    assert code == 0 and out.count("*w[") == 701
+    assert len(seen) == len(set(map(id, seen))) == 21
 
 
 def test_check_golden(tmp_path, capsys):
@@ -593,10 +621,19 @@ def test_packed_digits_too_narrow_exit_3(tmp_path, bits, where):
     assert not cache.exists() or list(cache.iterdir()) == []
 
 
+#: argparse's test for a negative number, which makes a word that starts
+#: with "-" a positional, widened to words of comma-separated integers:
+#: parse_args reads a coweight such as -1,0,0 as a value, where argparse
+#: refused it as an unknown option
+COWEIGHT_OR_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+(,-?\d+)+$")
+
+
 @functools.cache
-def reference_parser():
+def reference_parser(coweights=True):
     """The argparse grammar the command line had before it read argv from
-    cli.COMMANDS: the oracle for parse_args."""
+    cli.COMMANDS: the oracle for parse_args.  With coweights, a word of
+    comma-separated integers is read as argparse read a negative number:
+    the one way parse_args departs from argparse."""
     parser = argparse.ArgumentParser(prog="affhecke")
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("table")
@@ -629,6 +666,9 @@ def reference_parser():
     p.add_argument("--cache-dir")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cli.cmd_check)
+    if coweights:
+        for p in [parser, *sub.choices.values()]:
+            p._negative_number_matcher = COWEIGHT_OR_NUMBER
     return parser
 
 
@@ -663,6 +703,9 @@ PARSER_CORPUS = [
     ("table GL3 --mu 1,0,0 --jobs=-3", "ok"),
     ("table GL3 --mu 1,0,0 --cache-dir ''", "ok"),
     ("table GL3 --mu=-1,0,0", "ok"),
+    ("table GL3 --mu -1,0,0", "ok"),
+    ("table GL3 --mu -1,-1,-2", "ok"),
+    ("query theta GL3 --lam -1,0,1", "ok"),
     ("check oracles --seed -5", "ok"),
     ("table GL3 --mu 1,0,0 --out -", "ok"),
     ("table GL3 --mu '1, 0, 0'", "ok"),
@@ -698,6 +741,10 @@ PARSER_CORPUS = [
     ("table --format xml -h", "error"),
     ("table GL3 --mu 1,0,0 -hx", "error"),
     ("table GL3 --mu 1,0,0 --help=x", "error"),
+    # a coweight word in KIND is an invalid choice, as -1 there always was
+    # (argparse took -1,0,0 for an unknown option and printed the help)
+    ("query -1,0,0 -h", "error"),
+    ("table -1,0,0 -h", "help"),
     # rejected: bad choices
     ("", "error"),
     ("tables GL3 --mu 1,0,0", "error"),
@@ -714,7 +761,6 @@ PARSER_CORPUS = [
     ("check", "error"),
     ("table GL3 --mu", "error"),
     ("table GL3 --mu --jobs 1", "error"),
-    ("table GL3 --mu -1,0,0", "error"),
     ("table GL3 --mu -- 1,0,0", "error"),
     # rejected: unknown or ambiguous options, stray arguments
     ("table GL3 --mu 1,0,0 --bogus", "error"),
@@ -737,11 +783,11 @@ PARSER_CORPUS = [
 ]
 
 
-def _reference(argv):
+def _reference(argv, coweights=True):
     """vars() of the argparse reading, or its exit code."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(reference_parser().parse_args(argv))
+            return vars(reference_parser(coweights).parse_args(argv))
         except SystemExit as stop:
             return stop.code
 
@@ -769,7 +815,7 @@ def test_parse_args_on_random_argv():
     # seeded vectors: a command's positionals with its options, each as
     # --opt value or --opt=value, cut to a prefix or not, inserted anywhere,
     # and now and then a stray word, help flag or --
-    values = ["1,0,0", "-1,0,0", "", "json", "csv", "xml", "-3", "x", "--", "-"]
+    values = ["1,0,0", "-1,0,0", "-1,-1,-2", "", "json", "csv", "xml", "-3", "x", "--", "-"]
     positionals = {
         "table": ["GL3"], "query": ["kl", "GL3", X3, Y3], "check": ["golden", "GL3"],
     }
@@ -796,6 +842,17 @@ def test_parse_args_on_random_argv():
         readings[type(want)] = readings.get(type(want), 0) + 1
         assert _ours(argv) == want, argv
     assert readings[dict] > 150 and readings[int] > 500
+
+
+@pytest.mark.parametrize(
+    "argv", [["table", "GL3", "--mu", "-1,-1,-2"], ["query", "theta", "GL3", "--lam", "-1,0,1"]]
+)
+def test_a_negative_coweight_may_follow_its_option(capsys, argv):
+    # argparse refused these; they now read as --mu=-1,-1,-2 and --lam=-1,0,1
+    assert _reference(argv, coweights=False) == 2
+    attached = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+    got = run(capsys, *argv)
+    assert got[0] == 0 and got == run(capsys, *attached)
 
 
 @pytest.mark.parametrize("line", [c[0] for c in PARSER_CORPUS if c[1] == "error"])

@@ -475,6 +475,32 @@ def test_base_change():
         assert H.from_ic_basis(coeffs) == h
 
 
+@pytest.mark.parametrize("fam, n, mu", [("GL", 3, (2, 1, 0)), ("GSp", 2, (1, 1, 1)), ("G2", 2, (1, 0))])
+def test_exact_sums_do_not_depend_on_the_term_order(fam, n, mu):
+    # mul and from_ic_basis add exact terms in the order they are given;
+    # the one ordering of the output is encode's
+    H = ctx(fam, n)
+    rng = random.Random(9)
+    pool = ball(H.group, 3)
+
+    def sample():
+        return H.sum(H.T(x).scale(LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3) or 1}))
+                     for x in rng.sample(pool, 5))
+
+    def reverse(h):
+        return hecke.HeckeElement._of(H, dict(reversed(h.terms.items())))
+
+    f = kottwitz_function(H.datum, mu)
+    coeffs = H.to_ic_basis(f)
+    back = H.from_ic_basis(dict(reversed(coeffs.items())))
+    assert back == H.from_ic_basis(coeffs) == f
+    assert list(back.encode().items()) == list(f.encode().items())
+    for _ in range(4):
+        a, b = sample(), sample()
+        ab, ab_rev = H.mul(a, b), H.mul(a, reverse(b))
+        assert ab == ab_rev and repr(ab) == repr(ab_rev)
+
+
 def test_kl_recursion_vs_bar_fixedness_oracle():
     results = checks.kl_solver_checks()
     assert [name for name, _, _ in results] == [

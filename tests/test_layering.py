@@ -18,6 +18,11 @@ first needed: no module except checks imports one of LAZY at module level,
 and an import, a table and a query run load none of them, nor argparse
 and the modules it brings (CLI_FREE): the command line parses argv itself.
 
+Hecke elements are ordered for output in one place: in hecke and cli,
+only HeckeElement.encode, the one text form, and the downward solve, which
+needs decreasing length, sort by the group's sort_key.  Exact sums add
+their terms in any order.
+
 No function of the package calls itself: a recursion along a reduced word
 needs a stack frame per generator and fails on long elements, so the
 recursions run on explicit stacks.
@@ -199,6 +204,50 @@ def test_import_and_table_and_query_load_no_lazy_module(tmp_path):
         capture_output=True, env=env, cwd=tmp_path, check=True,
     )
     assert proc.stderr.decode() == "[[], [], ['json']]\n"
+
+
+def sort_key_sites(source):
+    """Sorted (function, line) of every call whose key= argument names
+    sort_key, the function given by its qualified name."""
+    found = []
+    todo = [("", node) for node in ast.parse(source).body]
+    while todo:
+        scope, node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}".lstrip(".")
+        if isinstance(node, ast.Call) and any(
+            kw.arg == "key"
+            and any(
+                isinstance(n, ast.Attribute) and n.attr == "sort_key"
+                or isinstance(n, ast.Name) and n.id == "sort_key"
+                for n in ast.walk(kw.value)
+            )
+            for kw in node.keywords
+        ):
+            found.append((scope, node.lineno))
+        todo.extend((scope, child) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_the_scan_sees_sort_keys():
+    src = (
+        "class H:\n"
+        "    def f(self, t):\n"
+        "        return sorted(t, key=lambda kv: self.g.sort_key(kv[0]))\n"
+        "def g(t, sort_key):\n"
+        "    t.sort(key=sort_key)\n"
+        "    return max(t, key=len), sort_key(t)\n"
+    )
+    assert sort_key_sites(src) == [("H.f", 3), ("g", 5)]
+
+
+@pytest.mark.parametrize(
+    "name, want",
+    [("hecke.py", ["HeckeContext._solve_down", "HeckeElement.encode"]), ("cli.py", [])],
+)
+def test_only_encode_and_the_solve_sort_by_sort_key(name, want):
+    found = sort_key_sites((PACKAGE / name).read_text(encoding="utf-8"))
+    assert [scope for scope, _line in found] == want
 
 
 def self_calls(source):
