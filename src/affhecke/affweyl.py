@@ -89,15 +89,13 @@ class AffineWeylElement:
     one process, so pickling carries the matrix.
     """
 
-    __slots__ = ("group", "trans", "_fi", "_len", "_rdesc", "_word", "_enc")
+    __slots__ = ("group", "trans", "_fi", "_len", "_enc")
 
     def __init__(self, group, trans, fi):
         self.group = group
         self.trans = trans
         self._fi = fi
         self._len = None
-        self._rdesc = None
-        self._word = None
         self._enc = None
 
     @property
@@ -172,8 +170,6 @@ class AffineWeylGroup:
         self.datum = datum
         self._intern = {}
         self._intervals = {}
-        self._below = {}
-        self._adm = {}
         d = datum
         # generator 0 is the affine reflection through <theta, x> = 1; its
         # finite part s_theta, like s_i, enters only as a root permutation
@@ -198,7 +194,6 @@ class AffineWeylGroup:
         self._rmul = [[] for _ in range(self.n_gens)]  # id of wbar * s_i
         self._fprod = {}  # (id, id) -> id of the product
         self._fword = []  # the text "s1.s2..." of a reduced word of wbar, for encode
-        self._conj = {}  # (omega, i) -> j with omega s_i omega^{-1} = s_j
         self._right = [_RightTable(self, i) for i in range(self.n_gens)]  # {x: x s_i}
         self.identity = self._make((0,) * d.dim, self._register(tuple(range(2 * n))))
 
@@ -337,20 +332,16 @@ class AffineWeylGroup:
         omega = t_lambda wbar permutes the walls of the base alcove: it
         sends alpha_i = b_i + c_i to beta + c_i - <beta, lambda> with
         beta = b_i o wbar^{-1}, which must be the affine simple root
-        alpha_j.  Memoised per (omega, i).
+        alpha_j; beta is the root that the permutation of wbar sends to b_i.
         """
-        key = (omega, i)
-        j = self._conj.get(key)
-        if j is None:
-            b, c = self._aff_simple[i]
-            a = _inverse(self._perm[omega._fi])[b]
-            image = (a, c - dot(self._roots[a], omega.trans))
-            if image not in self._aff_simple:
-                raise InvariantViolation(
-                    f"{omega.encode()} does not map the wall of s{i} to a wall"
-                )
-            j = self._conj[key] = self._aff_simple.index(image)
-        return j
+        b, c = self._aff_simple[i]
+        a = self._perm[omega._fi].index(b)
+        image = (a, c - dot(self._roots[a], omega.trans))
+        if image not in self._aff_simple:
+            raise InvariantViolation(
+                f"{omega.encode()} does not map the wall of s{i} to a wall"
+            )
+        return self._aff_simple.index(image)
 
     def inv(self, a):
         """t_{-wbar^{-1} lambda} wbar^{-1} for a = t_lambda wbar; wbar^{-1} has
@@ -376,19 +367,14 @@ class AffineWeylGroup:
 
     def right_descents(self, x):
         """The i with l(x s_i) < l(x), one pairing each."""
-        if x._rdesc is None:
-            lam = x.trans
-            x._rdesc = tuple(
-                i for i, (beta, bound) in enumerate(self._asc[x._fi])
-                if dot(beta, lam) > bound
-            )
-        return x._rdesc
+        lam = x.trans
+        return tuple(
+            i for i, (beta, bound) in enumerate(self._asc[x._fi]) if dot(beta, lam) > bound
+        )
 
     def first_right_descent(self, x):
-        """The smallest right descent of x, or None: the held descents if
-        any, else the ascent test up to the first generator that fails it."""
-        if x._rdesc is not None:
-            return x._rdesc[0] if x._rdesc else None
+        """The smallest right descent of x, or None: the ascent test up to
+        the first generator that fails it."""
         lam = x.trans
         asc = enumerate(self._asc[x._fi])
         return next((i for i, (beta, bound) in asc if dot(beta, lam) > bound), None)
@@ -399,19 +385,17 @@ class AffineWeylGroup:
         Returns (omega, word) with omega of length zero and k = l(x).
         Deterministic: strips the smallest right descent at each step.
         """
-        if x._word is None:
-            word = []
-            y = x
-            while (i := self.first_right_descent(y)) is not None:
-                if len(word) == x.length():
-                    raise InvariantViolation(
-                        f"{x.encode()} has a descent after {len(word)} = l(x) steps"
-                    )
-                word.append(i)
-                y = self.mul_gen(y, i)
-            word.reverse()
-            x._word = (y, tuple(word))
-        return x._word
+        word = []
+        y = x
+        while (i := self.first_right_descent(y)) is not None:
+            if len(word) == x.length():
+                raise InvariantViolation(
+                    f"{x.encode()} has a descent after {len(word)} = l(x) steps"
+                )
+            word.append(i)
+            y = self.mul_gen(y, i)
+        word.reverse()
+        return y, tuple(word)
 
     def from_word(self, omega, word):
         y = omega
@@ -454,12 +438,8 @@ class AffineWeylGroup:
         return x in self._interval(y)
 
     def below(self, y):
-        """The lower interval [e, y], sorted by (length, encoding); cached."""
-        got = self._below.get(y)
-        if got is None:
-            got = tuple(sorted(self._interval(y), key=self.sort_key))
-            self._below[y] = got
-        return got
+        """The lower interval [e, y], sorted by (length, encoding)."""
+        return tuple(sorted(self._interval(y), key=self.sort_key))
 
     def sort_key(self, x):
         return (x.length(), self.encode(x))
@@ -469,14 +449,10 @@ class AffineWeylGroup:
     def adm(self, mu):
         """Adm(mu) = {x : x <= t_lambda, lambda in W mu}, sorted; mu dominant."""
         mu = self.datum.require_dominant(mu)
-        got = self._adm.get(mu)
-        if got is None:
-            seen = set()
-            for lam in self.datum.weyl_orbit(mu):
-                seen.update(self._interval(self.translation(lam)))
-            got = tuple(sorted(seen, key=self.sort_key))
-            self._adm[mu] = got
-        return got
+        seen = set()
+        for lam in self.datum.weyl_orbit(mu):
+            seen.update(self._interval(self.translation(lam)))
+        return tuple(sorted(seen, key=self.sort_key))
 
     # -- encoding -----------------------------------------------------------
 

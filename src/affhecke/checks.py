@@ -812,7 +812,7 @@ def normalize_table(text):
 def golden_check(datum, mu):
     golden = golden_text(datum, mu)
     if golden is None:
-        raise KeyError(
+        raise ValueError(
             f"no golden table for {datum.label} mu={datum.format_coweight(mu)}"
         )
     table = multiplicity.compute(datum, mu)

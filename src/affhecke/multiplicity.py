@@ -20,7 +20,7 @@ from .affweyl import group
 from .central import kottwitz_function
 from .hecke import InvariantViolation, context
 from .laurent import LaurentPoly
-from .rootdata import mat_vec
+from .rootdata import dot
 
 
 class NotInAdm(KeyError):
@@ -164,19 +164,15 @@ def minuscule_poincare(datum, mu):
     """sum_{w in (W/W_mu)_min} q^{l(w)}: the Poincare polynomial of the
     smooth homogeneous orbit closure attached to a minuscule mu.
 
-    Must match the multiplicity polynomial of the base element tau."""
+    The shortest w with w mu = nu has length #{alpha > 0 : <alpha, nu> < 0},
+    so the sum runs over the orbit W mu with no element of W.  Must match
+    the multiplicity polynomial of the base element tau."""
     mu = datum.require_dominant(mu)
     if not is_minuscule(datum, mu):
         raise NotMinuscule(f"{mu} is not minuscule for {datum.label}")
-    g = group(datum)
-    best = {}
-    for m, _sign in datum.finite_weyl():
-        img = mat_vec(m, mu)
-        length = g.finite(m).length()
-        if img not in best or length < best[img]:
-            best[img] = length
     out = {}
-    for length in best.values():
+    for nu in datum.weyl_orbit(mu):
+        length = sum(dot(f, nu) < 0 for f in datum.pos_roots)
         out[2 * length] = out.get(2 * length, 0) + 1
     return LaurentPoly(out)
 

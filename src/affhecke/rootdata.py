@@ -134,7 +134,6 @@ class RootDatum:
         for g in self.pos_coroots:
             two_rho_covee = vec_add(two_rho_covee, g)
         self.two_rho_coroot = two_rho_covee
-        self._wmult_cache = {}
         self._finite_weyl = None
         self.label = f"{family}{2 * rank if family == 'GSp' else rank}"
         if family == "G2":
@@ -382,10 +381,8 @@ class RootDatum:
         return self.weight_table(mu).get(lam, 0)
 
     def weight_table(self, mu):
-        """{dominant lam <= mu: multiplicity} for a dominant mu, cached per
-        mu; its keys are dominant_below(mu)."""
-        if mu in self._wmult_cache:
-            return self._wmult_cache[mu]
+        """{dominant lam <= mu: multiplicity} for a dominant mu; its keys
+        are dominant_below(mu)."""
         doms = sorted(self.dominant_below(mu), key=lambda l: self._height_from(mu, l))
         ip = self.invariant_form
         mu_rho = self._shifted(mu)
@@ -413,7 +410,6 @@ class RootDatum:
                     f"Freudenthal produced non-integral multiplicity {num}/{den}"
                 )
             table[lam] = val
-        self._wmult_cache[mu] = table
         return table
 
     def weyl_dim(self, mu):

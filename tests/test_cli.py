@@ -232,10 +232,11 @@ def test_check_golden(tmp_path, capsys):
     )
     assert code == 0
     assert out.startswith("PASS")
-    code, _, err = run(
+    code, out, err = run(
         capsys, "check", "golden", "GL3", "--mu", "1,1,0", "--cache-dir", str(tmp_path)
     )
     assert code == 2  # no golden table for that case
+    assert (out, err) == ("", "error: no golden table for GL3 mu=1,1,0\n")
 
 
 def test_check_properties(tmp_path, capsys):

@@ -26,6 +26,12 @@ their terms in any order.
 No function of the package calls itself: a recursion along a reduced word
 needs a stack frame per generator and fails on long elements, so the
 recursions run on explicit stacks.
+
+A memo is kept only where a run reads it again: an element carries
+ELEMENT_SLOTS and no other slot, and the dict, list and None-initialised
+attributes that AffineWeylGroup and RootDatum set in __init__ are
+MEMO_INVENTORY, each named with the workload or check that hits it, so a
+new memo is added deliberately.
 """
 
 import ast
@@ -284,3 +290,115 @@ def test_the_scan_sees_self_calls():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_function_calls_itself(path):
     assert self_calls(path.read_text(encoding="utf-8")) == []
+
+
+#: the per-element slots: the element's key, its length and its text
+ELEMENT_SLOTS = ("group", "trans", "_fi", "_len", "_enc")
+
+#: module -> class -> {attribute set in __init__: what reads it, and the
+#: workload or check that hits it}
+MEMO_INVENTORY = {
+    "affweyl.py": {
+        "AffineWeylGroup": {
+            "_intern": "every element is made through it: all workloads",
+            "_intervals": "the lower intervals of leq, below and adm: table-gl5",
+            "_root_idx": "root -> index, read by _perm_of: element, so kl-deep",
+            "_aff_simple": "the affine simple roots, read by _register and conj_gen: trace-gl5",
+            "_gperm": "the root permutations of the generators, read by _fin_right: all workloads",
+            "_pidx": "the finite Weyl index, permutation -> id: all workloads",
+            "_perm": "the permutation of each id: all workloads",
+            "_fmat": "the matrix of each id, read by mul and inv: trace-gl5 and kl-deep",
+            "_g0": "wbar(theta^vee) per id, read by x s_0: all workloads",
+            "_asc": "the ascent data per id, read by lengths and descents: all workloads",
+            "_rmul": "the id of wbar s_i: every workload (kl-deep 508 of 544 hit)",
+            "_fprod": "the id of a product of two ids: kl-deep (1,296 of 1,440 hit)",
+            "_fword": "the finite word of each id, read by encode: table-gl5",
+            "_right": "the tables {x: x s_i}: all workloads",
+        },
+    },
+    "rootdata.py": {
+        "RootDatum": {
+            "_finite_weyl": "the listing of W: kl-deep (4 of 5 calls) and check oracles",
+        },
+    },
+}
+
+
+def _is_memo_value(node):
+    """A dict, list or set display, comprehension or constructor call, a
+    concatenation with a list, or None: a value a later call fills in."""
+    if isinstance(node, ast.BinOp):
+        return any(isinstance(n, (ast.List, ast.ListComp)) for n in (node.left, node.right))
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id in ("dict", "list", "set")
+    if isinstance(node, ast.Constant):
+        return node.value is None
+    return isinstance(
+        node, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    )
+
+
+def init_memos(source, cls):
+    """The names of the attributes self.name that cls.__init__ sets to a
+    memo value (see _is_memo_value), in order of appearance."""
+    found = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.ClassDef) and node.name == cls):
+            continue
+        init = next(f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+        for stmt in ast.walk(init):
+            if not isinstance(stmt, ast.Assign) or not _is_memo_value(stmt.value):
+                continue
+            found += [
+                t.attr
+                for t in stmt.targets
+                if isinstance(t, ast.Attribute)
+                and isinstance(t.value, ast.Name)
+                and t.value.id == "self"
+            ]
+    return found
+
+
+def slots(source, cls):
+    """The __slots__ tuple of cls, as written."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                ):
+                    return ast.literal_eval(stmt.value)
+    return None
+
+
+def test_the_scan_sees_memos_and_slots():
+    src = (
+        "class G:\n"
+        "    __slots__ = ('a', 'b')\n"
+        "    def __init__(self, d):\n"
+        "        self._m = {}\n"
+        "        self._n = [[] for _ in d]\n"
+        "        self._c = [(0, 1)] + [(a, 0) for a in d]\n"
+        "        self._o = None\n"
+        "        self._s = dict()\n"
+        "        self.k = d.k\n"
+        "        self._t = tuple(x for x in d)\n"
+        "    def f(self):\n"
+        "        self._late = {}\n"
+    )
+    assert init_memos(src, "G") == ["_m", "_n", "_c", "_o", "_s"]
+    assert slots(src, "G") == ("a", "b")
+
+
+def test_an_element_carries_only_its_key_length_and_text():
+    source = (PACKAGE / "affweyl.py").read_text(encoding="utf-8")
+    assert slots(source, "AffineWeylElement") == ELEMENT_SLOTS
+
+
+@pytest.mark.parametrize(
+    "name, cls",
+    [(name, cls) for name, classes in MEMO_INVENTORY.items() for cls in classes],
+)
+def test_the_memos_set_in_init_are_the_inventory(name, cls):
+    found = init_memos((PACKAGE / name).read_text(encoding="utf-8"), cls)
+    assert sorted(found) == sorted(MEMO_INVENTORY[name][cls])

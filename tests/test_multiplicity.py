@@ -3,7 +3,7 @@ import pytest
 from affhecke import multiplicity
 from affhecke.affweyl import group
 from affhecke.laurent import LaurentPoly
-from affhecke.rootdata import create
+from affhecke.rootdata import RootDatum, create, mat_vec, parse_group
 from conftest import REFERENCE_CASES
 
 
@@ -95,6 +95,46 @@ def test_minuscule_poincare(tables):
     assert table.m_polys[table.adm[0]] == p
     with pytest.raises(multiplicity.NotMinuscule):
         multiplicity.minuscule_poincare(create("GL", 3), (2, 2, 0))
+
+
+def poincare_by_enumeration(datum, mu):
+    """The reference: the shortest element of W over each image w mu,
+    listing W as matrices."""
+    g = group(datum)
+    best = {}
+    for m, _sign in datum.finite_weyl():
+        img = mat_vec(m, mu)
+        length = g.finite(m).length()
+        best[img] = min(length, best.get(img, length))
+    out = {}
+    for length in best.values():
+        out[2 * length] = out.get(2 * length, 0) + 1
+    return LaurentPoly(out)
+
+
+@pytest.mark.parametrize(
+    "label, text",
+    [
+        ("GL3", "1,0,0"), ("GL4", "1,1,0,0"), ("GL4", "0,0,0,-1"), ("GL5", "1,1,1,0,0"),
+        ("GL6", "1,1,1,0,0,0"), ("GSp4", "1,1,0,0"), ("GSp6", "1,1,1,0,0,0"),
+        ("GSp8", "1,1,1,1,0,0,0,0"), ("G2", "0,0"),
+    ],
+)
+def test_minuscule_poincare_matches_the_enumeration_of_w(label, text):
+    datum = parse_group(label)
+    mu = datum.parse_coweight(text)
+    assert multiplicity.minuscule_poincare(datum, mu) == poincare_by_enumeration(datum, mu)
+
+
+def test_minuscule_poincare_lists_no_element_of_w(monkeypatch):
+    # GL8 has 40,320 finite Weyl elements; the orbit of mu has 28 weights
+    def no_listing(datum):
+        raise AssertionError("finite_weyl() was called")
+
+    monkeypatch.setattr(RootDatum, "finite_weyl", no_listing)
+    p = multiplicity.minuscule_poincare(create("GL", 8), (1, 1, 0, 0, 0, 0, 0, 0))
+    # the Gaussian binomial [8 2]_q
+    assert p == poly_q([1, 1, 2, 2, 3, 3, 4, 3, 3, 2, 2, 1, 1])
 
 
 def test_epsilon_sum_identity(tables):
