@@ -84,18 +84,19 @@ class AffineWeylElement:
 
     `_fi` is the id of wbar in the group's finite Weyl index, keyed by
     its root permutation; `fin`, the matrix of wbar, is built for the id
-    on first read.  Interning makes equal elements the same object, so
-    the default identity hash and equality are exact; ids are private to
-    one process, so pickling carries the matrix.
+    on first read.  `_len`, the length, is given when the element is
+    made.  Interning makes equal elements the same object, so the default
+    identity hash and equality are exact; ids are private to one process,
+    so pickling carries the matrix.
     """
 
     __slots__ = ("group", "trans", "_fi", "_len", "_enc")
 
-    def __init__(self, group, trans, fi):
+    def __init__(self, group, trans, fi, length):
         self.group = group
         self.trans = trans
         self._fi = fi
-        self._len = None
+        self._len = length
         self._enc = None
 
     @property
@@ -109,8 +110,6 @@ class AffineWeylElement:
         return self.group.inv(self)
 
     def length(self):
-        if self._len is None:
-            self._len = self.group._length(self.trans, self._fi)
         return self._len
 
     def sign(self):
@@ -156,10 +155,9 @@ class _RightTable(dict):
     def __missing__(self, a):
         g, i, k = self.g, self.i, a._fi
         trans = vec_add(a.trans, g._g0[k]) if i == 0 else a.trans
-        y = self[a] = g._make(trans, g._fin_right(k, i))
-        if y._len is None and a._len is not None:
-            beta, bound = g._asc[k][i]
-            y._len = a._len + (1 if dot(beta, a.trans) <= bound else -1)
+        beta, bound = g._asc[k][i]
+        length = a._len + (1 if dot(beta, a.trans) <= bound else -1)
+        y = self[a] = g._make(trans, g._fin_right(k, i), length)
         return y
 
 
@@ -195,7 +193,7 @@ class AffineWeylGroup:
         self._fprod = {}  # (id, id) -> id of the product
         self._fword = []  # the text "s1.s2..." of a reduced word of wbar, for encode
         self._right = [_RightTable(self, i) for i in range(self.n_gens)]  # {x: x s_i}
-        self.identity = self._make((0,) * d.dim, self._register(tuple(range(2 * n))))
+        self.identity = self._make((0,) * d.dim, self._register(tuple(range(2 * n))), 0)
 
     # -- the finite Weyl index ---------------------------------------------
 
@@ -263,11 +261,15 @@ class AffineWeylGroup:
 
     # -- construction --------------------------------------------------
 
-    def _make(self, trans, fi):
+    def _make(self, trans, fi, length=None):
+        """The interned t_trans * wbar_fi; a new element gets the given
+        length, or its Iwahori-Matsumoto length when none is given."""
         key = (trans, fi)
         el = self._intern.get(key)
         if el is None:
-            el = self._intern[key] = AffineWeylElement(self, trans, fi)
+            if length is None:
+                length = self._length(trans, fi)
+            el = self._intern[key] = AffineWeylElement(self, trans, fi, length)
         return el
 
     def element(self, trans, fin):
@@ -313,14 +315,9 @@ class AffineWeylGroup:
         if k is None:
             k = self._fprod[key] = self._compose(self._perm[a._fi], self._perm[b._fi])
         m = self._fmat[a._fi] or self._matrix(a._fi)
-        y = self._make(vec_add(a.trans, mat_vec(m, b.trans)), k)
         # multiplying by a length-zero element keeps the length
-        if y._len is None:
-            if b._len == 0:
-                y._len = a._len
-            elif a._len == 0:
-                y._len = b._len
-        return y
+        length = a._len if b._len == 0 else b._len if a._len == 0 else None
+        return self._make(vec_add(a.trans, mat_vec(m, b.trans)), k, length)
 
     def mul_gen(self, a, i):
         """a * s_i, read from the table of s_i (see _RightTable)."""
@@ -347,10 +344,7 @@ class AffineWeylGroup:
         """t_{-wbar^{-1} lambda} wbar^{-1} for a = t_lambda wbar; wbar^{-1} has
         the inverse root permutation."""
         j = self._fid(_inverse(self._perm[a._fi]))
-        y = self._make(vec_scale(mat_vec(self._matrix(j), a.trans), -1), j)
-        if y._len is None:
-            y._len = a._len
-        return y
+        return self._make(vec_scale(mat_vec(self._matrix(j), a.trans), -1), j, a._len)
 
     # -- length and descents -----------------------------------------------
 

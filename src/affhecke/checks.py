@@ -162,10 +162,11 @@ def finite_weyl_checks():
     * finite-product-vs-matrix: x multiplied on either side by tau and
       tau^{-1}, tau a length-zero generator of Omega (none for G2), and on
       the right by a fixed sample of finite y;
-    * ascent-vs-length: x built in a fresh group, where no length is
-      known yet: i is a right descent of x iff l(x s_i) < l(x) by
-      matrix_length, and the length x * s_i inherits through mul_gen
-      from l(x) must be matrix_length of x s_i;
+    * ascent-vs-length: x built in a fresh group, so that each x * s_i is
+      made there by mul_gen and gets its length from l(x) by the ascent
+      test, not from an element made earlier: i is a right descent of x
+      iff l(x s_i) < l(x) by matrix_length, and the length x * s_i is
+      made with must be matrix_length of x s_i;
     * finite-walk-vs-matrix: every finite element of a fresh group,
       reached from e by mul_gen walks only, so that each id is made by
       composing permutations and no matrix is handed in: its `fin`, built
@@ -720,7 +721,8 @@ def oracle_checks(seed=42, depth=5, samples=50):
 
 
 def property_checks(datum, mu):
-    """Empirical table properties for one (group, mu) case."""
+    """Empirical table properties for one (group, mu) case, read off one
+    multiplicity table: its trace function, l(t_mu) and configurations."""
     table = multiplicity.compute(datum, mu)
     _, summary = table.property_report()
     results = [
@@ -737,7 +739,7 @@ def property_checks(datum, mu):
             "re-expanding sum m(w) C''_w in the T basis",
         )
     )
-    f = central.kottwitz_function(datum, mu)
+    f, ell = table.trace, table.ell_mu
     results.append(
         (
             "support-is-admissible-set",
@@ -745,7 +747,6 @@ def property_checks(datum, mu):
             f"{len(table.adm)} elements",
         )
     )
-    ell = group(datum).translation(mu).length()
     results.append(
         (
             "property-P-at-l(t_mu)",

@@ -338,12 +338,14 @@ class HeckeContext:
 
     def bar(self, h):
         """The Kazhdan-Lusztig involution: bar coefficients, T_y -> T^{-1}_{y^{-1}};
-        one call of the Bernstein kernel, a part per monomial of h."""
+        one call of the Bernstein kernel, a part per monomial of h, and one
+        inverse per term."""
         self._mine(h)
         g = self.group
         e = g.identity
+        terms = ((g.inv(y), c) for y, c in h.terms.items())
         return self.bernstein_sum(
-            (e, g.inv(y), k, -d) for y, c in h.terms.items() for d, k in c.terms.items()
+            (e, yinv, k, -d) for yinv, c in terms for d, k in c.terms.items()
         )
 
     def bernstein_sum(self, parts):

@@ -16,7 +16,6 @@ multiplicity vector.
 
 from collections import namedtuple
 
-from .affweyl import group
 from .central import kottwitz_function
 from .hecke import InvariantViolation, context
 from .laurent import LaurentPoly
@@ -37,13 +36,14 @@ GroupedRow = namedtuple("GroupedRow", "length count mults config")
 class MultiplicityTable:
     """Per-element multiplicity polynomials and Bruhat configurations."""
 
-    def __init__(self, datum, mu, adm, ell_mu, m_polys, configs):
+    def __init__(self, datum, mu, adm, ell_mu, m_polys, configs, trace):
         self.datum = datum
         self.mu = mu
         self.adm = adm
         self.ell_mu = ell_mu
         self.m_polys = m_polys      # element -> LaurentPoly in q
         self.configs = configs      # element -> tuple of counts
+        self.trace = trace          # the Kottwitz function that was decomposed
 
     def require_member(self, w):
         if w not in self.m_polys:
@@ -129,29 +129,33 @@ def compute(datum, mu):
     m_polys = {w: coeffs.get(w, LaurentPoly.zero()) for w in adm}
     # Adm is lower-closed, so the KL columns of its elements, which
     # to_ic_basis has just solved, give every x > w; counts[w][k] is the
-    # number of them with l(x) - l(w) = k <= l(t_mu) - l(w)
+    # number of them with l(x) - l(w) = k <= l(t_mu) - l(w).  The last
+    # count of a w shorter than t_mu is positive: the translations t_lambda,
+    # lambda in W mu, all have length l(t_mu) and some lies above w
     counts = {w: [0] * (ell_mu - w.length() + 1) for w in adm}
     for x in adm:
         lx = x.length()
         for w in hctx._kl_column(x):
             counts[w][lx - w.length()] += 1
-    configs = {}
-    for w, c in counts.items():
-        while len(c) > 1 and not c[-1]:
-            c.pop()
-        configs[w] = tuple(c[1:])
-    return MultiplicityTable(datum, mu, adm, ell_mu, m_polys, configs)
+    configs = {w: tuple(c[1:]) for w, c in counts.items()}
+    return MultiplicityTable(datum, mu, adm, ell_mu, m_polys, configs, f)
+
+
+def epsilon_sums(table):
+    """{x: sum_{w >= x, w in Adm} eps_w}, read off the Bruhat configurations:
+    the k-th count c_k(x) of x's configuration counts the w > x in Adm with
+    l(w) - l(x) = k, each with eps_w = (-1)^k eps_x, so the sum at x is
+    eps_x (1 + sum_k (-1)^k c_k(x)).  No interval and no Bruhat test."""
+    return {
+        x: x.sign() * (1 + sum((-1) ** k * c for k, c in enumerate(table.configs[x], 1)))
+        for x in table.adm
+    }
 
 
 def epsilon_sum_identity(table):
     """For minuscule mu: sum_{w >= x, w in Adm} eps_w = eps_mu for all x."""
-    g = group(table.datum)
     eps_mu = -1 if table.ell_mu % 2 else 1
-    sums = dict.fromkeys(table.adm, 0)
-    for w in table.adm:
-        for x in g.below(w):
-            sums[x] += w.sign()
-    return all(s == eps_mu for s in sums.values())
+    return all(s == eps_mu for s in epsilon_sums(table).values())
 
 
 def is_minuscule(datum, mu):
@@ -178,10 +182,9 @@ def minuscule_poincare(datum, mu):
 
 
 def base_change_consistency(table):
-    """Re-expanding sum m(w) C''_w reproduces the trace function exactly."""
-    hctx = context(table.datum)
-    f = kottwitz_function(table.datum, table.mu)
-    return hctx.from_ic_basis(table.m_polys) == f
+    """Re-expanding sum m(w) C''_w reproduces the decomposed trace function
+    exactly."""
+    return context(table.datum).from_ic_basis(table.m_polys) == table.trace
 
 
 # -- rendering -----------------------------------------------------------------

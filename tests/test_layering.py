@@ -28,10 +28,11 @@ needs a stack frame per generator and fails on long elements, so the
 recursions run on explicit stacks.
 
 A memo is kept only where a run reads it again: an element carries
-ELEMENT_SLOTS and no other slot, and the dict, list and None-initialised
-attributes that AffineWeylGroup and RootDatum set in __init__ are
-MEMO_INVENTORY, each named with the workload or check that hits it, so a
-new memo is added deliberately.
+ELEMENT_SLOTS and no other slot, and the dict, list, set and
+None-initialised attributes that AffineWeylGroup, RootDatum and
+HeckeContext set in __init__ are MEMO_INVENTORY, each named with its
+reader and the workload or check that hits it, so a new memo is added
+deliberately.
 """
 
 import ast
@@ -319,6 +320,18 @@ MEMO_INVENTORY = {
     "rootdata.py": {
         "RootDatum": {
             "_finite_weyl": "the listing of W: kl-deep (4 of 5 calls) and check oracles",
+        },
+    },
+    "hecke.py": {
+        "HeckeContext": {
+            "_r_cache": "R_{x,y}, read by _r_known: check oracles (204,656 of 253,901 hit)",
+            "_p_cols": "the KL columns, read by _kl_column: table-gl5 (328 of 393 hit)",
+            "_p_values": "the held packed P, read by _solve_column: kl-deep (766 of 799 hit)",
+            "_p_polys": "each packed P decoded once, read by kl_poly and ic_basis_element: "
+            "check properties GL6 1,1,1,0,0,0 (50,466 reads of 11 values)",
+            "_limits": "the d-digit bounds, read by _kl_shape: kl-deep (791 of 799 hit)",
+            "_q_cache": "the columns of Q, read by inv_kl_poly: check oracles (41,745 of 42,071)",
+            "_col_done": "the columns solved in this process, read by perfbench: table-gl5-warm",
         },
     },
 }

@@ -1,6 +1,6 @@
 import pytest
 
-from affhecke import multiplicity
+from affhecke import central, checks, multiplicity
 from affhecke.affweyl import group
 from affhecke.laurent import LaurentPoly
 from affhecke.rootdata import RootDatum, create, mat_vec, parse_group
@@ -146,6 +146,64 @@ def test_epsilon_sum_identity(tables):
         assert multiplicity.epsilon_sum_identity(tables(fam, n, mu))
 
 
+def epsilon_sums_by_intervals(table):
+    """The reference: sum_{w >= x} eps_w over the lower intervals [e, w]."""
+    g = group(table.datum)
+    sums = dict.fromkeys(table.adm, 0)
+    for w in table.adm:
+        for x in g.below(w):
+            sums[x] += w.sign()
+    return sums
+
+
+@pytest.mark.parametrize(
+    "fam, n, mu",
+    [
+        ("GL", 4, (1, 1, 0, 0)),
+        ("GSp", 3, (1, 1, 1, 1)),
+        ("GL", 6, (1, 1, 1, 0, 0, 0)),
+        ("GL", 4, (2, 1, 0, 0)),  # not minuscule: the sums vary with x
+    ],
+)
+def test_epsilon_sums_from_configurations_match_the_intervals(tables, fam, n, mu):
+    table = tables(fam, n, mu)
+    assert multiplicity.epsilon_sums(table) == epsilon_sums_by_intervals(table)
+
+
+@pytest.mark.parametrize("fam,n,mu,stem", REFERENCE_CASES)
+def test_a_configuration_below_the_top_ends_in_a_positive_count(tables, fam, n, mu, stem):
+    # the last count is the number of translations t_lambda, lambda in W mu,
+    # above w: all have length l(t_mu) and at least one lies above w
+    table = tables(fam, n, mu)
+    for w in table.adm:
+        config = table.bruhat_config(w)
+        assert len(config) == table.ell_mu - w.length()
+        assert not config or config[-1] > 0, w
+
+
+def test_property_checks_reuse_the_table(monkeypatch):
+    # a datum of its own, so that no other test has filled its intervals
+    datum = RootDatum("GL", 6)
+    mu = (1, 1, 1, 0, 0, 0)
+    g = group(datum)
+    g.adm(mu)
+    built = len(g._intervals)
+    assert built == 151
+    calls = []
+    kottwitz = central.kottwitz_function
+
+    def counted(datum, mu):
+        calls.append(mu)
+        return kottwitz(datum, mu)
+
+    monkeypatch.setattr(multiplicity, "kottwitz_function", counted)
+    monkeypatch.setattr(central, "kottwitz_function", counted)
+    results = checks.property_checks(datum, mu)
+    assert all(ok for _name, ok, _detail in results)
+    assert len(g._intervals) == built
+    assert calls == [mu]
+
+
 def test_property_report_pass(tables):
     table = tables("GL", 3, (3, 1, 0))
     _, summary = table.property_report()
@@ -161,6 +219,7 @@ def test_property_report_flags_synthetic_failure(tables):
         table.ell_mu,
         dict(table.m_polys),
         table.configs,
+        table.trace,
     )
     tau = table.adm[0]
     doctored.m_polys[tau] = poly_q([1, 7, 2, 1, 1])  # not palindromic
