@@ -45,13 +45,15 @@ mul_gen and every walk along a word read.  Elements of length zero
 form the subgroup Omega that permutes the walls of the base alcove;
 reduced words are written x = omega * s_{i_1} ... s_{i_k}.
 
-The Bruhat order extends the Coxeter order coset-wise over Omega and is
-read off cached lower intervals [e, y], built as subword closures of
-canonical reduced words (Bjorner-Brenti, Thm. 2.2.2).  The admissible set
+The Bruhat order extends the Coxeter order coset-wise over Omega.  A
+lower interval [e, y] is the subword closure of the canonical reduced
+word of y (Bjorner-Brenti, Thm. 2.2.2), built along the word and stored
+for y alone, only when leq or below asks about y.  The admissible set
 
     Adm(mu) = {x : x <= t_lambda for some lambda in W mu}
 
-is enumerated as the subword closure of the translations in the orbit.
+is the union of the subword closures of the translations in the orbit,
+built one at a time and stored nowhere.
 """
 
 from .rootdata import (
@@ -403,22 +405,22 @@ class AffineWeylGroup:
 
     # -- Bruhat order -----------------------------------------------------
 
-    def _interval(self, y):
-        """[e, y] as a frozenset, cached for y and each prefix of its word.
+    def _closure(self, y):
+        """[e, y] as a set, built along the canonical word of y and kept
+        nowhere: each prefix ys of the word is reduced, so [e, ys] =
+        [e, y] u [e, y].s (Bjorner-Brenti, Thm. 2.2.2)."""
+        z, word = self.reduced_word(y)
+        got = {z}
+        for i in word:
+            nbr = self._right[i]
+            got.update([nbr[x] for x in got])
+        return got
 
-        Canonical words are prefix-closed, so [e, ys.s] = [e, ys] u [e, ys].s
-        builds the interval along the word of y, without recursion.
-        """
-        cache = self._intervals
-        got = cache.get(y)
+    def _interval(self, y):
+        """[e, y] as a frozenset, memoised for y alone: read by leq and below."""
+        got = self._intervals.get(y)
         if got is None:
-            z, word = self.reduced_word(y)
-            got = cache.setdefault(z, frozenset((z,)))
-            for i in word:
-                nbr = self._right[i]
-                z = nbr[z]
-                got = cache.get(z) or got.union(map(nbr.__getitem__, got))
-                cache[z] = got
+            got = self._intervals[y] = frozenset(self._closure(y))
         return got
 
     def leq(self, x, y):
@@ -445,7 +447,7 @@ class AffineWeylGroup:
         mu = self.datum.require_dominant(mu)
         seen = set()
         for lam in self.datum.weyl_orbit(mu):
-            seen.update(self._interval(self.translation(lam)))
+            seen.update(self._closure(self.translation(lam)))
         return tuple(sorted(seen, key=self.sort_key))
 
     # -- encoding -----------------------------------------------------------

@@ -250,11 +250,24 @@ def finite_weyl_checks():
     return results[0] + results[1] + results[2] + results[3]
 
 
+def _finite_climb(g, x):
+    """x times finite right ascents s_i (i >= 1) until every s_i is a descent."""
+    finite = set(range(1, g.n_gens))
+    while up := finite.difference(g.right_descents(x)):
+        x = g.mul_gen(x, min(up))
+    return x
+
+
 def longest_in_double_coset(g, lam):
-    """n_lambda: the longest element u t_lambda v over finite u, v (it is unique)."""
-    t = g.translation(lam)
-    fins = [g.finite(m) for m, _sign in g.datum.finite_weyl()]
-    return max((u * t * v for u in fins for v in fins), key=lambda x: x.length())
+    """n_lambda: the longest element u t_lambda v over finite u, v (it is
+    unique).  It is the one element of W t_lambda W with every finite s_i
+    as a left and a right descent, so climb from t_lambda by right
+    ascents, then by left ascents taken through inv, until neither side
+    ascends."""
+    x = _finite_climb(g, g.translation(lam))
+    while (y := _finite_climb(g, g.inv(x))) is not g.inv(x):
+        x = _finite_climb(g, g.inv(y))
+    return x
 
 
 #: (group, mu) for the q-analogue sweep

@@ -19,9 +19,13 @@ Arguments are read from one table, COMMANDS, as argparse read them:
 `--opt value` or `--opt=value`, a long option cut to a unique prefix,
 options before, between or after the positionals, the last of a
 repeated option wins, a negative number such as `--jobs -3` or an
-empty string is a value, and `--` ends the options.  One reading differs
+empty string is a value, and `--` ends the options.  Two readings differ
 from argparse's: a word of comma-separated integers, a coweight such as
-`--mu -1,-1,-2`, is a value too where argparse refused it.  `-h`/`--help`
+`--mu -1,-1,-2`, is a value too where argparse refused it, and the
+positionals are read as argparse's parse_intermixed_args read them,
+where parse_args refused: an optional or repeated positional also takes
+the words after an option, as in `check golden --mu 2,2,0 GL3`, and a
+trailing `--` that no positional takes is dropped.  `-h`/`--help`
 prints the usage to stdout and exits 0.  The module imports no argparse:
 every run is a short process, and argparse with gettext, locale and
 shutil cost about 8 ms of it.
@@ -411,9 +415,10 @@ def parse_args(argv):
     `--opt=value`, unique prefixes of options, options before, between or
     after positionals, the last repeat wins and `--` ends the options.  A
     run of positionals fills the positionals in order, each taking what it
-    can, so a "?" or "*" positional is closed by the first run that
-    reaches it.  Returns Args; raises ParseExit for a help flag or an
-    error."""
+    can; a "?" positional that took no word and a "*" positional take
+    words from later runs too, and a `--` that no positional took is
+    dropped, as argparse's parse_intermixed_args read them.  Returns
+    Args; raises ParseExit for a help flag or an error."""
     extras = []  # unknown options: an error once no help flag ends the run
     for i, arg in enumerate(argv):
         opt = None if arg == "--" else _classify(arg, HELP_FLAGS, None)
@@ -443,7 +448,6 @@ def parse_args(argv):
             todo = positionals[filled:]
             if avail < sum(nargs == 1 for _name, nargs, *_ in todo):
                 todo = todo[:avail]
-            filled += len(todo)
             for name, nargs, choices, _help in todo:
                 count = avail if nargs == "*" else min(avail, 1)
                 avail -= count
@@ -456,9 +460,11 @@ def parse_args(argv):
                     got.remove("--")
                 if nargs == 1 and not got:
                     raise _error(command, f"argument {name}: expected one argument")
-                values[name] = got if nargs == "*" else _choose(
+                # a "*" positional stays open, and so does a "?" that took no word
+                filled += nargs == 1 or nargs == "?" and bool(got)
+                values[name] = (values[name] or []) + got if nargs == "*" else _choose(
                     command, name, got[0] if got else None, choices)
-            extras += rest[k:j]
+            extras += rest[k + (k == mark):j]  # a "--" no positional took is dropped
         if j == len(rest):
             break
         (flag, value), k = kinds[j], j + 1

@@ -545,7 +545,12 @@ class RootDatum:
         raise DimensionMismatch("G2 coweight needs 2 or 3 coordinates")
 
     def format_coweight(self, v):
-        return ",".join(str(x) for x in v)
+        """The CLI notation of v, which parse_coweight reads back: GSp_2n
+        (a_1, ..., a_n; c) is written a_1, ..., a_n, c - a_n, ..., c - a_1."""
+        if self.family == "GSp":
+            *a, c = v
+            v = a + [c - x for x in reversed(a)]
+        return ",".join(map(str, v))
 
     def __repr__(self):
         return f"RootDatum({self.label})"

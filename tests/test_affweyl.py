@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from affhecke import affweyl, checks, cli, hecke, rootdata
+from affhecke import affweyl, checks, cli, hecke, multiplicity, rootdata
 from affhecke.affweyl import DatumMismatch, group
 from affhecke.checks import ball
 from affhecke.rootdata import DimensionMismatch, NotDominant, create, dot, mat_vec
@@ -163,6 +163,28 @@ def test_bruhat_across_omega_cosets():
     assert not G.leq(G.identity, t1)  # different coset invariant (sum 0 vs 1)
 
 
+def test_a_table_and_its_queries_keep_no_interval(monkeypatch, capsys):
+    # Adm(mu) is a union of subword closures that nothing reads again, so
+    # the table and the adm and kottwitz queries store no [e, y]
+    monkeypatch.setattr(affweyl, "_GROUPS", {})
+    monkeypatch.setattr(hecke, "_CONTEXTS", {})
+    datum = create("GL", 4)
+    multiplicity.compute(datum, (2, 1, 0, 0))
+    for kind in ("adm", "kottwitz"):
+        assert cli.main(["query", kind, "GL4", "--mu", "2,1,0,0"]) == 0
+    capsys.readouterr()
+    assert group(datum)._intervals == {}
+
+
+def test_leq_memoises_the_interval_of_y_alone(monkeypatch):
+    monkeypatch.setattr(affweyl, "_GROUPS", {})
+    G = gl(4)
+    y = G.translation((2, 1, 0, 0))
+    x = G.mul_gen(G.mul_gen(y, 1), 2)
+    assert G.leq(x, y)
+    assert list(G._intervals) == [y]
+
+
 def gl2():
     return gl(2)
 
@@ -197,6 +219,32 @@ def test_epsilon_sum_identity_minuscule():
     for x in adm:
         s = sum(w.sign() for w in adm if G.leq(x, w))
         assert s == eps_mu
+
+
+def longest_by_products(g, lam):
+    """n_lambda as the longest of all |W|^2 products u t_lambda v."""
+    t = g.translation(lam)
+    fins = [g.finite(m) for m, _sign in g.datum.finite_weyl()]
+    return max((u * t * v for u in fins for v in fins), key=lambda x: x.length())
+
+
+@pytest.mark.parametrize(
+    "label, mu",
+    [
+        ("GL3", "3,1,0"),
+        ("GL4", "2,1,1,0"),
+        ("GSp4", "2,2,0,0"),
+        ("GSp6", "2,1,1,1,1,0"),
+        ("G2", "2,0"),
+    ],
+)
+def test_longest_in_double_coset_climbs_to_the_products_maximum(label, mu):
+    datum = rootdata.parse_group(label)
+    g = group(datum)
+    mu = datum.parse_coweight(mu)
+    # every dominant lambda <= mu, and mu seen from a non-dominant conjugate
+    for lam in (*datum.dominant_below(mu), datum.weyl_orbit(mu)[-1]):
+        assert checks.longest_in_double_coset(g, lam) is longest_by_products(g, lam), lam
 
 
 def test_minimal_coset():

@@ -90,6 +90,7 @@ def test_table_json_and_csv(tmp_path, capsys):
     assert payload["admissible_count"] == 13
     assert len(payload["rows"]) == 13
     assert payload["run_config"]["group"] == "GSp4"
+    assert payload["mu"] == payload["run_config"]["mu"] == "1,1,0,0"
     code, out, _ = run(
         capsys,
         "table",
@@ -232,11 +233,21 @@ def test_check_golden(tmp_path, capsys):
     )
     assert code == 0
     assert out.startswith("PASS")
+    # GROUP after the options, read as parse_intermixed_args reads it
+    assert run(capsys, "check", "golden", "--mu", "2,2,0", "GL3") == (0, out, "")
     code, out, err = run(
         capsys, "check", "golden", "GL3", "--mu", "1,1,0", "--cache-dir", str(tmp_path)
     )
     assert code == 2  # no golden table for that case
     assert (out, err) == ("", "error: no golden table for GL3 mu=1,1,0\n")
+
+
+def test_check_golden_names_a_gsp_coweight_as_given(capsys):
+    code, out, _ = run(capsys, "check", "golden", "GSp4", "--mu", "1,1,0,0")
+    assert (code, out) == (0, "PASS golden-table-GSp4-1,1,0,0  (matches stored table)\n")
+    code, out, err = run(capsys, "check", "golden", "GSp4", "--mu", "2,0,2,0")
+    assert (code, out) == (2, "")
+    assert err == "error: no golden table for GSp4 mu=2,0,2,0\n"
 
 
 def test_check_properties(tmp_path, capsys):
@@ -670,6 +681,7 @@ def reference_parser(coweights=True):
     if coweights:
         for p in [parser, *sub.choices.values()]:
             p._negative_number_matcher = COWEIGHT_OR_NUMBER
+    parser.commands = sub.choices
     return parser
 
 
@@ -726,6 +738,20 @@ PARSER_CORPUS = [
     ("query wakimoto GL3 X3 Y3 X3", "ok"),
     ("check properties GSp4 --mu 1,1,0,0", "ok"),
     ("check golden --mu 2,2,0", "ok"),
+    # positionals after an option, read as parse_intermixed_args read them
+    # (parse_args refused these): a "?" or "*" positional takes them, and a
+    # trailing -- is dropped
+    ("check golden --mu 2,2,0 GL3", "ok"),
+    ("check --mu 2,2,0 golden --seed 7 GL3", "ok"),
+    ("query kl GL3 X3 --format json Y3", "ok"),
+    ("query kl --format json GL3 X3 --mu 1,0,0 -- Y3", "ok"),
+    ("query kl GL3 --mu 1,0,0 X3 Y3", "ok"),
+    ("table GL3 --mu 1,0,0 --", "ok"),
+    ("query adm GL3 --mu 1,0,0 --", "ok"),
+    ("check golden --mu 2,2,0 GL3 GL4", "error"),
+    ("table GL3 --format json GL4 --mu 1,0,0", "error"),
+    ("table GL3 --mu 1,0,0 -- GL4", "error"),
+    ("check golden GL3 --mu 2,2,0 -- GL4", "error"),
     # help, at the top and per command, wherever argparse reached it
     ("-h", "help"),
     ("--help", "help"),
@@ -771,10 +797,6 @@ PARSER_CORPUS = [
     ("check oracles --s 1", "error"),
     ("table GL3 --mu 1,0,0 --=x", "error"),
     ("table GL3 GL4 --mu 1,0,0", "error"),
-    ("table GL3 --mu 1,0,0 --", "error"),
-    ("query adm GL3 --mu 1,0,0 --", "error"),
-    ("query kl GL3 X3 --format json Y3", "error"),
-    ("check golden --mu 2,2,0 GL3", "error"),
     # rejected: non-integer --jobs, --seed, --depth, --samples
     ("table GL3 --mu 1,0,0 --jobs x", "error"),
     ("table GL3 --mu 1,0,0 --jobs 1.5", "error"),
@@ -784,13 +806,49 @@ PARSER_CORPUS = [
 ]
 
 
+#: marks a word after "--" that starts with "-" for parse_intermixed_args
+SHIELD = "\x00"
+
+
+def _intermixed(parser, argv):
+    """vars() of parse_intermixed_args on the parser of argv's command.
+
+    That call reads the options first and then every positional word as
+    one run.  It strips a "--" in each of its two passes, so it would read
+    the words after "--" that start with "-" as options or drop a second
+    "--"; those words are shielded while it runs."""
+    rest = argv[1:]
+    cut = rest.index("--") + 1 if "--" in rest else len(rest)
+    rest[cut:] = [SHIELD + a if a[:1] == "-" else a for a in rest[cut:]]
+    values = vars(parser.commands[argv[0]].parse_intermixed_args(
+        rest, argparse.Namespace(command=argv[0])))
+    for name, value in values.items():
+        if isinstance(value, list):
+            values[name] = [a.removeprefix(SHIELD) for a in value]
+        elif isinstance(value, str):
+            values[name] = value.removeprefix(SHIELD)
+    return values
+
+
 def _reference(argv, coweights=True):
-    """vars() of the argparse reading, or its exit code."""
+    """vars() of the argparse reading, or its exit code.  An argv that
+    parse_args refused but parse_intermixed_args accepts, such as
+    `check golden --mu 2,2,0 GL3`, gets the intermixed reading: parse_args
+    closed a "?" or "*" positional with the first run of positionals that
+    reached it and refused a "--" that no positional took, and
+    cli.parse_args does neither."""
+    parser = reference_parser(coweights)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(reference_parser(coweights).parse_args(argv))
+            return vars(parser.parse_args(argv))
         except SystemExit as stop:
-            return stop.code
+            code = stop.code
+        if code == 2 and argv and argv[0] in parser.commands:
+            try:
+                return _intermixed(parser, argv)
+            except SystemExit:
+                pass
+        return code
 
 
 def _ours(argv):

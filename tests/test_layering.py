@@ -302,7 +302,8 @@ MEMO_INVENTORY = {
     "affweyl.py": {
         "AffineWeylGroup": {
             "_intern": "every element is made through it: all workloads",
-            "_intervals": "the lower intervals of leq, below and adm: table-gl5",
+            "_intervals": "[e, y] for each y asked about, read by leq and below: "
+            "check oracles (353,073 of 353,824 hit)",
             "_root_idx": "root -> index, read by _perm_of: element, so kl-deep",
             "_aff_simple": "the affine simple roots, read by _register and conj_gen: trace-gl5",
             "_gperm": "the root permutations of the generators, read by _fin_right: all workloads",

@@ -210,3 +210,24 @@ def test_parsing():
     gl4 = create("GL", 4)
     with pytest.raises(DimensionMismatch):
         gl4.parse_coweight("1,1,0")
+
+
+@pytest.mark.parametrize(
+    "fam, n, text",
+    [
+        ("GL", 3, "2,-1,0"),
+        ("GSp", 2, "1,1,0,0"),
+        ("GSp", 2, "2,-1,3,0"),
+        ("GSp", 3, "1,1,1,0,0,0"),
+        ("GSp", 3, "3,1,-2,4,1,-1"),
+        ("G2", 2, "2,1,0"),
+        ("G2", 2, "1,-1"),
+    ],
+)
+def test_format_coweight_is_read_back(fam, n, text):
+    # the CLI form: GSp (a; c) is written a_1, ..., a_n, c - a_n, ..., c - a_1
+    datum = create(fam, n)
+    v = datum.parse_coweight(text)
+    assert datum.parse_coweight(datum.format_coweight(v)) == v
+    if fam != "G2":  # G2 is written in its two coordinates
+        assert datum.format_coweight(v) == text
