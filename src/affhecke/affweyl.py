@@ -12,10 +12,9 @@ inverse permutation: no matrix is multiplied or inverted.  The letters
 that strip the finite right descents of wbar, wbar s_{i_1} ... s_{i_l}
 = e, give the matrix of wbar = s_{i_l} ... s_{i_1}, which is built per
 id only when something reads it: the translation part of a product or
-an inverse, the affine action, `fin`, a pickle or `element`.  Per-id
-tables hold the root permutation, wbar(theta^vee) (the coroot of the
-root wbar(theta)), the ascent data below and the text of a reduced word
-of wbar, and elements are interned on (lambda, id), so an element is
+an inverse, `fin`, a pickle or `element`.  Per-id tables hold the root
+permutation, wbar(theta^vee) (the coroot of the root wbar(theta)), the
+ascent data below and the text of a reduced word of wbar, and elements are interned on (lambda, id), so an element is
 the one object with its (lambda, wbar): elements hash and compare by
 identity, at C speed in dicts and sets.  Ids and hashes follow the
 order of first appearance and the memory layout, so they differ between
@@ -38,10 +37,12 @@ x = t_lambda wbar and beta = b_i o wbar^{-1},
 
     l(x s_i) = l(x) + 1  iff  c_i - <beta, lambda> >= (0 if beta > 0 else 1),
 
-and l(x s_i) = l(x) - 1 otherwise; right descents and the lengths that
-x * s_i inherits from x are read off this test.  Each product x * s_i is
-made once, on first lookup, in one table {x: x s_i} per generator, which
-mul_gen and every walk along a word read.  Elements of length zero
+and l(x s_i) = l(x) - 1 otherwise; right descents, the lengths that
+x * s_i inherits from x and the side of its wall that the step from the
+alcove of x to that of x s_i lands on (crossing_sign) are read off this
+test.  Each product x * s_i is made once, on first lookup, in one table
+{x: x s_i} per generator, which mul_gen and every walk along a word
+read.  Elements of length zero
 form the subgroup Omega that permutes the walls of the base alcove;
 reduced words are written x = omega * s_{i_1} ... s_{i_k}.
 
@@ -117,10 +118,6 @@ class AffineWeylElement:
     def sign(self):
         """epsilon_x = (-1)^{l(x)}."""
         return -1 if self.length() % 2 else 1
-
-    def act(self, cowt):
-        """Affine action lambda + wbar(v) on a coweight or an exact rational point."""
-        return vec_add(self.trans, mat_vec(self.fin, cowt))
 
     def encode(self):
         return self.group.encode(self)
@@ -367,6 +364,16 @@ class AffineWeylGroup:
         return tuple(
             i for i, (beta, bound) in enumerate(self._asc[x._fi]) if dot(beta, lam) > bound
         )
+
+    def crossing_sign(self, x, i):
+        """+1 if the step from the alcove of x to that of x s_i crosses its
+        wall towards the positive side of the wall's positive root, else -1.
+
+        The alcove of x lies on the positive side of the affine root
+        x(alpha_i), whose linear part is the ascent test's beta, and the
+        step leaves that side: the sign is -1 exactly when beta > 0, that
+        is when the test's bound is c_i and not c_i - 1."""
+        return -1 if self._asc[x._fi][i][1] == self._aff_simple[i][1] else 1
 
     def first_right_descent(self, x):
         """The smallest right descent of x, or None: the ascent test up to

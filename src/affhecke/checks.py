@@ -737,7 +737,7 @@ def property_checks(datum, mu):
     """Empirical table properties for one (group, mu) case, read off one
     multiplicity table: its trace function, l(t_mu) and configurations."""
     table = multiplicity.compute(datum, mu)
-    _, summary = table.property_report()
+    summary = table.property_report()
     results = [
         ("observation-A-degree-bound", summary["degree_bound"], ""),
         ("observation-B-palindromic", summary["palindromic"], ""),
@@ -753,13 +753,6 @@ def property_checks(datum, mu):
         )
     )
     f, ell = table.trace, table.ell_mu
-    results.append(
-        (
-            "support-is-admissible-set",
-            set(f.terms) == set(table.adm),
-            f"{len(table.adm)} elements",
-        )
-    )
     results.append(
         (
             "property-P-at-l(t_mu)",

@@ -84,10 +84,6 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _parse_element(datum, text):
-    return group(datum).decode(text)
-
-
 # -- table ---------------------------------------------------------------
 
 
@@ -132,6 +128,14 @@ def _emit_json(args, cfg, payload):
     _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _emit_elements(args, cfg, elements):
+    codes = [x.encode() for x in elements]
+    if args.format == "json":
+        _emit_json(args, cfg, {"count": len(codes), "elements": codes})
+    else:
+        _emit(args, "\n".join(codes) + "\n")
+
+
 def _emit_poly(args, cfg, poly):
     if args.format == "json":
         _emit_json(args, cfg, {"value": poly.encode()})
@@ -147,62 +151,40 @@ def _emit_hecke(args, cfg, h):
         _emit(args, "".join(f"{x} {c}\n" for x, c in terms.items()))
 
 
+# Per kind: its input ("mu" and "lam" name an option, "elements" the two
+# element arguments), the function of (datum, *inputs) whose value it
+# prints and the emitter that prints it.
+QUERIES = {
+    "adm": ("mu", lambda datum, mu: group(datum).adm(mu), _emit_elements),
+    "kl": ("elements", lambda datum, x, w: context(datum).kl_poly(x, w), _emit_poly),
+    "invkl": ("elements", lambda datum, x, w: context(datum).inv_kl_poly(x, w), _emit_poly),
+    "rpoly": ("elements", lambda datum, x, w: context(datum).r_poly(x, w), _emit_poly),
+    "theta": ("lam", theta, _emit_hecke),
+    "z": ("lam", bernstein_central, _emit_hecke),
+    "kottwitz": ("mu", kottwitz_function, _emit_hecke),
+    "wakimoto": ("elements", lambda datum, v, w: wakimoto_function(v, w)[0], _emit_hecke),
+}
+
+
 def cmd_query(args):
+    source, fn, emit = QUERIES[args.kind]
     datum = parse_group(args.group)
-    hctx = context(datum)
-    g = hctx.group
-    cache = _cache_dir(args)
     cfg = RunConfig(
         command=f"query {args.kind}",
         group=args.group,
         mu=args.mu or args.lam,
         format=args.format,
-        cache_dir=cache,
+        cache_dir=_cache_dir(args),
     )
-    kind = args.kind
-    if kind == "adm":
-        if not args.mu:
-            raise DimensionMismatch("query adm requires --mu")
-        adm = g.adm(datum.parse_coweight(args.mu))
-        if args.format == "json":
-            _emit_json(args, cfg, {"count": len(adm), "elements": [x.encode() for x in adm]})
-        else:
-            _emit(args, "\n".join(x.encode() for x in adm) + "\n")
-        return 0
-    if kind in ("kl", "invkl", "rpoly"):
+    if source == "elements":
         if len(args.elements) != 2:
-            raise DimensionMismatch(f"query {kind} requires two element arguments")
-        x = _parse_element(datum, args.elements[0])
-        w = _parse_element(datum, args.elements[1])
-        fn = {"kl": hctx.kl_poly, "invkl": hctx.inv_kl_poly, "rpoly": hctx.r_poly}[kind]
-        _emit_poly(args, cfg, fn(x, w))
-        return 0
-    if kind == "theta":
-        if not args.lam:
-            raise DimensionMismatch("query theta requires --lam")
-        _emit_hecke(args, cfg, theta(datum, datum.parse_coweight(args.lam)))
-        return 0
-    if kind == "z":
-        if not args.lam:
-            raise DimensionMismatch("query z requires --lam")
-        _emit_hecke(
-            args, cfg, bernstein_central(datum, datum.parse_coweight(args.lam))
-        )
-        return 0
-    if kind == "kottwitz":
-        if not args.mu:
-            raise DimensionMismatch("query kottwitz requires --mu")
-        _emit_hecke(
-            args, cfg, kottwitz_function(datum, datum.parse_coweight(args.mu))
-        )
-        return 0
-    # wakimoto, the last kind the parser admits
-    if len(args.elements) != 2:
-        raise DimensionMismatch("query wakimoto requires two element arguments")
-    v = _parse_element(datum, args.elements[0])
-    w = _parse_element(datum, args.elements[1])
-    raw, _normalized = wakimoto_function(v, w)
-    _emit_hecke(args, cfg, raw)
+            raise DimensionMismatch(f"query {args.kind} requires two element arguments")
+        inputs = [group(datum).decode(text) for text in args.elements]
+    elif getattr(args, source):
+        inputs = [datum.parse_coweight(getattr(args, source))]
+    else:
+        raise DimensionMismatch(f"query {args.kind} requires --{source}")
+    emit(args, cfg, fn(datum, *inputs))
     return 0
 
 
@@ -275,8 +257,7 @@ COMMANDS = {
         cmd_query,
         "compute a single object",
         [
-            ("kind", 1, ("adm", "kl", "invkl", "rpoly", "theta", "z", "kottwitz", "wakimoto"),
-             "what to compute"),
+            ("kind", 1, tuple(QUERIES), "what to compute"),
             ("group", 1, None, "group label"),
             ("elements", "*", None, "element encodings t[...]*w[...]"),
         ],

@@ -77,9 +77,10 @@ class MultiplicityTable:
     # -- property reports ----------------------------------------------------
 
     def property_report(self):
-        """Empirical checks per element: degree bound, palindromic-unimodal
-        shape, unit endpoints, nonnegativity.  Informative, not enforced."""
-        per_w = {}
+        """Empirical checks over the table, {check: True iff every element
+        passes}: degree bound, palindromic-unimodal shape, unit endpoints,
+        nonnegativity.  Informative, not enforced."""
+        rows = []
         for w in self.adm:
             p = self.m_polys[w]
             dmax = self.ell_mu - w.length()
@@ -93,24 +94,14 @@ class MultiplicityTable:
             unimodal = all(vec[i] <= vec[i + 1] for i in range(half)) if dmax > 0 else True
             endpoints = vec[0] == 1 and vec[dmax] == 1
             nonneg = all(c >= 0 for c in coeffs)
-            per_w[w] = {
+            rows.append({
                 "degree_bound": in_range,
                 "palindromic": palindromic,
                 "unimodal": unimodal,
                 "unit_endpoints": endpoints,
                 "nonnegative": nonneg,
-            }
-        summary = {
-            key: all(v[key] for v in per_w.values())
-            for key in (
-                "degree_bound",
-                "palindromic",
-                "unimodal",
-                "unit_endpoints",
-                "nonnegative",
-            )
-        }
-        return per_w, summary
+            })
+        return {key: all(row[key] for row in rows) for key in rows[0]}
 
 
 def compute(datum, mu):

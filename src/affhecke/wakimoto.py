@@ -23,13 +23,11 @@ signing the wall crossings of the alcove walk from the base alcove to
 t_lambda: positive crossings contribute T~_s, negative ones T~_s^{-1}.
 """
 
-import math
 from collections import namedtuple
 
-from .affweyl import InvariantViolation, group
+from .affweyl import group
 from .hecke import context
 from .laurent import LaurentPoly, NotExpandable
-from .rootdata import dot
 
 
 class NotMinimal(ValueError):
@@ -177,39 +175,17 @@ def theta_walk_factors(datum, lam):
 
     Walks the canonical reduced word of t_lambda from the base alcove,
     assigning +1 to steps that cross their wall in the increasing
-    direction of the positive root and -1 to the others.  The underlying
-    word is reduced by construction; the test suite verifies that the
-    signed product equals Theta_lambda.
+    direction of the positive root and -1 to the others, as the group's
+    ascent test reads them (AffineWeylGroup.crossing_sign).  The
+    underlying word is reduced by construction; the test suite verifies
+    that the signed product equals Theta_lambda.
     """
-    from fractions import Fraction
-
     g = group(datum)
-    t = g.translation(lam)
-    omega, word = g.reduced_word(t)
-    # exact rational interior point of the base alcove
-    two_rho_covee = datum.two_rho_coroot
-    bound = 1 + max(dot(f, two_rho_covee) for f in datum.pos_roots)
-    point = tuple(Fraction(c, bound) for c in two_rho_covee)
-    factors = [(omega, 1)]
-    cur = omega
-    prev_pt = cur.act(point)
+    cur, word = g.reduced_word(g.translation(lam))
+    factors = [(cur, 1)]
     for i in word:
+        factors.append((g.simple_reflection(i), g.crossing_sign(cur, i)))
         cur = g.mul_gen(cur, i)
-        cur_pt = cur.act(point)
-        sign = None
-        for f in datum.pos_roots:
-            a = dot(f, prev_pt)
-            b = dot(f, cur_pt)
-            lo, hi = (a, b) if a < b else (b, a)
-            # integer level strictly between the two evaluations?
-            k = math.floor(lo) + 1
-            if lo < k < hi:
-                sign = 1 if b > a else -1
-                break
-        if sign is None:
-            raise InvariantViolation(f"walk step s{i} towards {t.encode()} crossed no wall")
-        factors.append((g.simple_reflection(i), sign))
-        prev_pt = cur_pt
     return factors
 
 

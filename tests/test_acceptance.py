@@ -182,7 +182,7 @@ def test_criterion_6_structural(tables):
 def test_criterion_7_observations_and_epsilon_sum(tables):
     for fam, n, mu, stem in REFERENCE_CASES:
         table = tables(fam, n, mu)
-        _, summary = table.property_report()
+        summary = table.property_report()
         assert all(summary.values()), (stem, summary)
         if multiplicity.is_minuscule(create(fam, n), mu):
             assert multiplicity.epsilon_sum_identity(table), stem

@@ -80,6 +80,17 @@ def test_reduced_word_roundtrip():
     assert G.reduced_word(G.identity) == (G.identity, ())
 
 
+@pytest.mark.parametrize("label", ["GL3", "GSp4", "G2"])
+def test_crossing_sign_of_the_walls_of_an_alcove(label):
+    G = group(rootdata.parse_group(label))
+    # the base alcove lies on the positive side of each alpha_i, i >= 1,
+    # and on the side <theta, x> < 1 of the wall of s_0
+    assert [G.crossing_sign(G.identity, i) for i in range(G.n_gens)] == [1] + [-1] * (G.n_gens - 1)
+    for x in ball(G, 3):
+        for i in range(G.n_gens):
+            assert G.crossing_sign(G.mul_gen(x, i), i) == -G.crossing_sign(x, i)
+
+
 def test_reduced_word_stops_at_the_length(monkeypatch):
     # a descent test that never ends must raise, not strip forever
     G = affweyl.AffineWeylGroup(create("GL", 3))

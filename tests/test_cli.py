@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from affhecke import cli, hecke
+from affhecke import central, cli, hecke, wakimoto
 from affhecke.affweyl import group
 from affhecke.laurent import LaurentPoly
 from affhecke.rootdata import parse_group
@@ -290,6 +290,62 @@ def test_query_rpoly_deep_in_the_word(capsys):
 
 
 QUERY_X, QUERY_Y = "t[0,0,0]*w[]", "t[1,0,-1]*w[]"
+#: a pair whose P, Q and R polynomials differ from each other
+KL_X, KL_Y = "t[0,0,0]*w[]", "t[1,-1,0]*w[s2.s1]"
+
+#: per query kind, an argv and the library call whose value it prints
+QUERY_KINDS = {
+    "adm GL4 --mu 1,1,0,0": lambda d: group(d).adm((1, 1, 0, 0)),
+    f"kl GL3 {KL_X} {KL_Y}": lambda d: hecke.context(d).kl_poly(
+        group(d).decode(KL_X), group(d).decode(KL_Y)),
+    f"invkl GL3 {KL_X} {KL_Y}": lambda d: hecke.context(d).inv_kl_poly(
+        group(d).decode(KL_X), group(d).decode(KL_Y)),
+    f"rpoly GL3 {KL_X} {KL_Y}": lambda d: hecke.context(d).r_poly(
+        group(d).decode(KL_X), group(d).decode(KL_Y)),
+    "theta GL3 --lam 0,1,-1": lambda d: central.theta(d, (0, 1, -1)),
+    "z GSp4 --lam 1,1,0,0": lambda d: central.bernstein_central(
+        d, d.parse_coweight("1,1,0,0")),
+    "kottwitz GL3 --mu 2,1,0": lambda d: central.kottwitz_function(d, (2, 1, 0)),
+    f"wakimoto GL3 {QUERY_Y} t[0,1,0]*w[s1.s2]": lambda d: wakimoto.wakimoto_function(
+        group(d).decode(QUERY_Y), group(d).decode("t[0,1,0]*w[s1.s2]"))[0],
+}
+
+
+def _printed(value):
+    """The text and the JSON payload a query prints for a value: a tuple
+    of elements, a polynomial or a Hecke element."""
+    if isinstance(value, tuple):
+        codes = [x.encode() for x in value]
+        return "".join(c + "\n" for c in codes), {"count": len(codes), "elements": codes}
+    if isinstance(value, LaurentPoly):
+        return value.encode() + "\n", {"value": value.encode()}
+    terms = value.encode()
+    return "".join(f"{x} {c}\n" for x, c in terms.items()), {"terms": terms}
+
+
+@pytest.mark.parametrize("query", list(QUERY_KINDS))
+def test_query_prints_the_library_call_of_its_kind(capsys, monkeypatch, query):
+    monkeypatch.delenv("AFFHECKE_CACHE_DIR", raising=False)
+    kind, label, *rest = query.split()
+    text, payload = _printed(QUERY_KINDS[query](parse_group(label)))
+    assert run(capsys, "query", *query.split()) == (0, text, "")
+    code, out, err = run(capsys, "query", *query.split(), "--format", "json")
+    config = {"command": f"query {kind}", "group": label, "format": "json", "cache_dir": None,
+              "mu": rest[1] if rest[0] in ("--mu", "--lam") else None}
+    assert (code, err) == (0, "") and json.loads(out) == {"run_config": config, **payload}
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("query, message", [
+    ("adm GL4", "query adm requires --mu"),
+    ("kottwitz GL4", "query kottwitz requires --mu"),
+    ("theta GL2", "query theta requires --lam"),
+    ("z GL2", "query z requires --lam"),
+    (f"kl GL3 {KL_X}", "query kl requires two element arguments"),
+    (f"wakimoto GL3 {QUERY_X}", "query wakimoto requires two element arguments"),
+])
+def test_query_without_its_input_exit_2(capsys, query, message):
+    assert run(capsys, "query", *query.split()) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])

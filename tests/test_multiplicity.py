@@ -2,6 +2,7 @@ import pytest
 
 from affhecke import central, checks, multiplicity
 from affhecke.affweyl import group
+from affhecke.hecke import HeckeElement, InvariantViolation
 from affhecke.laurent import LaurentPoly
 from affhecke.rootdata import RootDatum, create, mat_vec, parse_group
 from conftest import REFERENCE_CASES
@@ -204,9 +205,22 @@ def test_property_checks_reuse_the_table(monkeypatch):
     assert calls == [mu]
 
 
+def test_compute_refuses_a_trace_whose_support_is_not_adm(monkeypatch):
+    kottwitz = multiplicity.kottwitz_function
+
+    def short_of_one_term(datum, mu):
+        f = kottwitz(datum, mu)
+        drop = min(f.terms, key=f.hctx.group.sort_key)
+        return HeckeElement(f.hctx, {x: c for x, c in f.terms.items() if x is not drop})
+
+    monkeypatch.setattr(multiplicity, "kottwitz_function", short_of_one_term)
+    with pytest.raises(InvariantViolation, match="support differs from the admissible set"):
+        multiplicity.compute(create("GL", 3), (1, 1, 0))
+
+
 def test_property_report_pass(tables):
     table = tables("GL", 3, (3, 1, 0))
-    _, summary = table.property_report()
+    summary = table.property_report()
     assert all(summary.values())
 
 
@@ -223,7 +237,7 @@ def test_property_report_flags_synthetic_failure(tables):
     )
     tau = table.adm[0]
     doctored.m_polys[tau] = poly_q([1, 7, 2, 1, 1])  # not palindromic
-    _, summary = doctored.property_report()
+    summary = doctored.property_report()
     assert not summary["palindromic"]
     assert summary["degree_bound"]  # degree untouched
 

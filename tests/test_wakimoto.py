@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +9,7 @@ from affhecke.affweyl import group
 from affhecke.checks import ball
 from affhecke.hecke import context
 from affhecke.laurent import LaurentPoly
-from affhecke.rootdata import create
+from affhecke.rootdata import create, dot, mat_vec, vec_add
 
 
 def test_single_letter_subexpressions():
@@ -159,14 +161,43 @@ def test_min_expr_rejects_non_reduced():
         wakimoto.min_expr_degree_check([(t, 1), (G.inv(t), 1)])
 
 
+def rational_walk_factors(datum, lam):
+    """theta_walk_factors with each sign read off exact points: an interior
+    point of the base alcove moves along the walk, and a step takes the
+    sign of the first positive root whose value passes an integer."""
+    g = group(datum)
+    omega, word = g.reduced_word(g.translation(lam))
+    bound = 1 + max(dot(f, datum.two_rho_coroot) for f in datum.pos_roots)
+    point = tuple(Fraction(c, bound) for c in datum.two_rho_coroot)
+
+    def image(x):
+        return vec_add(x.trans, mat_vec(x.fin, point))
+
+    factors, cur = [(omega, 1)], omega
+    for i in word:
+        nxt = g.mul_gen(cur, i)
+        for f in datum.pos_roots:
+            a, b = dot(f, image(cur)), dot(f, image(nxt))
+            if math.floor(min(a, b)) + 1 < max(a, b):
+                factors.append((g.simple_reflection(i), 1 if b > a else -1))
+                break
+        else:
+            raise AssertionError(f"step s{i} from {cur.encode()} crossed no wall")
+        cur = nxt
+    return factors
+
+
 @pytest.mark.parametrize(
     "fam,n,mu",
-    [("GL", 3, (1, 0, 0)), ("GL", 3, (1, 1, 0)), ("GL", 4, (1, 1, 0, 0))],
+    [("GL", 3, (1, 0, 0)), ("GL", 3, (1, 1, 0)), ("GL", 4, (1, 1, 0, 0)),
+     ("GL", 3, (2, 1, 0)), ("GSp", 2, (1, 1, 1)), ("GSp", 3, (1, 1, 1, 1)),
+     ("G2", 2, (1, 0))],
 )
 def test_theta_walk_minimal_expressions(fam, n, mu):
     datum = create(fam, n)
     for lam in datum.weyl_orbit(mu):
         factors = wakimoto.theta_walk_factors(datum, lam)
+        assert factors == rational_walk_factors(datum, lam)
         assert wakimoto.evaluate_factors(datum, factors) == central.theta(
             datum, lam
         )
