@@ -511,7 +511,7 @@ class AffineWeylGroup:
         y = self.translation(lam)
         if word_part:
             for letter in word_part.split("."):
-                if not letter.startswith("s"):
+                if not (letter[:1] == "s" and letter[1:].isdecimal()):
                     raise ValueError(f"bad generator {letter!r} in {text!r}")
                 i = int(letter[1:])
                 if not 1 <= i < self.n_gens:

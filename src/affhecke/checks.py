@@ -2,6 +2,9 @@
 
 Each suite returns a list of (name, ok, detail) triples so that both the
 command-line front end and the test suite can consume the same checks.
+An oracle suite counts the mismatches of each entry and reports it
+through _entry(name, bad, detail): ok is bad == 0, and the detail ends in
+", <bad> mismatches", or is just "<bad> mismatches" with no detail.
 """
 
 import importlib.resources
@@ -22,6 +25,18 @@ from .rootdata import (
     vec_mat,
     vec_scale,
 )
+
+
+def _entry(name, bad, detail=""):
+    """The (name, ok, detail) triple of an oracle entry with bad mismatches."""
+    return name, bad == 0, f"{detail}, {bad} mismatches" if detail else f"{bad} mismatches"
+
+
+def _case(label, text):
+    """(datum, mu, context, group) of a case given as (group label, mu text)."""
+    d = parse_group(label)
+    hctx = context(d)
+    return d, d.parse_coweight(text), hctx, hctx.group
 
 
 def ball(g, radius):
@@ -80,13 +95,8 @@ def bruhat_oracle_checks(depth=5):
             for x in pool:
                 cross += g.omega_class(x) != g.omega_class(y)
                 bad += g.leq(x, y) != lifting_leq(g, x, y)
-        results.append(
-            (
-                f"bruhat-lifting-vs-interval-{g.datum.label}",
-                bad == 0,
-                f"{len(pool) ** 2} pairs ({cross} across Omega-cosets), {bad} mismatches",
-            )
-        )
+        detail = f"{len(pool) ** 2} pairs ({cross} across Omega-cosets)"
+        results.append(_entry(f"bruhat-lifting-vs-interval-{g.datum.label}", bad, detail))
     return results
 
 
@@ -246,7 +256,7 @@ def finite_weyl_checks():
         kinds = ("finite-index-vs-matrix", "finite-product-vs-matrix", "ascent-vs-length",
                  "finite-walk-vs-matrix")
         for kind, out, k, detail in zip(kinds, results, bad, details):
-            out.append((f"{kind}-{d.label}", k == 0, f"{detail}, {k} mismatches"))
+            out.append(_entry(f"{kind}-{d.label}", k, detail))
     return results[0] + results[1] + results[2] + results[3]
 
 
@@ -290,10 +300,7 @@ def q_analogue_checks():
     """
     results = []
     for label, text in Q_ANALOGUE_CASES:
-        d = parse_group(label)
-        mu = d.parse_coweight(text)
-        hctx = context(d)
-        g = hctx.group
+        d, mu, hctx, g = _case(label, text)
         n_mu = longest_in_double_coset(g, mu)
         lams = d.dominant_below(mu)
         bad = 0
@@ -305,14 +312,8 @@ def q_analogue_checks():
                 and all(c >= 0 for c in p.terms.values())
                 and p.eval_at("v=1") == d.weight_multiplicity(mu, lam)
             )
-        results.append(
-            (
-                f"q-analogue-{label}-{text}",
-                bad == 0,
-                f"{len(lams)} dominant lambda <= mu, l(n_mu) = {n_mu.length()}, "
-                f"{bad} mismatches",
-            )
-        )
+        detail = f"{len(lams)} dominant lambda <= mu, l(n_mu) = {n_mu.length()}"
+        results.append(_entry(f"q-analogue-{label}-{text}", bad, detail))
     return results
 
 
@@ -369,14 +370,12 @@ def kl_solver_checks():
     """kl_poly (the recursion) against bar_fixed_column on every pair (x, w)
     with x in Adm(mu) and w in Adm(mu) or its translations, pairs x not <=
     w included; a pair whose solve raises InvariantViolation counts as a
-    mismatch, and so does every solved column whose keys are not the
-    interval [e, w) of the Bruhat order."""
+    mismatch, and so do a column bar_fixed_column cannot solve and every
+    solved column whose keys are not the interval [e, w) of the Bruhat
+    order."""
     results = []
     for label, text, tops in KL_SOLVER_CASES:
-        d = parse_group(label)
-        hctx = context(d)
-        g = hctx.group
-        mu = d.parse_coweight(text)
+        d, mu, hctx, g = _case(label, text)
         adm = g.adm(mu)
         if tops:
             ws = [g.translation(lam) for lam in d.weyl_orbit(mu) if lam < tuple(-c for c in lam)]
@@ -384,7 +383,11 @@ def kl_solver_checks():
             ws = adm
         bad = below = 0
         for w in ws:
-            col = bar_fixed_column(hctx, w)
+            try:
+                col = bar_fixed_column(hctx, w)
+            except InvariantViolation:
+                bad += 1
+                continue
             below += len(col)
             for x in adm:
                 try:
@@ -393,14 +396,8 @@ def kl_solver_checks():
                     bad += 1
         bad += sum(col.keys() != g._interval(w) - {w} for w, col in hctx._p_cols.items())
         where = f"{len(ws)} translations x " if tops else ""
-        results.append(
-            (
-                f"kl-recursion-vs-bar-fixedness-{label}-{text}",
-                bad == 0,
-                f"{len(ws) * len(adm)} pairs of {where}Adm({text}) ({below} with x <= w), "
-                f"{bad} mismatches",
-            )
-        )
+        detail = f"{len(ws) * len(adm)} pairs of {where}Adm({text}) ({below} with x <= w)"
+        results.append(_entry(f"kl-recursion-vs-bar-fixedness-{label}-{text}", bad, detail))
     return results
 
 
@@ -425,34 +422,8 @@ def r_recursion_checks(depth):
             for x in g.below(y):
                 pairs += 1
                 bad += hctx.r_poly(x, y) != _r_extraction(hctx, x, y, inv)
-        detail = f"{pairs} pairs with l(y) <= {depth}, {bad} mismatches"
-        results.append((f"r-recursion-vs-extraction-{g.datum.label}", bad == 0, detail))
-    return results
-
-
-def sum_qr_checks():
-    """sum_{w<=x<=y} Q_{w,x} R_{x,y} = q^{l(y)-l(w)} bar(Q_{w,y}) for all
-    w <= y below the first length-6 element of ball(g, 6), GL_3 and GSp_4."""
-    results = []
-    for fam, n in (("GL", 3), ("GSp", 2)):
-        hctx = context(create(fam, n))
-        g = hctx.group
-        y0 = next(y for y in ball(g, 6) if y.length() == 6)
-        bel = g.below(y0)
-        pairs = bad = 0
-        for w in bel:
-            for y in bel:
-                if not g.leq(w, y):
-                    continue
-                acc = LaurentPoly.zero()
-                for x in bel:
-                    if g.leq(w, x) and g.leq(x, y):
-                        acc = acc + hctx.inv_kl_poly(w, x) * hctx.r_poly(x, y)
-                gap = 2 * (y.length() - w.length())
-                bad += acc != hctx.inv_kl_poly(w, y).bar().shift(gap)
-                pairs += 1
-        detail = f"{pairs} pairs below {y0.encode()}, {bad} mismatches"
-        results.append((f"sum-QR-identity-{g.datum.label}", bad == 0, detail))
+        detail = f"{pairs} pairs with l(y) <= {depth}"
+        results.append(_entry(f"r-recursion-vs-extraction-{g.datum.label}", bad, detail))
     return results
 
 
@@ -469,11 +440,9 @@ def pq_inversion_checks(cases=PQ_INVERSION_CASES):
     (group, mu) of cases."""
     results = []
     for label, text in cases:
-        d = parse_group(label)
-        hctx = context(d)
-        g = hctx.group
+        _d, mu, hctx, g = _case(label, text)
         pairs = bad = 0
-        for w in g.adm(d.parse_coweight(text)):
+        for w in g.adm(mu):
             bel = g.below(w)
             for x in bel:
                 acc = LaurentPoly.zero()
@@ -483,39 +452,8 @@ def pq_inversion_checks(cases=PQ_INVERSION_CASES):
                         acc = acc + (p if (z.length() - x.length()) % 2 == 0 else -p)
                 pairs += 1
                 bad += acc != (LaurentPoly.one() if x is w else LaurentPoly.zero())
-        results.append(
-            (
-                f"pq-inversion-{label}-{text}",
-                bad == 0,
-                f"{pairs} pairs x <= w of Adm({text}), {bad} mismatches",
-            )
-        )
-    return results
-
-
-#: (group, mu) whose Adm pairs x <= w the inverse-KL recursion is checked on
-INVKL_RECURSION_CASES = (("GL3", "1,1,0"), ("GSp4", "1,1,0,0"))
-
-
-def invkl_recursion_checks(cases=INVKL_RECURSION_CASES):
-    """sum_{x<=z<=w} R_{z,w} Q_{x,z} = q^{l(w)-l(x)} bar(Q_{x,w}) on every
-    pair x <= w of Adm(mu), for each (group, mu) of cases."""
-    results = []
-    for label, text in cases:
-        d = parse_group(label)
-        hctx = context(d)
-        g = hctx.group
-        bad = 0
-        for w in g.adm(d.parse_coweight(text)):
-            bel = g.below(w)
-            for x in bel:
-                rec = LaurentPoly.zero()
-                for z in bel:
-                    if g.leq(x, z):
-                        rec = rec + hctx.r_poly(z, w) * hctx.inv_kl_poly(x, z)
-                gap = 2 * (w.length() - x.length())
-                bad += rec != hctx.inv_kl_poly(x, w).bar().shift(gap)
-        results.append((f"invkl-recursion-{label}", bad == 0, f"{bad} mismatches"))
+        detail = f"{pairs} pairs x <= w of Adm({text})"
+        results.append(_entry(f"pq-inversion-{label}-{text}", bad, detail))
     return results
 
 
@@ -547,35 +485,36 @@ def q_oracle_row(hctx, x, ws):
     return row
 
 
-def q_oracle_checks():
-    """inv_kl_poly against q_oracle_row on every pair x <= w of Adm(mu),
-    for the cases of PQ_INVERSION_CASES with mu not minuscule; a row whose
-    solve raises InvariantViolation counts as a mismatch."""
+def q_oracle_checks(cases=PQ_INVERSION_CASES, intervals=(("GL", 3), ("GSp", 2))):
+    """inv_kl_poly against q_oracle_row on every pair x <= w of each pool:
+    Adm(mu) for each (group, mu) of cases, and [e, y0] for each (family,
+    rank) of intervals, y0 the first length-6 element of ball(g, 6).  The
+    row solves sum_{x<=z<=w} Q_{x,z} R_{z,w} = q^{l(w)-l(x)} bar(Q_{x,w}),
+    so agreement also checks that relation on the pool.  A row whose solve
+    raises InvariantViolation counts as a mismatch."""
+    pools = []  # (name suffix, context, pool, what the pool is)
+    for label, text in cases:
+        _d, mu, hctx, g = _case(label, text)
+        pools.append((f"{label}-{text}", hctx, g.adm(mu), f"Adm({text})"))
+    for fam, n in intervals:
+        hctx = context(create(fam, n))
+        g = hctx.group
+        y0 = next(y for y in ball(g, 6) if y.length() == 6)
+        pools.append((g.datum.label, hctx, g.below(y0), f"[e, {y0.encode()}]"))
     results = []
-    for label, text in PQ_INVERSION_CASES:
-        d = parse_group(label)
-        mu = d.parse_coweight(text)
-        if multiplicity.is_minuscule(d, mu):
-            continue
-        hctx = context(d)
-        adm = hctx.group.adm(mu)
+    for name, hctx, pool, where in pools:
         pairs = bad = 0
-        for x in adm:
+        for x in pool:
             try:
-                row = q_oracle_row(hctx, x, adm)
+                row = q_oracle_row(hctx, x, pool)
             except InvariantViolation:
                 bad += 1
                 continue
             for w, q in row.items():
                 pairs += 1
                 bad += q != hctx.inv_kl_poly(x, w)
-        results.append(
-            (
-                f"q-oracle-vs-ic-basis-{label}-{text}",
-                bad == 0,
-                f"{pairs} pairs x <= w of Adm({text}), {bad} mismatches",
-            )
-        )
+        detail = f"{pairs} pairs x <= w of {where}"
+        results.append(_entry(f"q-oracle-vs-ic-basis-{name}", bad, detail))
     return results
 
 
@@ -593,10 +532,8 @@ def inverse_product_checks():
     """
     results = []
     for label, text in PQ_INVERSION_CASES:
-        d = parse_group(label)
-        hctx = context(d)
-        g = hctx.group
-        adm = g.adm(d.parse_coweight(text))
+        _d, mu, hctx, g = _case(label, text)
+        adm = g.adm(mu)
         hs = [hctx.T(x) for x in (g.identity, adm[0], adm[len(adm) // 2], adm[-1])]
         omegas = set()
         bad = 0
@@ -617,14 +554,8 @@ def inverse_product_checks():
                     bad += conj is not g.simple_reflection(g.conj_gen(omega, i))
                 except InvariantViolation:
                     bad += 1
-        results.append(
-            (
-                f"inverse-product-{label}-{text}",
-                bad == 0,
-                f"{len(adm)} y in Adm({text}) times {len(hs)} T_x, "
-                f"{len(omegas)} Omega elements, {bad} mismatches",
-            )
-        )
+        detail = f"{len(adm)} y in Adm({text}) times {len(hs)} T_x, {len(omegas)} Omega elements"
+        results.append(_entry(f"inverse-product-{label}-{text}", bad, detail))
     return results
 
 
@@ -646,8 +577,7 @@ def wakimoto_checks(seed, samples):
                 bad += c != wakimoto.rv_poly_laurent(v, w, x)
             done += 1
         total += done
-    detail = f"{total} random (v,w) pairs, {bad} mismatches"
-    return [("wakimoto-closed-form", bad == 0, detail)]
+    return [_entry("wakimoto-closed-form", bad, f"{total} random (v,w) pairs")]
 
 
 def theta_q1_checks():
@@ -668,7 +598,7 @@ def theta_q1_checks():
             bad += set(coeffs) != set(g.below(t))
             for w, c in coeffs.items():
                 bad += c.eval_at("v=1") != hctx.inv_kl_poly(w, t).eval_at("v=1")
-    return [("theta-q1-specialisation", bad == 0, f"{bad} mismatches")]
+    return [_entry("theta-q1-specialisation", bad)]
 
 
 #: (group, mu) whose Bernstein functions, central elements and Kottwitz
@@ -689,10 +619,7 @@ def bernstein_checks(cases=BERNSTEIN_CASES):
     results = []
     pairs = (central.minimal_dominant_pair, central.shifted_dominant_pair)
     for label, text in cases:
-        d = parse_group(label)
-        hctx = context(d)
-        g = hctx.group
-        mu = d.parse_coweight(text)
+        d, mu, hctx, g = _case(label, text)
         weights = d.weight_table(mu)
         bad = n = 0
         zs = []
@@ -712,13 +639,8 @@ def bernstein_checks(cases=BERNSTEIN_CASES):
         ell = g.translation(mu).length()
         want = hctx.sum(zs).scale(LaurentPoly.v_power(ell, -1 if ell % 2 else 1))
         bad += central.kottwitz_function(d, mu) != want
-        results.append(
-            (
-                f"bernstein-packed-vs-laurent-{label}-{text}",
-                bad == 0,
-                f"{n} Theta, {len(zs)} z and the Kottwitz function, {bad} mismatches",
-            )
-        )
+        detail = f"{n} Theta, {len(zs)} z and the Kottwitz function"
+        results.append(_entry(f"bernstein-packed-vs-laurent-{label}-{text}", bad, detail))
     return results
 
 
@@ -726,9 +648,8 @@ def oracle_checks(seed=42, depth=5, samples=50):
     """Exact cross-oracle identities, mostly on GL_3 and GSp_4."""
     results = bruhat_oracle_checks(depth) + finite_weyl_checks()
     results += r_recursion_checks(depth) + kl_solver_checks()
-    results += invkl_recursion_checks() + pq_inversion_checks()
-    results += q_oracle_checks() + inverse_product_checks()
-    results += sum_qr_checks() + wakimoto_checks(seed, samples)
+    results += pq_inversion_checks() + q_oracle_checks()
+    results += inverse_product_checks() + wakimoto_checks(seed, samples)
     results += theta_q1_checks() + q_analogue_checks()
     return results + bernstein_checks()
 

@@ -70,9 +70,10 @@ def _cache_dir(args):
     return args.cache_dir or os.environ.get(CACHE_ENV_VAR) or None
 
 
-def _require_jobs(args):
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+def _require_positive(args, *names):
+    for name in names:
+        if getattr(args, name) < 1:
+            raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
 
 
 def _emit(args, text):
@@ -88,7 +89,7 @@ def _emit(args, text):
 
 
 def cmd_table(args):
-    _require_jobs(args)
+    _require_positive(args, "jobs")
     datum = parse_group(args.group)
     mu = datum.parse_coweight(args.mu)
     cache = _cache_dir(args)
@@ -194,15 +195,14 @@ def cmd_query(args):
 def cmd_check(args):
     from . import checks
 
-    _require_jobs(args)
+    _require_positive(args, "jobs", "depth", "samples")
     if args.suite == "oracles":
         results = checks.oracle_checks(
             seed=args.seed, depth=args.depth, samples=args.samples
         )
     else:
         if not args.group or not args.mu:
-            print("check properties/golden requires GROUP and --mu", file=sys.stderr)
-            return 2
+            raise DimensionMismatch(f"check {args.suite} requires GROUP and --mu")
         datum = parse_group(args.group)
         mu = datum.parse_coweight(args.mu)
         if args.suite == "properties":

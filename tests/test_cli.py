@@ -269,7 +269,7 @@ def test_check_properties(tmp_path, capsys):
 
 #: sha256 of the stdout of `check oracles --seed 42 --depth 3 --samples 5`:
 #: every entry, count and PASS line, in order
-ORACLES_QUICK_DIGEST = "9aaa07169b2164161572d166001bee1aa5b5f228eb8af7bab495921f15baec2f"
+ORACLES_QUICK_DIGEST = "50f33a4b46dd231d02651930aa0363c98c9bd76c0faacefd205c78eef96d37eb"
 
 
 def test_check_oracles_quick(capsys):
@@ -346,6 +346,30 @@ def test_query_prints_the_library_call_of_its_kind(capsys, monkeypatch, query):
 ])
 def test_query_without_its_input_exit_2(capsys, query, message):
     assert run(capsys, "query", *query.split()) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (f"query kl GL3 t[0,0]*w[] {QUERY_X}", "expected 3 coordinates in 't[0,0]*w[]'"),
+    (f"query kl GL3 t[0,0,0]*w[r1] {QUERY_X}", "bad generator 'r1' in 't[0,0,0]*w[r1]'"),
+    (f"query kl GL3 t[0,0,0]*w[s] {QUERY_X}", "bad generator 's' in 't[0,0,0]*w[s]'"),
+    (f"query kl GL3 t[0,0,0]*w[s1x] {QUERY_X}", "bad generator 's1x' in 't[0,0,0]*w[s1x]'"),
+    (f"query kl GL3 t[0,0,0]*w[s0] {QUERY_X}",
+     "finite generator out of range in 't[0,0,0]*w[s0]'"),
+    (f"query kl GL3 t[0,0,0]*w[s1.s3] {QUERY_X}",
+     "finite generator out of range in 't[0,0,0]*w[s1.s3]'"),
+    ("table GSp4 --mu 1,0", "GSp_4 coweight needs 4 coordinates"),
+    ("table G2 --mu 1", "G2 coweight needs 2 or 3 coordinates"),
+    ("table GLx --mu 1,0", "bad group label 'GLx'"),
+    ("table SO5 --mu 1,0", "unknown group label 'SO5'"),
+    ("check properties GL3", "check properties requires GROUP and --mu"),
+    ("check golden", "check golden requires GROUP and --mu"),
+    ("check oracles --depth 0", "--depth must be at least 1, got 0"),
+    ("check oracles --depth -1", "--depth must be at least 1, got -1"),
+    ("check oracles --samples -3", "--samples must be at least 1, got -3"),
+    ("check properties GL3 --mu 1,0,0 --samples 0", "--samples must be at least 1, got 0"),
+])
+def test_rejected_input_exit_2_with_one_error_line(capsys, argv, message):
+    assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])

@@ -531,14 +531,18 @@ def test_pq_inversion_oracle():
 def test_q_oracle_vs_ic_basis():
     results = checks.q_oracle_checks()
     assert [name for name, _, _ in results] == [
-        f"q-oracle-vs-ic-basis-{label}-{text}"
-        for label, text in checks.PQ_INVERSION_CASES[:4]
-    ]
+        f"q-oracle-vs-ic-basis-{label}-{text}" for label, text in checks.PQ_INVERSION_CASES
+    ] + ["q-oracle-vs-ic-basis-GL3", "q-oracle-vs-ic-basis-GSp4"]
     for name, ok, detail in results:
         assert ok, (name, detail)
         assert detail.endswith(", 0 mismatches"), detail
-    # the pairs of the four non-minuscule cases of test_pq_inversion_oracle
-    assert sum(int(detail.split()[0]) for _, _, detail in results) == 4662
+    # the 4,736 pairs of test_pq_inversion_oracle, then those of [e, y0], y0 of
+    # length 6
+    assert [detail for _, _, detail in results[6:]] == [
+        "289 pairs x <= w of [e, t[-1,-1,2]*w[]], 0 mismatches",
+        "253 pairs x <= w of [e, t[-1,-1,0]*w[]], 0 mismatches",
+    ]
+    assert sum(int(detail.split()[0]) for _, _, detail in results) == 5278
 
 
 def test_inverse_product_oracle():
