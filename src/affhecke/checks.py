@@ -2,14 +2,23 @@
 
 Each suite returns a list of (name, ok, detail) triples so that both the
 command-line front end and the test suite can consume the same checks.
-An oracle suite counts the mismatches of each entry and reports it
-through _entry(name, bad, detail): ok is bad == 0, and the detail ends in
-", <bad> mismatches", or is just "<bad> mismatches" with no detail.
+
+An oracle suite makes its entries through one runner, _run, one entry
+per case: it builds the case, names the entry and reports it through
+_entry, which calls the suite's check for the case.  The check counts
+the mismatches, bad, and ok is bad == 0; the detail ends in
+", <bad> mismatches", or is just "<bad> mismatches" with no detail.  An
+InvariantViolation raised while an entry is made, in a case or in a
+suite with no case loop, fails that entry alone, with the exception
+text as its detail, and the next entry is made as usual.  Every oracle
+suite also keeps its generator of entries as .entries, so that
+oracle_checks hands each entry on as soon as it is made.
 """
 
 import importlib.resources
 import random
-from functools import reduce
+from functools import reduce, wraps
+from itertools import chain
 
 from . import central, multiplicity, wakimoto
 from .affweyl import AffineWeylGroup, group
@@ -27,16 +36,41 @@ from .rootdata import (
 )
 
 
-def _entry(name, bad, detail=""):
-    """The (name, ok, detail) triple of an oracle entry with bad mismatches."""
+def _entry(name, check, *args):
+    """The (name, ok, detail) triple of the oracle entry that check(*args)
+    = (bad, detail) reports, with bad mismatches; a FAIL entry whose detail
+    is the exception text when check raises InvariantViolation."""
+    try:
+        bad, detail = check(*args)
+    except InvariantViolation as exc:
+        return name, False, str(exc)
     return name, bad == 0, f"{detail}, {bad} mismatches" if detail else f"{bad} mismatches"
 
 
-def _case(label, text):
-    """(datum, mu, context, group) of a case given as (group label, mu text)."""
-    d = parse_group(label)
-    hctx = context(d)
-    return d, d.parse_coweight(text), hctx, hctx.group
+def _run(kind, cases, check):
+    """Yield the entry of each case, each made when it is read.
+
+    A case (group label, mu text, *rest), such as ("GL3", "2,1,0"), is
+    named kind-label-text and checked by check(context, mu, text, *rest);
+    a case (family, rank, *rest), such as ("GL", 3), is named kind-label
+    by its datum and checked by check(context, *rest), through _entry.
+    """
+    for first, second, *rest in cases:
+        if isinstance(second, str):
+            d = parse_group(first)
+            name, args = f"{kind}-{first}-{second}", (d.parse_coweight(second), second, *rest)
+        else:
+            d = create(first, second)
+            name, args = f"{kind}-{d.label}", rest
+        yield _entry(name, check, context(d), *args)
+
+
+def _suite(entries):
+    """The suite that returns, in a list, the entries that `entries` yields;
+    `entries` stays on it as .entries."""
+    suite = wraps(entries)(lambda *args, **kwargs: list(entries(*args, **kwargs)))
+    suite.entries = entries
+    return suite
 
 
 def ball(g, radius):
@@ -84,20 +118,21 @@ def bruhat_pool(g, depth, mu):
     return sorted(set(ball(g, depth)) | set(g.adm(mu)), key=g.sort_key)
 
 
+@_suite
 def bruhat_oracle_checks(depth=5):
     """`leq` against `lifting_leq` on all pairs of ball(g, depth) u Adm(mu)."""
-    results = []
-    for fam, n, mu in BRUHAT_CASES:
-        g = group(create(fam, n))
+
+    def check(hctx, mu):
+        g = hctx.group
         pool = bruhat_pool(g, depth, mu)
         bad = cross = 0
         for y in pool:
             for x in pool:
                 cross += g.omega_class(x) != g.omega_class(y)
                 bad += g.leq(x, y) != lifting_leq(g, x, y)
-        detail = f"{len(pool) ** 2} pairs ({cross} across Omega-cosets)"
-        results.append(_entry(f"bruhat-lifting-vs-interval-{g.datum.label}", bad, detail))
-    return results
+        return bad, f"{len(pool) ** 2} pairs ({cross} across Omega-cosets)"
+
+    return _run("bruhat-lifting-vs-interval", BRUHAT_CASES, check)
 
 
 #: groups for the finite-index sweep, each with a dominant regular and a
@@ -158,14 +193,24 @@ def _product(a, b):
     return vec_add(a[0], mat_vec(a[1], b[0])), mat_mul(a[1], b[1])
 
 
+def _inverter(d):
+    """The function that takes the (translation, matrix) pair of t_trans m
+    to that of its inverse by plain arithmetic: m^{-1} is the matrix of
+    finite_weyl() whose product with m is the identity."""
+    weyl = [m for m, _sign in d.finite_weyl()]
+    inverse = {m: next(u for u in weyl if mat_mul(m, u) == d.identity) for m in weyl}
+    return lambda trans, m: (vec_scale(mat_vec(inverse[m], trans), -1), inverse[m])
+
+
+@_suite
 def finite_weyl_checks():
     """The indexed group law and the ascent test against plain matrix
-    arithmetic, in one sweep over x = t_lam m for every finite Weyl matrix
-    m and translation lam of each case of FINITE_INDEX_CASES.  The group
-    keys a finite Weyl element by its root permutation alone and builds
-    its matrix on first read (pickles still carry that matrix), so every
-    matrix it returns is checked here against finite_weyl(), mat_mul and
-    mat_vec.
+    arithmetic, over x = t_lam m for every finite Weyl matrix m and
+    translation lam (0 and the two of the case) of each case of
+    FINITE_INDEX_CASES.  The group keys a finite Weyl element by its root
+    permutation alone and builds its matrix on first read (pickles still
+    carry that matrix), so every matrix it returns is checked here against
+    finite_weyl(), mat_mul and mat_vec.
 
     * finite-index-vs-matrix: x, x^{-1}, x * s_i and s_i * x for every
       generator i;
@@ -186,78 +231,79 @@ def finite_weyl_checks():
 
     Each product or inverse is compared with its (translation, matrix)
     pair from mat_mul and mat_vec: it must be the interned element for the
-    pair, with the Iwahori-Matsumoto length.  The inverse of a matrix m is
-    the matrix of finite_weyl() whose product with m is the identity.
-    Returns the three index entries, then the three product entries, then
-    the three ascent entries, then the three walk entries.
+    pair, with the Iwahori-Matsumoto length.  Returns the three index
+    entries, then the three product entries, then the three ascent
+    entries, then the three walk entries.
     """
-    results = ([], [], [], [])  # index, product, ascent, walk
-    for fam, n, regular, other in FINITE_INDEX_CASES:
-        d = create(fam, n)
-        g = group(d)
-        zero = (0,) * d.dim
-        gens = _affine_gens(d)
-        weyl = [m for m, _sign in d.finite_weyl()]
-        inverse = {m: next(u for u in weyl if mat_mul(m, u) == d.identity) for m in weyl}
 
-        def inverse_pair(trans, fin):
-            return vec_scale(mat_vec(inverse[fin], trans), -1), inverse[fin]
+    def pairs(d, regular, other):
+        """(lam, m) of every x = t_lam m of the sweep."""
+        return [(lam, m) for m, _sign in d.finite_weyl() for lam in ((0,) * d.dim, regular, other)]
 
+    def index(hctx, regular, other):
+        g, d = hctx.group, hctx.datum
+        gens, inverse_pair = _affine_gens(d), _inverter(d)
+        want = []
+        for pair in pairs(d, regular, other):
+            x = g.element(*pair)
+            want += [(x, *pair), (g.inv(x), *inverse_pair(*pair))]
+            for i, gen in enumerate(gens):
+                want.append((g.mul_gen(x, i), *_product(pair, gen)))
+                want.append((g.mul(g.simple_reflection(i), x), *_product(gen, pair)))
+        detail = f"{len(want)} elements from {len(d.finite_weyl())} finite Weyl matrices"
+        return _matrix_mismatches(g, want), detail
+
+    def product(hctx, regular, other):
+        g, d = hctx.group, hctx.datum
+        sample = [m for m, _sign in d.finite_weyl()][::5]
         # (factor, its (translation, matrix) pair, multiply on both sides)
-        factors = [(g.finite(m), (zero, m), False) for m in weyl[::5]]
+        factors = [(g.finite(m), ((0,) * d.dim, m), False) for m in sample]
         tau = _omega_generator(g)
         if tau is not None:
             factors.append((tau, (tau.trans, tau.fin), True))
-            factors.append((g.inv(tau), inverse_pair(tau.trans, tau.fin), True))
-        cases = [0, 0, 0, 0]
-        bad = [0, 0, 0, 0]
-        for m in weyl:
-            for lam in (zero, regular, other):
-                x = g.element(lam, m)
-                pair = (lam, m)
-                right = [_product(pair, gen) for gen in gens]  # x s_i
-                # (element, its translation, its matrix) by plain arithmetic
-                want = [(x, lam, m), (g.inv(x), *inverse_pair(lam, m))]
-                for i, gen in enumerate(gens):
-                    want.append((g.mul_gen(x, i), *right[i]))
-                    want.append((g.mul(g.simple_reflection(i), x), *_product(gen, pair)))
-                cases[0] += len(want)
-                bad[0] += _matrix_mismatches(g, want)
-                want = []
-                for b, b_pair, two_sided in factors:
-                    want.append((g.mul(x, b), *_product(pair, b_pair)))
-                    if two_sided:
-                        want.append((g.mul(b, x), *_product(b_pair, pair)))
-                cases[1] += len(want)
-                bad[1] += _matrix_mismatches(g, want)
-                fresh = AffineWeylGroup(d)
-                y = fresh.element(lam, m)
-                descents = fresh.right_descents(y)
-                ly = matrix_length(d, lam, m)
-                bad[2] += y.length() != ly
-                cases[2] += len(right)
-                for i, ys in enumerate(right):
-                    lys = matrix_length(d, *ys)
-                    bad[2] += (i in descents) != (lys < ly) or fresh.mul_gen(y, i).length() != lys
+            factors.append((g.inv(tau), _inverter(d)(tau.trans, tau.fin), True))
+        want = []
+        for pair in pairs(d, regular, other):
+            x = g.element(*pair)
+            for b, b_pair, two_sided in factors:
+                want.append((g.mul(x, b), *_product(pair, b_pair)))
+                if two_sided:
+                    want.append((g.mul(b, x), *_product(b_pair, pair)))
+        detail = f"{len(want)} products by Omega and {len(sample)} finite elements"
+        return _matrix_mismatches(g, want), detail
+
+    def ascent(hctx, regular, other):
+        d = hctx.datum
+        gens = _affine_gens(d)
+        bad = 0
+        for pair in pairs(d, regular, other):
+            fresh = AffineWeylGroup(d)
+            y = fresh.element(*pair)
+            descents = fresh.right_descents(y)
+            ly = matrix_length(d, *pair)
+            bad += y.length() != ly
+            for i, gen in enumerate(gens):
+                lys = matrix_length(d, *_product(pair, gen))
+                bad += (i in descents) != (lys < ly) or fresh.mul_gen(y, i).length() != lys
+        return bad, f"{len(pairs(d, regular, other)) * len(gens)} (element, generator) pairs"
+
+    def walk(hctx, _regular, _other):
+        g, d = hctx.group, hctx.datum
+        gens = _affine_gens(d)
+        weyl = [m for m, _sign in d.finite_weyl()]
         fresh = AffineWeylGroup(d)
         words = [g.reduced_word(g.finite(m))[1] for m in weyl]
         prods = [reduce(mat_mul, [gens[i][1] for i in w], d.identity) for w in words]
-        want = [(fresh.from_word(fresh.identity, w), zero, m) for w, m in zip(words, prods)]
-        cases[3] = len(want)
-        bad[3] = (sorted(m for _, _, m in want) != weyl) + any(fresh._fmat)  # no matrix yet
-        bad[3] += _matrix_mismatches(fresh, want)
-        bad[3] += sum(fresh._g0[y._fi] != mat_vec(m, gens[0][0]) for y, _, m in want)
-        details = (
-            f"{cases[0]} elements from {len(weyl)} finite Weyl matrices",
-            f"{cases[1]} products by Omega and {len(weyl[::5])} finite elements",
-            f"{cases[2]} (element, generator) pairs",
-            f"{cases[3]} finite elements reached by mul_gen walks",
-        )
-        kinds = ("finite-index-vs-matrix", "finite-product-vs-matrix", "ascent-vs-length",
-                 "finite-walk-vs-matrix")
-        for kind, out, k, detail in zip(kinds, results, bad, details):
-            out.append(_entry(f"{kind}-{d.label}", k, detail))
-    return results[0] + results[1] + results[2] + results[3]
+        want = [(fresh.from_word(fresh.identity, w), (0,) * d.dim, m) for w, m in zip(words, prods)]
+        bad = (sorted(m for _, _, m in want) != weyl) + any(fresh._fmat)  # no matrix yet
+        bad += _matrix_mismatches(fresh, want)
+        bad += sum(fresh._g0[y._fi] != mat_vec(m, gens[0][0]) for y, _, m in want)
+        return bad, f"{len(want)} finite elements reached by mul_gen walks"
+
+    yield from _run("finite-index-vs-matrix", FINITE_INDEX_CASES, index)
+    yield from _run("finite-product-vs-matrix", FINITE_INDEX_CASES, product)
+    yield from _run("ascent-vs-length", FINITE_INDEX_CASES, ascent)
+    yield from _run("finite-walk-vs-matrix", FINITE_INDEX_CASES, walk)
 
 
 def _finite_climb(g, x):
@@ -290,6 +336,7 @@ Q_ANALOGUE_CASES = (
 )
 
 
+@_suite
 def q_analogue_checks():
     """P_{n_lambda, n_mu} against the dual weight multiplicities.
 
@@ -298,9 +345,9 @@ def q_analogue_checks():
     polynomial in q with constant term 1, nonnegative coefficients and
     P(1) = m_mu(lambda), the last computed by the Freudenthal recursion.
     """
-    results = []
-    for label, text in Q_ANALOGUE_CASES:
-        d, mu, hctx, g = _case(label, text)
+
+    def check(hctx, mu, _text):
+        d, g = hctx.datum, hctx.group
         n_mu = longest_in_double_coset(g, mu)
         lams = d.dominant_below(mu)
         bad = 0
@@ -312,9 +359,9 @@ def q_analogue_checks():
                 and all(c >= 0 for c in p.terms.values())
                 and p.eval_at("v=1") == d.weight_multiplicity(mu, lam)
             )
-        detail = f"{len(lams)} dominant lambda <= mu, l(n_mu) = {n_mu.length()}"
-        results.append(_entry(f"q-analogue-{label}-{text}", bad, detail))
-    return results
+        return bad, f"{len(lams)} dominant lambda <= mu, l(n_mu) = {n_mu.length()}"
+
+    return _run("q-analogue", Q_ANALOGUE_CASES, check)
 
 
 def _bar_solve(s, gap):
@@ -366,39 +413,29 @@ KL_SOLVER_CASES = (
 )
 
 
+@_suite
 def kl_solver_checks():
     """kl_poly (the recursion) against bar_fixed_column on every pair (x, w)
     with x in Adm(mu) and w in Adm(mu) or its translations, pairs x not <=
-    w included; a pair whose solve raises InvariantViolation counts as a
-    mismatch, and so do a column bar_fixed_column cannot solve and every
-    solved column whose keys are not the interval [e, w) of the Bruhat
-    order."""
-    results = []
-    for label, text, tops in KL_SOLVER_CASES:
-        d, mu, hctx, g = _case(label, text)
+    w included; every solved column whose keys are not the interval
+    [e, w) of the Bruhat order counts as a mismatch too."""
+
+    def check(hctx, mu, text, tops):
+        g = hctx.group
         adm = g.adm(mu)
-        if tops:
-            ws = [g.translation(lam) for lam in d.weyl_orbit(mu) if lam < tuple(-c for c in lam)]
-        else:
-            ws = adm
+        ws = adm if not tops else [
+            g.translation(lam) for lam in hctx.datum.weyl_orbit(mu) if lam < tuple(-c for c in lam)
+        ]
         bad = below = 0
         for w in ws:
-            try:
-                col = bar_fixed_column(hctx, w)
-            except InvariantViolation:
-                bad += 1
-                continue
+            col = bar_fixed_column(hctx, w)
             below += len(col)
-            for x in adm:
-                try:
-                    bad += hctx.kl_poly(x, w) != col.get(x, LaurentPoly.zero())
-                except InvariantViolation:
-                    bad += 1
+            bad += sum(hctx.kl_poly(x, w) != col.get(x, LaurentPoly.zero()) for x in adm)
         bad += sum(col.keys() != g._interval(w) - {w} for w, col in hctx._p_cols.items())
         where = f"{len(ws)} translations x " if tops else ""
-        detail = f"{len(ws) * len(adm)} pairs of {where}Adm({text}) ({below} with x <= w)"
-        results.append(_entry(f"kl-recursion-vs-bar-fixedness-{label}-{text}", bad, detail))
-    return results
+        return bad, f"{len(ws) * len(adm)} pairs of {where}Adm({text}) ({below} with x <= w)"
+
+    return _run("kl-recursion-vs-bar-fixedness", KL_SOLVER_CASES, check)
 
 
 def _r_extraction(hctx, x, y, inv=None):
@@ -409,12 +446,12 @@ def _r_extraction(hctx, x, y, inv=None):
     return inv.coeff(x).scale(sign).shift(2 * y.length())
 
 
+@_suite
 def r_recursion_checks(depth):
     """R recursion against the bar-expansion extraction, every x <= y with
     l(y) <= depth, on GL_3 and GSp_4."""
-    results = []
-    for fam, n in (("GL", 3), ("GSp", 2)):
-        hctx = context(create(fam, n))
+
+    def check(hctx):
         g = hctx.group
         pairs = bad = 0
         for y in ball(g, depth):
@@ -422,39 +459,39 @@ def r_recursion_checks(depth):
             for x in g.below(y):
                 pairs += 1
                 bad += hctx.r_poly(x, y) != _r_extraction(hctx, x, y, inv)
-        detail = f"{pairs} pairs with l(y) <= {depth}"
-        results.append(_entry(f"r-recursion-vs-extraction-{g.datum.label}", bad, detail))
-    return results
+        return bad, f"{pairs} pairs with l(y) <= {depth}"
+
+    return _run("r-recursion-vs-extraction", (("GL", 3), ("GSp", 2)), check)
 
 
-#: (group, mu) whose Adm pairs x <= w the P-Q inversion is checked on
+#: (group, mu) whose sum of v^l(x) T_x over Adm(mu) goes to the C''-basis
+#: and back
+IC_ROUND_TRIP_CASES = (("GL3", "2,1,0"), ("GSp4", "2,1,1,0"), ("G2", "1,0"))
+
+
+@_suite
+def ic_round_trip_checks(cases=IC_ROUND_TRIP_CASES):
+    """from_ic_basis(to_ic_basis(h)) == h, counted over the T_x of both
+    sides, for h = sum v^{l(x)} T_x over Adm(mu): h has both odd and even
+    v-exponents, so both halves of to_ic_basis and their merge are met."""
+
+    def check(hctx, mu, text):
+        adm = hctx.group.adm(mu)
+        h = hctx.sum(hctx.T(x).scale(LaurentPoly.v_power(x.length())) for x in adm)
+        coeffs = hctx.to_ic_basis(h)
+        back = hctx.from_ic_basis(coeffs)
+        bad = sum(back.coeff(x) != h.coeff(x) for x in set(back.terms) | set(h.terms))
+        return bad, f"sum of v^l(x) T_x over Adm({text}), {len(coeffs)} C''-coefficients"
+
+    return _run("ic-basis-round-trip", cases, check)
+
+
+#: (group, mu) whose Adm sets the Q oracle and the inverse product are
+#: checked on
 PQ_INVERSION_CASES = (
     ("GL4", "2,1,0,0"), ("GSp4", "2,1,1,0"), ("G2", "2,1,0"), ("GL3", "3,1,0"),
     ("GL3", "1,1,0"), ("GSp4", "1,1,0,0"),
 )
-
-
-def pq_inversion_checks(cases=PQ_INVERSION_CASES):
-    """sum_{x<=z<=w} (-1)^{l(z)-l(x)} P_{x,z} Q_{z,w} = delta_{x,w} on every
-    pair x <= w of Adm(mu), P from kl_poly and Q from inv_kl_poly, for each
-    (group, mu) of cases."""
-    results = []
-    for label, text in cases:
-        _d, mu, hctx, g = _case(label, text)
-        pairs = bad = 0
-        for w in g.adm(mu):
-            bel = g.below(w)
-            for x in bel:
-                acc = LaurentPoly.zero()
-                for z in bel:
-                    if g.leq(x, z):
-                        p = hctx.kl_poly(x, z) * hctx.inv_kl_poly(z, w)
-                        acc = acc + (p if (z.length() - x.length()) % 2 == 0 else -p)
-                pairs += 1
-                bad += acc != (LaurentPoly.one() if x is w else LaurentPoly.zero())
-        detail = f"{pairs} pairs x <= w of Adm({text})"
-        results.append(_entry(f"pq-inversion-{label}-{text}", bad, detail))
-    return results
 
 
 def q_oracle_row(hctx, x, ws):
@@ -485,39 +522,34 @@ def q_oracle_row(hctx, x, ws):
     return row
 
 
+@_suite
 def q_oracle_checks(cases=PQ_INVERSION_CASES, intervals=(("GL", 3), ("GSp", 2))):
     """inv_kl_poly against q_oracle_row on every pair x <= w of each pool:
     Adm(mu) for each (group, mu) of cases, and [e, y0] for each (family,
     rank) of intervals, y0 the first length-6 element of ball(g, 6).  The
     row solves sum_{x<=z<=w} Q_{x,z} R_{z,w} = q^{l(w)-l(x)} bar(Q_{x,w}),
-    so agreement also checks that relation on the pool.  A row whose solve
-    raises InvariantViolation counts as a mismatch."""
-    pools = []  # (name suffix, context, pool, what the pool is)
-    for label, text in cases:
-        _d, mu, hctx, g = _case(label, text)
-        pools.append((f"{label}-{text}", hctx, g.adm(mu), f"Adm({text})"))
-    for fam, n in intervals:
-        hctx = context(create(fam, n))
+    so agreement also checks that relation on the pool.  inv_kl_poly reads
+    Q off to_ic_basis(T_w), the solve against the held P, so agreement
+    also checks sum_z (-1)^{l(z)-l(x)} P_{x,z} Q_{z,w} = delta_{x,w}."""
+
+    def check(hctx, mu=None, text=None):
         g = hctx.group
-        y0 = next(y for y in ball(g, 6) if y.length() == 6)
-        pools.append((g.datum.label, hctx, g.below(y0), f"[e, {y0.encode()}]"))
-    results = []
-    for name, hctx, pool, where in pools:
+        if mu is None:
+            y0 = next(y for y in ball(g, 6) if y.length() == 6)
+            pool, where = g.below(y0), f"[e, {y0.encode()}]"
+        else:
+            pool, where = g.adm(mu), f"Adm({text})"
         pairs = bad = 0
         for x in pool:
-            try:
-                row = q_oracle_row(hctx, x, pool)
-            except InvariantViolation:
-                bad += 1
-                continue
-            for w, q in row.items():
-                pairs += 1
-                bad += q != hctx.inv_kl_poly(x, w)
-        detail = f"{pairs} pairs x <= w of {where}"
-        results.append(_entry(f"q-oracle-vs-ic-basis-{name}", bad, detail))
-    return results
+            row = q_oracle_row(hctx, x, pool)
+            pairs += len(row)
+            bad += sum(q != hctx.inv_kl_poly(x, w) for w, q in row.items())
+        return bad, f"{pairs} pairs x <= w of {where}"
+
+    return _run("q-oracle-vs-ic-basis", (*cases, *intervals), check)
 
 
+@_suite
 def inverse_product_checks():
     """The kernel product mul_T_inv(h, y) by its defining identity
     mul_T(mul_T_inv(h, y), y) = h, on every y of the Adm sets of
@@ -527,78 +559,73 @@ def inverse_product_checks():
     product down.  The kernel multiplies h by omega^{-1} first and then
     steps along the word of y with each s_i conjugated by omega: for each
     omega met, omega s_i omega^{-1} by the group law must be the simple
-    reflection conj_gen names.  An InvariantViolation counts as a
-    mismatch.
+    reflection conj_gen names.
     """
-    results = []
-    for label, text in PQ_INVERSION_CASES:
-        _d, mu, hctx, g = _case(label, text)
+
+    def check(hctx, mu, text):
+        g = hctx.group
         adm = g.adm(mu)
         hs = [hctx.T(x) for x in (g.identity, adm[0], adm[len(adm) // 2], adm[-1])]
-        omegas = set()
-        bad = 0
-        for y in adm:
-            omegas.add(g.reduced_word(y)[0])
-            for h in hs:
-                try:
-                    got = hctx.mul_T_inv(h, y)
-                except InvariantViolation:
-                    bad += 1
-                    continue
-                bad += hctx.mul_T(got, y) != h
+        bad = sum(hctx.mul_T(hctx.mul_T_inv(h, y), y) != h for y in adm for h in hs)
+        omegas = {g.reduced_word(y)[0] for y in adm}
         for omega in omegas:
             omega_inv = g.inv(omega)
             for i in range(g.n_gens):
                 conj = g.mul(g.mul(omega, g.simple_reflection(i)), omega_inv)
-                try:
-                    bad += conj is not g.simple_reflection(g.conj_gen(omega, i))
-                except InvariantViolation:
-                    bad += 1
-        detail = f"{len(adm)} y in Adm({text}) times {len(hs)} T_x, {len(omegas)} Omega elements"
-        results.append(_entry(f"inverse-product-{label}-{text}", bad, detail))
-    return results
+                bad += conj is not g.simple_reflection(g.conj_gen(omega, i))
+        return bad, f"{len(adm)} y in Adm({text}) times {len(hs)} T_x, {len(omegas)} Omega elements"
+
+    return _run("inverse-product", PQ_INVERSION_CASES, check)
 
 
+@_suite
 def wakimoto_checks(seed, samples):
     """The Wakimoto closed form against the Hecke product, on `samples`
     random pairs (v, w) from ball(g, 4) with l(v) + l(w) <= 8 per family."""
-    rng = random.Random(seed)
-    total = bad = 0
-    for fam, n in (("GL", 3), ("GSp", 2)):
-        pool = ball(group(create(fam, n)), 4)
-        done = 0
-        while done < samples:
-            v = rng.choice(pool)
-            w = rng.choice(pool)
-            if v.length() + w.length() > 8:
-                continue
-            raw, _ = wakimoto.wakimoto_function(v, w)
-            for x, c in wakimoto.tilde_coefficients(raw).items():
-                bad += c != wakimoto.rv_poly_laurent(v, w, x)
-            done += 1
-        total += done
-    return [_entry("wakimoto-closed-form", bad, f"{total} random (v,w) pairs")]
+
+    def check():
+        rng = random.Random(seed)
+        total = bad = 0
+        for fam, n in (("GL", 3), ("GSp", 2)):
+            pool = ball(group(create(fam, n)), 4)
+            done = 0
+            while done < samples:
+                v, w = rng.choice(pool), rng.choice(pool)
+                if v.length() + w.length() > 8:
+                    continue
+                raw, _ = wakimoto.wakimoto_function(v, w)
+                for x, c in wakimoto.tilde_coefficients(raw).items():
+                    bad += c != wakimoto.rv_poly_laurent(v, w, x)
+                done += 1
+            total += done
+        return bad, f"{total} random (v,w) pairs"
+
+    yield _entry("wakimoto-closed-form", check)
 
 
+@_suite
 def theta_q1_checks():
     """The q = 1 specialisation a_w(1) = Q_{w, t_lambda}(1): for every lambda
     in the Weyl orbits of the cases, the C''-expansion of
     eps_lambda q_lambda^{1/2} Theta_lambda is supported on [e, t_lambda] and
     its coefficients a_w agree with Q_{w, t_lambda} at v = 1."""
-    bad = 0
-    for fam, n, lam0 in (("GL", 2, (1, 0)), ("GL", 2, (2, 0)), ("GL", 3, (1, 1, 0))):
-        datum = create(fam, n)
-        hctx = context(datum)
-        g = hctx.group
-        for lam in datum.weyl_orbit(lam0):
-            t = g.translation(lam)
-            sign = -1 if t.length() % 2 else 1
-            f = central.theta(datum, lam).scale(LaurentPoly.v_power(t.length(), sign))
-            coeffs = hctx.to_ic_basis(f)
-            bad += set(coeffs) != set(g.below(t))
-            for w, c in coeffs.items():
-                bad += c.eval_at("v=1") != hctx.inv_kl_poly(w, t).eval_at("v=1")
-    return [_entry("theta-q1-specialisation", bad)]
+
+    def check():
+        bad = 0
+        for fam, n, lam0 in (("GL", 2, (1, 0)), ("GL", 2, (2, 0)), ("GL", 3, (1, 1, 0))):
+            hctx = context(create(fam, n))
+            datum, g = hctx.datum, hctx.group
+            for lam in datum.weyl_orbit(lam0):
+                t = g.translation(lam)
+                sign = -1 if t.length() % 2 else 1
+                f = central.theta(datum, lam).scale(LaurentPoly.v_power(t.length(), sign))
+                coeffs = hctx.to_ic_basis(f)
+                bad += set(coeffs) != set(g.below(t))
+                for w, c in coeffs.items():
+                    bad += c.eval_at("v=1") != hctx.inv_kl_poly(w, t).eval_at("v=1")
+        return bad, ""
+
+    yield _entry("theta-q1-specialisation", check)
 
 
 #: (group, mu) whose Bernstein functions, central elements and Kottwitz
@@ -606,6 +633,7 @@ def theta_q1_checks():
 BERNSTEIN_CASES = (("GL4", "2,1,0,0"), ("GSp4", "2,1,1,0"), ("G2", "3,0"))
 
 
+@_suite
 def bernstein_checks(cases=BERNSTEIN_CASES):
     """The packed kernel HeckeContext.bernstein_sum by its defining
     identity, multiplied back with the forward walk mul_T.  For every nu
@@ -616,10 +644,10 @@ def bernstein_checks(cases=BERNSTEIN_CASES):
     over the orbit, against the sum of those thetas; and kottwitz_function
     against eps_mu q_mu^{1/2} sum m_mu(lambda) z_lambda built from those
     sums."""
-    results = []
     pairs = (central.minimal_dominant_pair, central.shifted_dominant_pair)
-    for label, text in cases:
-        d, mu, hctx, g = _case(label, text)
+
+    def check(hctx, mu, _text):
+        d, g = hctx.datum, hctx.group
         weights = d.weight_table(mu)
         bad = n = 0
         zs = []
@@ -639,19 +667,22 @@ def bernstein_checks(cases=BERNSTEIN_CASES):
         ell = g.translation(mu).length()
         want = hctx.sum(zs).scale(LaurentPoly.v_power(ell, -1 if ell % 2 else 1))
         bad += central.kottwitz_function(d, mu) != want
-        detail = f"{n} Theta, {len(zs)} z and the Kottwitz function"
-        results.append(_entry(f"bernstein-packed-vs-laurent-{label}-{text}", bad, detail))
-    return results
+        return bad, f"{n} Theta, {len(zs)} z and the Kottwitz function"
+
+    return _run("bernstein-packed-vs-laurent", cases, check)
 
 
+@_suite
 def oracle_checks(seed=42, depth=5, samples=50):
-    """Exact cross-oracle identities, mostly on GL_3 and GSp_4."""
-    results = bruhat_oracle_checks(depth) + finite_weyl_checks()
-    results += r_recursion_checks(depth) + kl_solver_checks()
-    results += pq_inversion_checks() + q_oracle_checks()
-    results += inverse_product_checks() + wakimoto_checks(seed, samples)
-    results += theta_q1_checks() + q_analogue_checks()
-    return results + bernstein_checks()
+    """Exact cross-oracle identities, mostly on GL_3 and GSp_4: the entries
+    of every oracle suite in turn."""
+    return chain(
+        bruhat_oracle_checks.entries(depth), finite_weyl_checks.entries(),
+        r_recursion_checks.entries(depth), kl_solver_checks.entries(),
+        ic_round_trip_checks.entries(), q_oracle_checks.entries(),
+        inverse_product_checks.entries(), wakimoto_checks.entries(seed, samples),
+        theta_q1_checks.entries(), q_analogue_checks.entries(), bernstein_checks.entries(),
+    )
 
 
 def property_checks(datum, mu):

@@ -197,9 +197,7 @@ def cmd_check(args):
 
     _require_positive(args, "jobs", "depth", "samples")
     if args.suite == "oracles":
-        results = checks.oracle_checks(
-            seed=args.seed, depth=args.depth, samples=args.samples
-        )
+        results = checks.oracle_checks.entries(args.seed, args.depth, args.samples)
     else:
         if not args.group or not args.mu:
             raise DimensionMismatch(f"check {args.suite} requires GROUP and --mu")
@@ -213,7 +211,7 @@ def cmd_check(args):
     for name, passed, detail in results:
         status = "PASS" if passed else "FAIL"
         suffix = f"  ({detail})" if detail else ""
-        print(f"{status} {name}{suffix}")
+        print(f"{status} {name}{suffix}", flush=True)
         ok = ok and passed
     return 0 if ok else 3
 

@@ -269,7 +269,7 @@ def test_check_properties(tmp_path, capsys):
 
 #: sha256 of the stdout of `check oracles --seed 42 --depth 3 --samples 5`:
 #: every entry, count and PASS line, in order
-ORACLES_QUICK_DIGEST = "50f33a4b46dd231d02651930aa0363c98c9bd76c0faacefd205c78eef96d37eb"
+ORACLES_QUICK_DIGEST = "c53ba69de100e1d37a8bdb5522ed73ea9e39a1ff8e5867a93b93d4f4f91ec2b1"
 
 
 def test_check_oracles_quick(capsys):
@@ -279,6 +279,27 @@ def test_check_oracles_quick(capsys):
     assert code == 0
     assert all(line.startswith("PASS") for line in out.strip().splitlines())
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == ORACLES_QUICK_DIGEST
+
+
+def test_check_oracles_reports_a_raise_as_its_own_fail_entry(capsys, monkeypatch):
+    # an InvariantViolation from the library fails only the entry it is
+    # raised in: every entry before and after it prints as in the quick run
+    def raise_violation(v, w):
+        raise hecke.InvariantViolation(f"no Wakimoto function for {v.encode()}")
+
+    monkeypatch.setattr(wakimoto, "wakimoto_function", raise_violation)
+    code, out, err = run(
+        capsys, "check", "oracles", "--seed", "42", "--depth", "3", "--samples", "5"
+    )
+    assert (code, err) == (3, "")
+    lines = out.splitlines()
+    fails = [i for i, line in enumerate(lines) if not line.startswith("PASS ")]
+    assert len(fails) == 1
+    assert lines[fails[0]].startswith("FAIL wakimoto-closed-form  (no Wakimoto function for ")
+    assert len(lines) - fails[0] == 10  # theta-q1, five q-analogue, three bernstein
+    lines[fails[0]] = "PASS wakimoto-closed-form  (10 random (v,w) pairs, 0 mismatches)"
+    text = "".join(line + "\n" for line in lines)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == ORACLES_QUICK_DIGEST
 
 
 def test_query_rpoly_deep_in_the_word(capsys):

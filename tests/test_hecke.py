@@ -517,17 +517,6 @@ def test_kl_recursion_vs_bar_fixedness_oracle():
     assert results[-1][2].startswith("1011 pairs of 3 translations x Adm(3,0) (864 with x <= w)")
 
 
-def test_pq_inversion_oracle():
-    results = checks.pq_inversion_checks()
-    assert [name for name, _, _ in results] == [
-        f"pq-inversion-{label}-{text}" for label, text in checks.PQ_INVERSION_CASES
-    ]
-    for name, ok, detail in results:
-        assert ok, (name, detail)
-        assert detail.endswith(", 0 mismatches"), detail
-    assert sum(int(detail.split()[0]) for _, _, detail in results) == 4736
-
-
 def test_q_oracle_vs_ic_basis():
     results = checks.q_oracle_checks()
     assert [name for name, _, _ in results] == [
@@ -536,7 +525,7 @@ def test_q_oracle_vs_ic_basis():
     for name, ok, detail in results:
         assert ok, (name, detail)
         assert detail.endswith(", 0 mismatches"), detail
-    # the 4,736 pairs of test_pq_inversion_oracle, then those of [e, y0], y0 of
+    # 4,736 pairs x <= w of the six Adm sets, then those of [e, y0], y0 of
     # length 6
     assert [detail for _, _, detail in results[6:]] == [
         "289 pairs x <= w of [e, t[-1,-1,2]*w[]], 0 mismatches",
