@@ -35,8 +35,13 @@ internal invariant violation.  All output is deterministic: the computation is
 serial and every ordering is fixed.  `table` and `check` accept
 `--jobs N` (N at least 1) for compatibility; it does not change the
 computation.
+
+Only the process entry `run`, which the installed `affhecke` command and
+`python -m affhecke.cli` call, freezes the heap once `main` has returned;
+`main` leaves the collector as it found it for in-process callers.
 """
 
+import gc
 import os
 import sys
 from collections import namedtuple
@@ -498,5 +503,15 @@ def main(argv=None):
         return 3
 
 
+def run():
+    """Run `main` on sys.argv and exit the process with its code.  Every
+    object is frozen first, so the collection the interpreter makes at
+    exit has nothing to traverse; stdio flush, module teardown and atexit
+    run as usual."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,6 +1,8 @@
 import argparse
+import ast
 import contextlib
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -732,6 +734,75 @@ def test_packed_digits_too_narrow_exit_3(tmp_path, bits, where):
     assert err.startswith(f"invariant violation: {where} ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not cache.exists() or list(cache.iterdir()) == []
+
+
+def _src_env():
+    env = dict(os.environ)
+    env.pop("AFFHECKE_CACHE_DIR", None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_installed_command_is_the_entry_the_main_block_calls():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["affhecke"]
+    module, _colon, name = target.partition(":")
+    tree = ast.parse((SRC / "affhecke" / "cli.py").read_text(encoding="utf-8"))
+    [block] = [node for node in tree.body
+               if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert module == "affhecke.cli"
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{name}()"]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["table", "GL3", "--mu", "1,0,0"], 0),
+        (["table", "GL9", "--mu", "1"], 2),
+        (["table", "GL3", "--mu", "1,0,0", "--format", "json", "--out", "{}"], 0),
+    ],
+    ids=["stdout", "error", "out"],
+)
+def test_process_entry_ends_as_main_returns(tmp_path, capsys, argv, code):
+    # `python -m affhecke.cli` exits through cli.run, which freezes the heap
+    # after main; its exit code, streams and --out bytes are main's.  The
+    # exit 3 of an invariant violation goes the same way in
+    # test_packed_digits_too_narrow_exit_3.
+    proc = subprocess.run(
+        [sys.executable, "-m", "affhecke.cli", *(a.format(tmp_path / "spawned") for a in argv)],
+        capture_output=True, env=_src_env(),
+    )
+    got = run(capsys, *(a.format(tmp_path / "in-process") for a in argv))
+    assert got[0] == code
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == got
+    if "--out" in argv:
+        written = (tmp_path / "in-process").read_bytes()
+        assert written and (tmp_path / "spawned").read_bytes() == written
+
+
+def test_process_entry_freezes_the_heap_and_keeps_atexit():
+    prelude = (
+        "import atexit, gc, runpy, sys; "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr)); "
+        "sys.argv = ['affhecke', *sys.argv[1:]]; "
+        "runpy.run_module('affhecke.cli', run_name='__main__')"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude, "table", "GL3", "--mu", "1,0,0"],
+        capture_output=True, env=_src_env(),
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.decode().startswith("Number of admissible alcoves: 7\n")
+    assert proc.stderr == b"frozen True\n"
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    # only the process entry freezes: the tests, perfbench's in-process
+    # runs and library callers keep a collector that sees every object
+    before = gc.get_freeze_count()
+    assert run(capsys, "table", "GL3", "--mu", "1,0,0")[0] == 0
+    assert gc.get_freeze_count() == before
 
 
 #: argparse's test for a negative number, which makes a word that starts

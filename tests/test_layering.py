@@ -303,7 +303,7 @@ MEMO_INVENTORY = {
         "AffineWeylGroup": {
             "_intern": "every element is made through it: all workloads",
             "_intervals": "[e, y] for each y asked about, read by leq and below: "
-            "check oracles (343,359 of 344,110 hit)",
+            "check oracles (286,128 of 286,876 hit)",
             "_root_idx": "root -> index, read by _perm_of: element, so kl-deep",
             "_aff_simple": "the affine simple roots, read by _register and conj_gen: trace-gl5",
             "_gperm": "the root permutations of the generators, read by _fin_right: all workloads",
@@ -331,7 +331,7 @@ MEMO_INVENTORY = {
             "_p_polys": "each packed P decoded once, read by kl_poly and ic_basis_element: "
             "check properties GL6 1,1,1,0,0,0 (50,466 reads of 11 values)",
             "_limits": "the d-digit bounds, read by _kl_shape: kl-deep (791 of 799 hit)",
-            "_q_cache": "the columns of Q, read by inv_kl_poly: check oracles (39,353 of 39,679)",
+            "_q_cache": "the columns of Q, read by inv_kl_poly: check oracles (4,639 of 4,965)",
             "_col_done": "the columns solved in this process, read by perfbench: table-gl5-warm",
         },
     },
