@@ -6,73 +6,16 @@ affine Weyl group, Bruhat order, admissible sets), hecke (T-basis
 arithmetic, R/P/Q polynomials, base change), central (Bernstein and
 Kottwitz functions, property (P)), wakimoto (distinguished
 subexpressions, minimal expressions), multiplicity (Jordan-Holder
-tables), cli (command-line front end).
+tables), checks (the `check` suites), cli (command-line front end).
+
+The package itself names only a datum's group and Hecke context:
+parse_group("GL4"), group(datum) and context(datum).  Everything else is
+imported from its module, so `import affhecke` loads rootdata, affweyl,
+laurent and hecke and nothing more.
 """
 
-from .affweyl import AffineWeylElement, AffineWeylGroup, DatumMismatch, group
-from .central import (
-    bernstein_central,
-    is_self_dual_up_to_twist,
-    kottwitz_function,
-    satisfies_property_P,
-    theta,
-)
-from .hecke import HeckeContext, HeckeElement, InvariantViolation, context
-from .laurent import LaurentPoly, NotExpandable, Q_PARAM, ZeroEvaluationPoint
-from .multiplicity import MultiplicityTable, NotInAdm, NotMinuscule, compute
-from .rootdata import (
-    DimensionMismatch,
-    NotDominant,
-    RootDatum,
-    UnsupportedFamilyRank,
-    create,
-    parse_group,
-)
-from .wakimoto import (
-    NotMinimal,
-    Subexpression,
-    distinguished_subexpressions,
-    min_expr_degree_check,
-    rv_poly,
-    theta_walk_factors,
-    wakimoto_function,
-)
+from .affweyl import group
+from .hecke import context
+from .rootdata import parse_group
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "AffineWeylElement",
-    "AffineWeylGroup",
-    "DatumMismatch",
-    "DimensionMismatch",
-    "HeckeContext",
-    "HeckeElement",
-    "InvariantViolation",
-    "LaurentPoly",
-    "MultiplicityTable",
-    "NotDominant",
-    "NotExpandable",
-    "NotInAdm",
-    "NotMinimal",
-    "NotMinuscule",
-    "Q_PARAM",
-    "RootDatum",
-    "Subexpression",
-    "UnsupportedFamilyRank",
-    "ZeroEvaluationPoint",
-    "bernstein_central",
-    "compute",
-    "context",
-    "create",
-    "distinguished_subexpressions",
-    "group",
-    "is_self_dual_up_to_twist",
-    "kottwitz_function",
-    "min_expr_degree_check",
-    "parse_group",
-    "rv_poly",
-    "satisfies_property_P",
-    "theta",
-    "theta_walk_factors",
-    "wakimoto_function",
-]
+__all__ = ["context", "group", "parse_group"]

@@ -499,26 +499,38 @@ class AffineWeylGroup:
         return letters
 
     def decode(self, text):
+        """The element t_lambda * wbar encoded as "t[coords]*w[word]".
+
+        Each coordinate is -?[0-9]+ in ASCII.  The word is any reduced word
+        of wbar in the letters s1, s2, ..., canonical or not, so each letter
+        s_i is a finite ascent of the product so far: wbar(alpha_i) > 0,
+        which its ascent test reads as the bound c_i = 0."""
         text = text.strip()
-        if not (text.startswith("t[") and "]*w[" in text and text.endswith("]")):
+        if not (
+            text.isascii() and text.startswith("t[") and "]*w[" in text and text.endswith("]")
+        ):
             raise ValueError(f"bad element encoding {text!r}")
         lam_part, word_part = text[2:-1].split("]*w[")
-        lam = tuple(int(c) for c in lam_part.split(",") if c != "")
-        if len(lam) != self.datum.dim:
+        coords = lam_part.split(",")
+        for c in coords:
+            if not (c.isdigit() or c[:1] == "-" and c[1:].isdigit()):
+                raise ValueError(f"bad coordinate {c!r} in {text!r}")
+        if len(coords) != self.datum.dim:
             raise DimensionMismatch(
                 f"expected {self.datum.dim} coordinates in {text!r}"
             )
-        y = self.translation(lam)
+        y = self.translation(tuple(map(int, coords)))
         if word_part:
             for letter in word_part.split("."):
-                if not (letter[:1] == "s" and letter[1:].isdecimal()):
+                if not (letter[:1] == "s" and letter[1:].isdigit()):
                     raise ValueError(f"bad generator {letter!r} in {text!r}")
                 i = int(letter[1:])
                 if not 1 <= i < self.n_gens:
                     raise ValueError(f"finite generator out of range in {text!r}")
+                if self._asc[y._fi][i][1]:
+                    raise ValueError(f"the word of {text!r} is not reduced")
                 y = self.mul_gen(y, i)
         return y
-
 
 _GROUPS = {}
 

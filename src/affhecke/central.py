@@ -28,7 +28,6 @@ obeys g_y = eps_d eps_y q^{-d} q_y^{-1} bar(g_y) coefficientwise.
 """
 
 from .hecke import context
-from .laurent import LaurentPoly
 from .rootdata import dot, vec_add, vec_scale
 
 
@@ -130,12 +129,6 @@ def satisfies_property_P(f, d):
         if want != c:
             return False
     return True
-
-
-def is_self_dual_up_to_twist(f, k):
-    """True iff bar(f) = q^{-k} f (Verdier self-duality up to Tate twist)."""
-    hctx = f.hctx
-    return hctx.bar(f) == f.scale(LaurentPoly.q_power(-k))
 
 
 def self_dual_property_P_coefficients(f, d):

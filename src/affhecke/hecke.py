@@ -243,18 +243,6 @@ class HeckeContext:
         self._own(x)
         return HeckeElement._of(self, {x: _ONE})
 
-    def T_tilde(self, x):
-        """q_x^{-1/2} T_x."""
-        self._own(x)
-        return HeckeElement._of(self, {x: LaurentPoly.v_power(-x.length())})
-
-    def from_encoding(self, data):
-        g = self.group
-        return HeckeElement(
-            self,
-            {g.decode(k): LaurentPoly.decode(v) for k, v in data.items()},
-        )
-
     # -- products -------------------------------------------------------
 
     def _gen_step(self, h, i):

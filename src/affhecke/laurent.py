@@ -15,10 +15,6 @@ class NotExpandable(ValueError):
     """No integer polynomial in Q represents the requested element."""
 
 
-class ZeroEvaluationPoint(ZeroDivisionError):
-    """Laurent polynomials cannot be evaluated at v = 0."""
-
-
 class LaurentPoly:
     """An element of Z[v, v^{-1}], stored as {v-exponent: coefficient}.
 
@@ -152,18 +148,10 @@ class LaurentPoly:
         return out
 
     def eval_at(self, at):
-        """Exact evaluation at a nonzero rational v, or at the string "v=1".
-
-        Returns an int for "v=1", otherwise a Fraction.
-        """
-        if at == "v=1":
-            return sum(self.terms.values())
-        from fractions import Fraction
-
-        r = Fraction(at)
-        if r == 0:
-            raise ZeroEvaluationPoint("cannot evaluate at v = 0")
-        return sum(Fraction(c) * r ** e for e, c in self.terms.items())
+        """The value at v = 1, the sum of the coefficients; `at` must be "v=1"."""
+        if at != "v=1":
+            raise ValueError(f"only v=1 is supported, not {at!r}")
+        return sum(self.terms.values())
 
     # -- degree bookkeeping -------------------------------------------
 
@@ -219,40 +207,13 @@ class LaurentPoly:
             out[d] = lo
         return {k: c for k, c in out.items() if c}
 
-    def q_expand(self, alpha):
-        """Write self = q^alpha * R(Q) with R an integer polynomial in Q.
-
-        `alpha` is a half-integer (int or Fraction with denominator 2).
-        Requires every Q-power of R to have the parity of 2*alpha; this is
-        automatic for elements of Z[q, q^{-1}] and is enforced otherwise.
-        Returns {k: r_k}.
-        """
-        from fractions import Fraction
-
-        two_alpha = Fraction(alpha) * 2
-        if two_alpha.denominator != 1:
-            raise NotExpandable("alpha must be a half-integer")
-        shift = int(two_alpha)
-        r = self.shift(-shift).q_expansion()
-        for k in r:
-            if (k - shift) % 2 != 0:
-                raise NotExpandable(
-                    f"Q-exponent {k} violates the parity of 2*alpha = {shift}"
-                )
-        return r
-
     @classmethod
-    def from_q_expansion(cls, coeffs, alpha=0):
-        """Inverse of q_expand: q^alpha * sum coeffs[k] Q^k."""
-        from fractions import Fraction
-
-        two_alpha = Fraction(alpha) * 2
-        if two_alpha.denominator != 1:
-            raise ValueError("alpha must be a half-integer")
+    def from_q_expansion(cls, coeffs):
+        """Inverse of q_expansion: sum coeffs[k] Q^k."""
         acc = _ZERO
         for k, c in coeffs.items():
             acc = acc + cls(_q_power_terms(k)).scale(c)
-        return acc.shift(int(two_alpha))
+        return acc
 
     # -- canonical text encoding ---------------------------------------
 
@@ -304,7 +265,3 @@ def _q_power_terms(k):
 
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
-
-#: q^{-1/2} - q^{1/2}, the parameter of the distinguished-subexpression
-#: expansions.
-Q_PARAM = LaurentPoly({-1: 1, 1: -1})

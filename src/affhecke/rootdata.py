@@ -239,17 +239,6 @@ class RootDatum:
     def simple_roots(self):
         return tuple(self.pos_roots[i] for i in self.simple_idx)
 
-    def simple_coroots(self):
-        return tuple(self.pos_coroots[i] for i in self.simple_idx)
-
-    def cartan_matrix(self):
-        """Entries <alpha_i, alpha_j^vee>."""
-        return tuple(
-            tuple(dot(self.pos_roots[i], self.pos_coroots[j])
-                  for j in self.simple_idx)
-            for i in self.simple_idx
-        )
-
     def highest_root(self):
         return self.pos_roots[self.theta_idx]
 
@@ -329,13 +318,6 @@ class RootDatum:
             return None
         return tuple(dot(f, v) for f in self.fund_weights)
 
-    def dominance_leq(self, lam, mu):
-        """True iff mu - lam is a nonnegative integer sum of positive coroots."""
-        lam = self.check_coweight(lam)
-        mu = self.check_coweight(mu)
-        coords = self.simple_coroot_coords(vec_sub(mu, lam))
-        return coords is not None and all(c >= 0 for c in coords)
-
     def dominant_below(self, mu):
         """All dominant lam <= mu in dominance order, mu included, sorted.
 
@@ -411,20 +393,6 @@ class RootDatum:
                 )
             table[lam] = val
         return table
-
-    def weyl_dim(self, mu):
-        """Dimension of the dual-group irreducible with highest weight mu."""
-        mu = self.require_dominant(mu)
-        num = den = 1
-        ip = self.invariant_form
-        mu_rho = self._shifted(mu)
-        for g in self.pos_coroots:
-            num *= ip(mu_rho, g)
-            den *= ip(self.two_rho_coroot, g)
-        d, r = divmod(num, den)
-        if r:
-            raise ArithmeticError(f"Weyl dimension {num}/{den} is not an integer")
-        return d
 
     # brute-force character oracle ---------------------------------------
 

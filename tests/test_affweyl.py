@@ -304,6 +304,25 @@ def test_encode_decode():
         G.decode("garbage")
 
 
+def test_decode_accepts_any_reduced_word_and_only_those():
+    # a word is reduced iff the walk along it from e ends at the length of
+    # the word; decode must accept it under any translation exactly then,
+    # and land where the walk from that translation ends
+    rng = random.Random(12)
+    for G in (gl(4), group(create("GSp", 2)), group(create("G2", 2))):
+        for _ in range(60):
+            word = [rng.randrange(1, G.n_gens) for _ in range(rng.randrange(7))]
+            lam = tuple(rng.randint(-3, 3) for _ in range(G.datum.dim))
+            text = f"t[{','.join(map(str, lam))}]*w[{'.'.join(f's{i}' for i in word)}]"
+            if G.from_word(G.identity, word).length() == len(word):
+                assert G.decode(text) is G.from_word(G.translation(lam), word)
+            else:
+                with pytest.raises(ValueError):
+                    G.decode(text)
+    G = gl(3)
+    assert G.decode("t[-0,01,0]*w[s2.s1.s2]") is G.decode("t[0,1,0]*w[s1.s2.s1]")
+
+
 def test_datum_mismatch():
     a = gl(3).identity
     b = gl(4).identity

@@ -1,5 +1,7 @@
 """The names the benchmark (perfbench/) binds in affhecke must keep resolving.
 
+perfbench/child.py and the set-up probe of perfbench/bench.py read
+affhecke.parse_group, group and context off a bare `import affhecke`,
 perfbench/spans.py wraps the entry points it lists by attribute, and
 perfbench/child.py reads hecke._CONTEXTS and HeckeContext._col_done and
 patches hecke.KLCache.load_into, which `table --cache-dir` must call.
@@ -12,7 +14,10 @@ runs; these tests make it break this suite first.
 
 import importlib.resources
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 from affhecke import cli, hecke
 
@@ -24,6 +29,19 @@ def _load(name):
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def test_package_names_resolve_in_a_fresh_process():
+    # the set-up probe as bench.py runs it, then the modules that
+    # spans.entry_points imports, in a process that has imported nothing
+    probe = _load("bench").SETUP_PROBE + "; import spans; print(len(spans.entry_points()))"
+    src = PERFBENCH.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(PERFBENCH)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "GL3"], capture_output=True, env=env, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == len(_load("spans").entry_points())
 
 
 def test_every_traced_entry_point_resolves():

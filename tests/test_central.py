@@ -17,7 +17,8 @@ def test_theta_dominant_is_tilde_translation():
     H = context(datum)
     G = H.group
     lam = (2, 1, 0)
-    assert central.theta(datum, lam) == H.T_tilde(G.translation(lam))
+    t = G.translation(lam)
+    assert central.theta(datum, lam) == H.T(t).scale(LaurentPoly.v_power(-t.length()))
     assert central.theta(datum, (0, 0, 0)) == H.T(G.identity)
 
 
@@ -198,8 +199,8 @@ def test_kottwitz_coefficients_nonneg_in_Q():
     f = central.kottwitz_function(datum, mu)
     sign = -1 if ell % 2 else 1
     for x, c in f.terms.items():
-        alpha = Fraction(ell - x.length(), 2)
-        expansion = c.scale(sign).q_expand(alpha)
+        # c = q^alpha R(Q) with alpha = (l(t_mu) - l(x)) / 2
+        expansion = c.scale(sign).shift(-(ell - x.length())).q_expansion()
         assert all(v > 0 for v in expansion.values())
         assert all((k - (ell - x.length())) % 2 == 0 for k in expansion)
 
@@ -213,7 +214,7 @@ def test_property_P():
     f = central.kottwitz_function(datum, mu)
     assert central.satisfies_property_P(f, ell)
     assert not central.satisfies_property_P(f, ell + 1)
-    assert central.is_self_dual_up_to_twist(f, ell)
+    assert H.bar(f) == f.scale(LaurentPoly.q_power(-ell))  # self-dual up to the twist q^{-l}
     assert central.self_dual_property_P_coefficients(f, ell)
     # eps_y T_y satisfies (P) with d = l(y)
     rng = random.Random(31)

@@ -195,14 +195,11 @@ def test_query_json_roundtrip(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    from affhecke.hecke import context
-    from affhecke.rootdata import create
-
-    H = context(create("GL", 2))
-    h = H.from_encoding(payload["terms"])
-    from affhecke.central import bernstein_central
-
-    assert h == bernstein_central(create("GL", 2), (1, 0))
+    datum = parse_group("GL2")
+    G = group(datum)
+    terms = {G.decode(k): LaurentPoly.decode(v) for k, v in payload["terms"].items()}
+    h = hecke.HeckeElement(hecke.context(datum), terms)
+    assert h == central.bernstein_central(datum, (1, 0))
 
 
 @pytest.mark.parametrize("query", ["kottwitz GL4 --mu 2,1,0,0", "z GSp4 --lam 2,1,1,0"])
@@ -380,6 +377,15 @@ def test_query_without_its_input_exit_2(capsys, query, message):
      "finite generator out of range in 't[0,0,0]*w[s0]'"),
     (f"query kl GL3 t[0,0,0]*w[s1.s3] {QUERY_X}",
      "finite generator out of range in 't[0,0,0]*w[s1.s3]'"),
+    (f"query kl GL3 t[1,,0,-1]*w[] {QUERY_X}", "bad coordinate '' in 't[1,,0,-1]*w[]'"),
+    (f"query kl GL3 t[1_0,0,-10]*w[] {QUERY_X}",
+     "bad coordinate '1_0' in 't[1_0,0,-10]*w[]'"),
+    (f"query kl GL3 't[ 1,0,-1]*w[]' {QUERY_X}", "bad coordinate ' 1' in 't[ 1,0,-1]*w[]'"),
+    (f"query kl GL3 t[+1,0,-1]*w[] {QUERY_X}", "bad coordinate '+1' in 't[+1,0,-1]*w[]'"),
+    (f"query kl GL3 t[0,0,0]*w[s\u0661] {QUERY_X}",
+     "bad element encoding 't[0,0,0]*w[s\u0661]'"),
+    (f"query rpoly GL3 t[0,0,0]*w[s1.s1] {QUERY_X}",
+     "the word of 't[0,0,0]*w[s1.s1]' is not reduced"),
     ("table GSp4 --mu 1,0", "GSp_4 coweight needs 4 coordinates"),
     ("table G2 --mu 1", "G2 coweight needs 2 or 3 coordinates"),
     ("table GLx --mu 1,0", "bad group label 'GLx'"),
@@ -392,7 +398,7 @@ def test_query_without_its_input_exit_2(capsys, query, message):
     ("check properties GL3 --mu 1,0,0 --samples 0", "--samples must be at least 1, got 0"),
 ])
 def test_rejected_input_exit_2_with_one_error_line(capsys, argv, message):
-    assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+    assert run(capsys, *shlex.split(argv)) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])

@@ -17,6 +17,7 @@ Modules a table or query run does not use are imported where they are
 first needed: no module except checks imports one of LAZY at module level,
 and an import, a table and a query run load none of them, nor argparse
 and the modules it brings (CLI_FREE): the command line parses argv itself.
+A bare `import affhecke` loads only the package modules IMPORTED.
 
 Hecke elements are ordered for output in one place: in hecke and cli,
 only HeckeElement.encode, the one text form, and the downward solve, which
@@ -211,6 +212,24 @@ def test_import_and_table_and_query_load_no_lazy_module(tmp_path):
         capture_output=True, env=env, cwd=tmp_path, check=True,
     )
     assert proc.stderr.decode() == "[[], [], ['json']]\n"
+
+
+#: the modules a bare `import affhecke` loads: the datum, its group and
+#: its Hecke context, which the package names, and the polynomials
+IMPORTED = {
+    "affhecke", "affhecke.rootdata", "affhecke.affweyl", "affhecke.laurent", "affhecke.hecke"
+}
+
+
+def test_import_loads_only_the_group_and_its_hecke_context():
+    # central, multiplicity, wakimoto, checks and cli load when a caller
+    # imports them: the package re-exports none of their names
+    probe = "import sys, affhecke; print(sorted(m for m in sys.modules if 'affhecke' in m))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, env=env, check=True, text=True
+    )
+    assert proc.stdout == f"{sorted(IMPORTED)}\n"
 
 
 def sort_key_sites(source):

@@ -61,7 +61,7 @@ def test_wakimoto_function_examples():
     raw, _ = wakimoto.wakimoto_function(e, G.identity)
     assert raw == H.T(e)
     raw, _ = wakimoto.wakimoto_function(s, G.identity)
-    assert raw == H.T_tilde(s)
+    assert raw == H.T(s).scale(LaurentPoly.v_power(-1))
     raw, _ = wakimoto.wakimoto_function(e, s)
     td = wakimoto.tilde_coefficients(raw)
     assert td[s] == LaurentPoly.one()
