@@ -63,8 +63,8 @@ def test_family_data_duality(fam, n):
     assert len(datum.fund_coweights) == len(datum.fund_weights) == r
     for i, alpha in enumerate(datum.simple_roots()):
         assert [dot(alpha, w) for w in datum.fund_coweights] == [int(i == j) for j in range(r)]
+    simple_coroots = [datum.pos_coroots[j] for j in datum.simple_idx]
     for i, p in enumerate(datum.fund_weights):
-        simple_coroots = [datum.pos_coroots[j] for j in datum.simple_idx]
         assert [dot(p, g) for g in simple_coroots] == [int(i == j) for j in range(r)]
     f = datum.omega_functional
     if fam == "G2":
