@@ -61,6 +61,7 @@ from .rootdata import (
     DimensionMismatch,
     dot,
     mat_vec,
+    parse_ints,
     vec_add,
     vec_scale,
 )
@@ -511,15 +512,12 @@ class AffineWeylGroup:
         ):
             raise ValueError(f"bad element encoding {text!r}")
         lam_part, word_part = text[2:-1].split("]*w[")
-        coords = lam_part.split(",")
-        for c in coords:
-            if not (c.isdigit() or c[:1] == "-" and c[1:].isdigit()):
-                raise ValueError(f"bad coordinate {c!r} in {text!r}")
+        coords = parse_ints(lam_part, text)
         if len(coords) != self.datum.dim:
             raise DimensionMismatch(
                 f"expected {self.datum.dim} coordinates in {text!r}"
             )
-        y = self.translation(tuple(map(int, coords)))
+        y = self.translation(coords)
         if word_part:
             for letter in word_part.split("."):
                 if not (letter[:1] == "s" and letter[1:].isdigit()):

@@ -47,15 +47,10 @@ import sys
 from collections import namedtuple
 
 from . import multiplicity
-from .affweyl import DatumMismatch, group
+from .affweyl import group
 from .central import bernstein_central, kottwitz_function, theta
 from .hecke import InvariantViolation, KLCache, context
-from .rootdata import (
-    DimensionMismatch,
-    NotDominant,
-    UnsupportedFamilyRank,
-    parse_group,
-)
+from .rootdata import DimensionMismatch, parse_group
 from .wakimoto import wakimoto_function
 
 CACHE_ENV_VAR = "AFFHECKE_CACHE_DIR"
@@ -486,16 +481,9 @@ def main(argv=None):
         return stop.code
     try:
         return args.fn(args)
-    except (
-        UnsupportedFamilyRank,
-        DimensionMismatch,
-        NotDominant,
-        DatumMismatch,
-        multiplicity.NotInAdm,
-        multiplicity.NotMinuscule,
-        ValueError,
-        OSError,  # an unwritable --out or --cache-dir
-    ) as exc:
+    except (ValueError, multiplicity.NotInAdm, OSError) as exc:
+        # every input error subclasses ValueError; OSError is an unwritable
+        # --out or --cache-dir
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

@@ -22,25 +22,30 @@ Roots are stored as integer functional vectors f, pairing with a
 coweight v as the dot product f . v.  Weyl group elements are integer
 matrices acting on coweight coordinates.
 
-Each builder also records the family's conventions as data, so that no
-module outside this one branches on the family (here only the builders,
-`label`, `parse_coweight` and `parse_group` do):
+Each family gives only the four facts that define its based root datum,
+so that no module outside this one branches on the family (here only the
+builders, `label`, `parse_coweight` and `parse_group` do):
 
+simple pairs      the simple roots alpha_i as functionals, each with its
+                  simple coroot alpha_i^vee.
 fund_coweights    w_i^vee with <alpha_i, w_j^vee> = delta_ij: e_1+...+e_i
                   on GL_n; (1^j, 0; 0), j < n, and (1^n; 1) on GSp_2n;
                   (1,0) and (0,1) on G_2.
-fund_weights      p_i with <p_i, alpha_j^vee> = delta_ij, which read
-                  simple-coroot coordinates: prefix sums on GL_n and
-                  GSp_2n; (2,3) and (1,2) on G_2.
 omega_functional  spans the functionals vanishing on Q^vee, so it reads
                   the Omega-class in X_*/Q^vee = Z: (1,...,1) on GL_n,
                   (0,...,0,1) on GSp_2n; None on G_2, where X_* = Q^vee.
+
+The rest is derived (`RootDatum._derive`): the (root, coroot) pairs are
+the orbit of the simple pairs under the simple reflections, the positive
+ones those whose coefficients <alpha, w_j^vee> on the simple roots are
+>= 0, sorted by (height, root); theta, the highest root, is the last.
 
 Weight multiplicities of the Langlands dual group are computed on this
 lattice with coroots in the role of roots, via the Freudenthal
 recursion with the W-invariant form sum_{alpha > 0} <alpha, u><alpha, v>
 (Humphreys, Introduction to Lie Algebras, Sect. 22.3; the recursion does
-not depend on the scale of the form, and this one kills the centre);
+not depend on the scale of the form, and this one kills the centre),
+solving the dominant weights in decreasing norm of lam + rho^vee;
 `weight_multiplicities_by_character` is an independent brute-force
 cross-check that expands the Weyl character formula.
 """
@@ -98,6 +103,17 @@ def identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def parse_ints(text, where=None):
+    """The integers of a comma-separated list.  Each entry is -?[0-9]+ in
+    ASCII: no blank, no other sign and no empty entry; a bad one raises
+    ValueError naming it and `where` (else text)."""
+    parts = text.split(",")
+    for c in parts:
+        if not (c.isascii() and (c.isdigit() or c[:1] == "-" and c[1:].isdigit())):
+            raise ValueError(f"bad coordinate {c!r} in {where or text!r}")
+    return tuple(map(int, parts))
+
+
 # -- the datum -----------------------------------------------------------
 
 
@@ -141,90 +157,55 @@ class RootDatum:
 
     # construction ---------------------------------------------------
 
+    def _derive(self, simple, fund_coweights, omega_functional):
+        """Set the datum from its simple (root, coroot) pairs, fundamental
+        coweights and Omega functional.
+
+        The pairs are the orbit of the simple ones under the simple
+        reflections s_a f = f - <f, b> a, s_a g = g - <a, g> b (Phi = W.Delta,
+        Humphreys, Introduction to Lie Algebras, Sect. 10.3).  A root pairs
+        with the fundamental coweights to its coefficients on the simple
+        roots, so it is positive when they are all >= 0.  The positive
+        pairs are sorted by (height, root), and theta is the last one."""
+        pairs = set(simple)
+        todo = list(simple)
+        while todo:
+            f, g = todo.pop()
+            for a, b in simple:
+                p = (vec_sub(f, vec_scale(a, dot(f, b))), vec_sub(g, vec_scale(b, dot(a, g))))
+                if p not in pairs:
+                    pairs.add(p)
+                    todo.append(p)
+        coeffs = {p: [dot(p[0], w) for w in fund_coweights] for p in pairs}
+        pos = sorted((sum(c), p) for p, c in coeffs.items() if min(c) >= 0)
+        self.pos_roots, self.pos_coroots = map(tuple, zip(*(p for _h, p in pos)))
+        self.simple_idx = tuple(self.pos_roots.index(a) for a, _b in simple)
+        self.theta_idx = len(pos) - 1
+        self.fund_coweights = tuple(fund_coweights)
+        self.omega_functional = omega_functional
+
     def _build_gl(self, n):
         self.dim = n
-        roots, coroots = [], []
-        for i in range(n):
-            for j in range(i + 1, n):
-                f = tuple(
-                    1 if k == i else (-1 if k == j else 0) for k in range(n)
-                )
-                roots.append(f)
-                coroots.append(f)
-        self.pos_roots = tuple(roots)
-        self.pos_coroots = tuple(coroots)
-        self.simple_idx = tuple(
-            roots.index(
-                tuple(1 if k == i else (-1 if k == i + 1 else 0) for k in range(n))
-            )
-            for i in range(n - 1)
-        )
-        self.theta_idx = roots.index(
-            tuple(1 if k == 0 else (-1 if k == n - 1 else 0) for k in range(n))
-        )
-        self.fund_coweights = tuple(
-            tuple(int(k <= i) for k in range(n)) for i in range(n - 1)
-        )
-        self.fund_weights = self.fund_coweights
-        self.omega_functional = (1,) * n
+        e = identity_matrix(n)
+        simple = [(vec_sub(e[i], e[i + 1]),) * 2 for i in range(n - 1)]
+        prefixes = [tuple(int(k <= i) for k in range(n)) for i in range(n - 1)]
+        self._derive(simple, prefixes, (1,) * n)
 
     def _build_gsp(self, n):
+        # e[n] pairs out the similitude coordinate c
         self.dim = n + 1
-        roots, coroots = [], []
-        def fvec(entries, c=0):
-            v = [0] * (n + 1)
-            for k, val in entries:
-                v[k] = val
-            v[n] = c
-            return tuple(v)
-        for i in range(n):
-            for j in range(i + 1, n):
-                roots.append(fvec([(i, 1), (j, -1)]))
-                coroots.append(fvec([(i, 1), (j, -1)]))
-        for i in range(n):
-            for j in range(i + 1, n):
-                roots.append(fvec([(i, 1), (j, 1)], -1))
-                coroots.append(fvec([(i, 1), (j, 1)]))
-        for i in range(n):
-            roots.append(fvec([(i, 2)], -1))
-            coroots.append(fvec([(i, 1)]))
-        self.pos_roots = tuple(roots)
-        self.pos_coroots = tuple(coroots)
-        simple = [roots.index(fvec([(i, 1), (i + 1, -1)])) for i in range(n - 1)]
-        simple.append(roots.index(fvec([(n - 1, 2)], -1)))
-        self.simple_idx = tuple(simple)
-        self.theta_idx = roots.index(fvec([(0, 2)], -1))
-        # (1^j, 0; 0) for j = 1..n; the last fundamental coweight is (1^n; 1)
-        prefixes = tuple(fvec([(k, 1) for k in range(j)]) for j in range(1, n + 1))
-        self.fund_coweights = prefixes[:-1] + (fvec([(k, 1) for k in range(n)], 1),)
-        self.fund_weights = prefixes
-        self.omega_functional = fvec([], 1)
+        e = identity_matrix(n + 1)
+        simple = [(vec_sub(e[i], e[i + 1]),) * 2 for i in range(n - 1)]
+        simple.append((vec_sub(vec_scale(e[n - 1], 2), e[n]), e[n - 1]))
+        # (1^j, 0; 0) for j < n, and (1^n; 1)
+        prefixes = [tuple(int(k < j) for k in range(n)) + (0,) for j in range(1, n)]
+        self._derive(simple, prefixes + [(1,) * (n + 1)], e[n])
 
     def _build_g2(self):
+        # fundamental-coweight coordinates; alpha_1 long, alpha_2 short, and
+        # X_* = Q^vee, so Omega is trivial
         self.dim = 2
-        # functionals and coroots in fundamental-coweight coordinates;
-        # alpha_1 is the long simple root, alpha_2 the short one
-        self.pos_roots = (
-            (1, 0),   # alpha_1            (long)
-            (0, 1),   # alpha_2            (short)
-            (1, 1),   # alpha_1 + alpha_2  (short)
-            (1, 2),   # alpha_1 + 2 alpha_2 (short)
-            (2, 3),   # 2 alpha_1 + 3 alpha_2 (long, highest)
-            (1, 3),   # alpha_1 + 3 alpha_2 (long)
-        )
-        self.pos_coroots = (
-            (2, -1),
-            (-3, 2),
-            (3, -1),
-            (0, 1),
-            (1, 0),
-            (-1, 1),
-        )
-        self.simple_idx = (0, 1)
-        self.theta_idx = 4
-        self.fund_coweights = ((1, 0), (0, 1))
-        self.fund_weights = ((2, 3), (1, 2))
-        self.omega_functional = None  # X_* = Q^vee: Omega is trivial
+        self._derive((((1, 0), (2, -1)), ((0, 1), (-3, 2))), ((1, 0), (0, 1)), None)
 
     def reflection(self, root, coroot):
         """Matrix of v -> v - <root, v> coroot on coweight coordinates."""
@@ -307,17 +288,6 @@ class RootDatum:
             frontier = nxt
         return tuple(sorted(seen))
 
-    def simple_coroot_coords(self, v):
-        """Coordinates of v in the simple-coroot basis, or None.
-
-        Returns a tuple of integers when v is an integer combination of
-        simple coroots (necessarily unique), that is when its Omega-class
-        is 0, else None.  The coordinates are <p_i, v>.
-        """
-        if self.omega_class(v):
-            return None
-        return tuple(dot(f, v) for f in self.fund_weights)
-
     def dominant_below(self, mu):
         """All dominant lam <= mu in dominance order, mu included, sorted.
 
@@ -347,10 +317,6 @@ class RootDatum:
         """2v + 2rho^vee: twice v + rho^vee, kept integral."""
         return vec_add(vec_scale(v, 2), self.two_rho_coroot)
 
-    def _height_from(self, mu, lam):
-        coords = self.simple_coroot_coords(vec_sub(mu, lam))
-        return sum(coords)
-
     def weight_multiplicity(self, mu, lam):
         """Multiplicity of lam in the dual-group irreducible of highest weight mu.
 
@@ -364,14 +330,19 @@ class RootDatum:
 
     def weight_table(self, mu):
         """{dominant lam <= mu: multiplicity} for a dominant mu; its keys
-        are dominant_below(mu)."""
-        doms = sorted(self.dominant_below(mu), key=lambda l: self._height_from(mu, l))
+        are dominant_below(mu).
+
+        The lam are solved in decreasing |lam + rho^vee|^2: for dominant
+        lam < nu, (nu - lam, nu + lam + 2 rho^vee) > 0, so every weight a
+        step reads is solved before it, and mu comes first."""
         ip = self.invariant_form
-        mu_rho = self._shifted(mu)
-        norm_mu = ip(mu_rho, mu_rho)
-        table = {doms[0]: 1}
-        assert doms[0] == mu
-        for lam in doms[1:]:
+        norms = {}
+        for lam in self.dominant_below(mu):
+            v = self._shifted(lam)
+            norms[lam] = ip(v, v)
+        mu, *doms = sorted(norms, key=norms.get, reverse=True)
+        table = {mu: 1}
+        for lam in doms:
             total = 0
             for g in self.pos_coroots:
                 k = 1
@@ -384,8 +355,7 @@ class RootDatum:
                     k += 1
             # 2 total / (|mu + rho|^2 - |lam + rho|^2), the norms taken of
             # the doubled vectors, so four times as large
-            lam_rho = self._shifted(lam)
-            num, den = 8 * total, norm_mu - ip(lam_rho, lam_rho)
+            num, den = 8 * total, norms[mu] - norms[lam]
             val, rem = divmod(num, den)
             if rem or val < 0:
                 raise ArithmeticError(
@@ -478,14 +448,14 @@ class RootDatum:
         (fundamental-coweight coefficients) or three integers with sum
         divisible by 3 (subtract the mean, then a = x-y, b = y-mean).
         """
-        parts = [int(x) for x in str(text).replace(" ", "").split(",") if x != ""]
+        parts = parse_ints(text)
         fam = self.family
         if fam == "GL":
             if len(parts) != self.rank:
                 raise DimensionMismatch(
                     f"GL{self.rank} coweight needs {self.rank} coordinates"
                 )
-            return tuple(parts)
+            return parts
         if fam == "GSp":
             n = self.rank
             if len(parts) == 2 * n:
@@ -495,13 +465,13 @@ class RootDatum:
                         "GSp coweight needs constant cross sums a_i + a_{2n+1-i}"
                     )
                 c = sums.pop()
-                return tuple(parts[:n]) + (c,)
+                return parts[:n] + (c,)
             raise DimensionMismatch(
                 f"GSp_{2*n} coweight needs {2*n} coordinates"
             )
         # G2
         if len(parts) == 2:
-            return tuple(parts)
+            return parts
         if len(parts) == 3:
             s = sum(parts)
             if s % 3 != 0:
@@ -544,10 +514,10 @@ def parse_group(label):
         return create("G2", 2)
     for fam in ("GSp", "GL"):
         if label.startswith(fam):
-            try:
-                n = int(label[len(fam):])
-            except ValueError:
+            digits = label[len(fam):]
+            if not (digits.isascii() and digits.isdigit()):
                 raise UnsupportedFamilyRank(f"bad group label {label!r}")
+            n = int(digits)
             if fam == "GSp":
                 if n % 2 != 0 or n < 4:
                     raise UnsupportedFamilyRank(

@@ -401,6 +401,28 @@ def test_rejected_input_exit_2_with_one_error_line(capsys, argv, message):
     assert run(capsys, *shlex.split(argv)) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", [["query", "adm", "GL3"], ["table", "GL3"]])
+@pytest.mark.parametrize("mu, entry", [
+    ("1,,0,0", ""),
+    ("1,0,0,", ""),
+    ("+1,0,0", "+1"),
+    ("１,0,0", "１"),
+    (" 1 , 0,0", " 1 "),
+    ("0_1,0,0", "0_1"),
+])
+def test_malformed_coweight_exit_2(capsys, command, mu, entry):
+    # each entry of a coweight is -?[0-9]+ in ASCII: no blank, sign or
+    # underscore that int() would forgive, and no empty entry dropped
+    expected = (2, "", f"error: bad coordinate {entry!r} in {mu!r}\n")
+    assert run(capsys, *command, "--mu", mu) == expected
+
+
+@pytest.mark.parametrize("label", ["GL+4", "GL 4", "GL٤", "GL1_0", "GSp0_6"])
+def test_group_rank_is_ascii_digits(capsys, label):
+    expected = (2, "", f"error: bad group label {label!r}\n")
+    assert run(capsys, "table", label, "--mu", "1,0,0,0") == expected
+
+
 @pytest.mark.parametrize("via", ["flag", "env"])
 @pytest.mark.parametrize(
     "argv, value",
