@@ -79,8 +79,8 @@ def test_derived_system_is_a_root_system(fam, n):
     assert all(dot(f, g) == 2 for f, g in pairs)
     phi = set(pairs) | {(tuple(-x for x in f), tuple(-x for x in g)) for f, g in pairs}
     assert len(phi) == 2 * len(pairs)
-    for i in datum.simple_idx:
-        a, b = pairs[i]
+    simple = [pairs[i] for i in datum.simple_idx]
+    for a, b in simple:
         for f, g in phi:
             image = (
                 tuple(x - dot(f, b) * y for x, y in zip(f, a)),
@@ -88,7 +88,7 @@ def test_derived_system_is_a_root_system(fam, n):
             )
             assert image in phi
     theta = datum.highest_root()
-    assert all(dot(theta, b) >= 0 for _a, b in (pairs[i] for i in datum.simple_idx))
+    assert all(dot(theta, b) >= 0 for _a, b in simple)
 
     def height(f):
         return sum(dot(f, w) for w in datum.fund_coweights)
