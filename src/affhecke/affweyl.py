@@ -8,18 +8,24 @@ integer id the first time its permutation appears (perm[a] is the index
 of f_a o wbar, so the product wbar_1 wbar_2 has perm_2[perm_1[a]] and
 the inverse has the inverse permutation).  Products compose
 permutations and look the result up, and an inverse looks up the
-inverse permutation: no matrix is multiplied or inverted.  The letters
-that strip the finite right descents of wbar, wbar s_{i_1} ... s_{i_l}
-= e, give the matrix of wbar = s_{i_l} ... s_{i_1}, which is built per
-id only when something reads it: the translation part of a product or
-an inverse, `fin`, a pickle or `element`.  Per-id tables hold the root
-permutation, wbar(theta^vee) (the coroot of the root wbar(theta)), the
-ascent data below and the text of a reduced word of wbar, and elements are interned on (lambda, id), so an element is
-the one object with its (lambda, wbar): elements hash and compare by
-identity, at C speed in dicts and sets.  Ids and hashes follow the
-order of first appearance and the memory layout, so they differ between
-processes: pickles still carry the matrix, never the id, and no output
-depends on them or on set order.
+inverse permutation: no matrix is multiplied or inverted.  A word, too,
+is made in one step from one the group holds: the canonical reduced
+word of wbar, which strips the smallest finite right descent first
+(Bjorner-Brenti, Sect. 3.4), is the word of wbar s_d followed by s_d,
+for d the smallest descent, and one walk down that chain fills the
+words of the ids it passes.  The matrix of wbar is the product
+of the simple reflections of its word, built per id only when something
+reads it: the translation part of a product or an inverse, `fin`, a
+pickle or `element`.  Per-id tables hold the root permutation,
+wbar(theta^vee) (the coroot of the root wbar(theta)), the ascent data
+below and the text of the word, and elements are interned on
+(lambda, id), so an element is the one object with its (lambda, wbar):
+elements hash and compare by identity, at C speed in dicts and sets.
+Decoding a text composes the ids of its letters and interns only the
+element it names.  Ids and hashes follow the order of first appearance
+and the memory layout, so they differ between processes: pickles still
+carry the matrix, never the id, and no output depends on them or on set
+order.
 The Coxeter structure is taken with respect to the dominant base
 alcove {0 < <alpha, x> < 1 for all positive roots alpha}: the simple
 affine reflections are the finite simple reflections s_1..s_r together
@@ -56,6 +62,8 @@ for y alone, only when leq or below asks about y.  The admissible set
 is the union of the subword closures of the translations in the orbit,
 built one at a time and stored nowhere.
 """
+
+from operator import add, mul
 
 from .rootdata import (
     DimensionMismatch,
@@ -143,21 +151,37 @@ class _RightTable(dict):
     """{x: x s_i} for one generator s_i of the group g, each product made
     once, on first lookup, without building the generator element; the
     length of x s_i follows from that of x by the ascent test.  The only
-    memo of x s_i: mul_gen reads it, and so do the walks of hecke."""
+    memo of x s_i: mul_gen reads it, and so do the walks of hecke.
 
-    __slots__ = ("g", "i")
+    A lookup that misses runs in one frame: it reads the group's per-id
+    lists, which only grow, through its own slots, and calls into the
+    group only when the id of wbar s_i is not known yet."""
+
+    __slots__ = ("g", "i", "asc", "rmul", "g0", "intern")
 
     def __init__(self, g, i):
         super().__init__()
         self.g = g
         self.i = i
+        self.asc = g._asc
+        self.rmul = g._rmul[i]
+        self.g0 = g._g0
+        self.intern = g._intern
 
     def __missing__(self, a):
-        g, i, k = self.g, self.i, a._fi
-        trans = vec_add(a.trans, g._g0[k]) if i == 0 else a.trans
-        beta, bound = g._asc[k][i]
-        length = a._len + (1 if dot(beta, a.trans) <= bound else -1)
-        y = self[a] = g._make(trans, g._fin_right(k, i), length)
+        i, k, lam = self.i, a._fi, a.trans
+        beta, bound = self.asc[k][i]
+        length = a._len + 1 if sum(map(mul, beta, lam)) <= bound else a._len - 1
+        j = self.rmul[k]
+        if j is None:
+            j = self.g._fin_right(k, i)
+        if i == 0:
+            lam = tuple(map(add, lam, self.g0[k]))
+        key = (lam, j)
+        y = self.intern.get(key)
+        if y is None:
+            y = self.intern[key] = AffineWeylElement(self.g, lam, j, length)
+        self[a] = y
         return y
 
 
@@ -245,11 +269,36 @@ class AffineWeylGroup:
         return j
 
     def _matrix(self, k):
-        """The matrix of wbar_k, built on first read (see _word_matrix)."""
+        """The matrix of wbar_k, built on first read from the letters of
+        its word (see _word and _word_matrix)."""
         m = self._fmat[k]
         if m is None:
-            m = self._fmat[k] = self._word_matrix(self._finite_descents(k))
+            letters = [int(s[1:]) for s in reversed(self._word(k).split(".")) if s]
+            m = self._fmat[k] = self._word_matrix(letters)
         return m
+
+    def _word(self, k):
+        """The text "s1.s2..." of the canonical reduced word of wbar_k: the
+        word of wbar_k s_d followed by s_d, for d the smallest finite right
+        descent of wbar_k, the first i >= 1 whose ascent bound is -1.  Walks
+        that chain down to e or to the first id whose word is known, on an
+        explicit stack, then fills the words of the ids it passed.  Every
+        step shortens wbar, so a walk of more than n_pos steps, or an id
+        other than e with no descent, raises InvariantViolation."""
+        words, asc, n = self._fword, self._asc, self.datum.n_pos
+        chain = []
+        j = k
+        while j and words[j] is None:
+            row = asc[j]
+            d = next((i for i in range(1, len(row)) if row[i][1] == -1), None)
+            if d is None or len(chain) == n:
+                raise InvariantViolation(f"the finite part {self._perm[k]} does not strip to e")
+            chain.append((j, d))
+            j = self._fin_right(j, d)
+        word = words[j] or ""
+        for j, d in reversed(chain):
+            word = words[j] = f"{word}.s{d}" if word else f"s{d}"
+        return word
 
     def _word_matrix(self, letters):
         """The matrix of s_{i_l} ... s_{i_1} for letters i_1, ..., i_l: the
@@ -380,8 +429,10 @@ class AffineWeylGroup:
         """The smallest right descent of x, or None: the ascent test up to
         the first generator that fails it."""
         lam = x.trans
-        asc = enumerate(self._asc[x._fi])
-        return next((i for i, (beta, bound) in asc if dot(beta, lam) > bound), None)
+        for i, (beta, bound) in enumerate(self._asc[x._fi]):
+            if sum(map(mul, beta, lam)) > bound:
+                return i
+        return None
 
     def reduced_word(self, x):
         """Canonical factorisation x = omega * s_{i_1} ... s_{i_k}.
@@ -446,7 +497,7 @@ class AffineWeylGroup:
         return tuple(sorted(self._interval(y), key=self.sort_key))
 
     def sort_key(self, x):
-        return (x.length(), self.encode(x))
+        return (x._len, x._enc or self.encode(x))
 
     # -- admissible sets -----------------------------------------------------
 
@@ -465,18 +516,9 @@ class AffineWeylGroup:
         if x._enc is None:
             word = self._fword[x._fi]
             if word is None:
-                letters = reversed(self._finite_descents(x._fi))
-                word = self._fword[x._fi] = ".".join(f"s{i}" for i in letters)
+                word = self._word(x._fi)
             x._enc = f"t[{','.join(map(str, x.trans))}]*w[{word}]"
         return x._enc
-
-    def _finite_descents(self, k):
-        """The letters of _descents for the finite element k: k s_{i_1} ...
-        s_{i_l} = e, so k = s_{i_l} ... s_{i_1}."""
-        letters = self._descents(self._perm[k])
-        if letters is None:
-            raise InvariantViolation(f"the finite part {self._perm[k]} does not strip to e")
-        return letters
 
     def _descents(self, perm):
         """The letters i_1, ..., i_l that strip the smallest finite right
@@ -485,7 +527,8 @@ class AffineWeylGroup:
         the number of positive roots perm makes negative.  Walks the
         inverse q = perm^{-1}: s_i is a descent iff q sends alpha_i to a
         negative root, and (wbar s_i)^{-1} = s_i wbar^{-1}.  Registers no
-        id, so it can test a permutation that is not in W."""
+        id, so element() can test a permutation that is not in W; the ids
+        of W take their words from _word."""
         n = self.datum.n_pos
         steps = sum(p >= n for p in perm[:n])
         q = _inverse(perm)
@@ -505,7 +548,9 @@ class AffineWeylGroup:
         Each coordinate is -?[0-9]+ in ASCII.  The word is any reduced word
         of wbar in the letters s1, s2, ..., canonical or not, so each letter
         s_i is a finite ascent of the product so far: wbar(alpha_i) > 0,
-        which its ascent test reads as the bound c_i = 0."""
+        which its ascent test reads as the bound c_i = 0.  The letters
+        compose finite ids only; the one element made is the result, with
+        its Iwahori-Matsumoto length."""
         text = text.strip()
         if not (
             text.isascii() and text.startswith("t[") and "]*w[" in text and text.endswith("]")
@@ -517,7 +562,7 @@ class AffineWeylGroup:
             raise DimensionMismatch(
                 f"expected {self.datum.dim} coordinates in {text!r}"
             )
-        y = self.translation(coords)
+        k = 0
         if word_part:
             for letter in word_part.split("."):
                 if not (letter[:1] == "s" and letter[1:].isdigit()):
@@ -525,10 +570,10 @@ class AffineWeylGroup:
                 i = int(letter[1:])
                 if not 1 <= i < self.n_gens:
                     raise ValueError(f"finite generator out of range in {text!r}")
-                if self._asc[y._fi][i][1]:
+                if self._asc[k][i][1]:
                     raise ValueError(f"the word of {text!r} is not reduced")
-                y = self.mul_gen(y, i)
-        return y
+                k = self._fin_right(k, i)
+        return self._make(coords, k)
 
 _GROUPS = {}
 

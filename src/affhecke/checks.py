@@ -144,6 +144,12 @@ FINITE_INDEX_CASES = (
 )
 
 
+def _sweep(d, regular, other):
+    """(lam, m) of every x = t_lam m of a finite-index case: every finite
+    Weyl matrix m and the translations 0, regular and other."""
+    return [(lam, m) for m, _sign in d.finite_weyl() for lam in ((0,) * d.dim, regular, other)]
+
+
 def matrix_length(datum, trans, fin):
     """l(t_trans fin) by Iwahori-Matsumoto with vec_mat, no index."""
     total = 0
@@ -236,15 +242,11 @@ def finite_weyl_checks():
     entries, then the three walk entries.
     """
 
-    def pairs(d, regular, other):
-        """(lam, m) of every x = t_lam m of the sweep."""
-        return [(lam, m) for m, _sign in d.finite_weyl() for lam in ((0,) * d.dim, regular, other)]
-
     def index(hctx, regular, other):
         g, d = hctx.group, hctx.datum
         gens, inverse_pair = _affine_gens(d), _inverter(d)
         want = []
-        for pair in pairs(d, regular, other):
+        for pair in _sweep(d, regular, other):
             x = g.element(*pair)
             want += [(x, *pair), (g.inv(x), *inverse_pair(*pair))]
             for i, gen in enumerate(gens):
@@ -263,7 +265,7 @@ def finite_weyl_checks():
             factors.append((tau, (tau.trans, tau.fin), True))
             factors.append((g.inv(tau), _inverter(d)(tau.trans, tau.fin), True))
         want = []
-        for pair in pairs(d, regular, other):
+        for pair in _sweep(d, regular, other):
             x = g.element(*pair)
             for b, b_pair, two_sided in factors:
                 want.append((g.mul(x, b), *_product(pair, b_pair)))
@@ -276,7 +278,7 @@ def finite_weyl_checks():
         d = hctx.datum
         gens = _affine_gens(d)
         bad = 0
-        for pair in pairs(d, regular, other):
+        for pair in _sweep(d, regular, other):
             fresh = AffineWeylGroup(d)
             y = fresh.element(*pair)
             descents = fresh.right_descents(y)
@@ -285,7 +287,7 @@ def finite_weyl_checks():
             for i, gen in enumerate(gens):
                 lys = matrix_length(d, *_product(pair, gen))
                 bad += (i in descents) != (lys < ly) or fresh.mul_gen(y, i).length() != lys
-        return bad, f"{len(pairs(d, regular, other)) * len(gens)} (element, generator) pairs"
+        return bad, f"{len(_sweep(d, regular, other)) * len(gens)} (element, generator) pairs"
 
     def walk(hctx, _regular, _other):
         g, d = hctx.group, hctx.datum
@@ -304,6 +306,86 @@ def finite_weyl_checks():
     yield from _run("finite-product-vs-matrix", FINITE_INDEX_CASES, product)
     yield from _run("ascent-vs-length", FINITE_INDEX_CASES, ascent)
     yield from _run("finite-walk-vs-matrix", FINITE_INDEX_CASES, walk)
+
+
+def finite_word_mismatches(d):
+    """(bad, |W|) for the words and matrices a fresh group of d derives.
+
+    Every finite id is reached from e by _fin_right alone, so that no word
+    or matrix is handed in.  For each matrix m of finite_weyl(), the id of
+    its root permutation must exist, its word (_word, derived from the
+    word of wbar s_d) must be the reversed _descents strip of the
+    permutation, and its matrix (_matrix, built from that word) must be
+    m; bad counts the ids that fail, plus one if the walk does not reach
+    |W| ids."""
+    g = AffineWeylGroup(d)
+    seen, todo = {0}, [0]
+    while todo:
+        k = todo.pop()
+        for i in range(1, g.n_gens):
+            j = g._fin_right(k, i)
+            if j not in seen:
+                seen.add(j)
+                todo.append(j)
+    weyl = d.finite_weyl()
+    bad = len(seen) != len(weyl)
+    for m, _sign in weyl:
+        perm = g._perm_of(m)
+        k = g._pidx.get(perm)
+        letters = g._descents(perm)
+        if k is None or letters is None:
+            bad += 1
+            continue
+        strip = ".".join(f"s{i}" for i in reversed(letters))
+        bad += g._word(k) != strip or g._matrix(k) != m
+    return bad, len(weyl)
+
+
+@_suite
+def finite_word_checks():
+    """The derived finite words and the decoder against plain matrix
+    arithmetic, on each case of FINITE_INDEX_CASES.
+
+    * finite-word-vs-strip: finite_word_mismatches, every word against the
+      strip of its permutation and every matrix against finite_weyl();
+    * decode-vs-matrix: for every x = t_lam m of the sweep, the canonical
+      text of x and that text with each finite letter s_i appended are
+      decoded in a fresh group.  The text of x must give the interned
+      element of (lam, m) with its Iwahori-Matsumoto length by
+      matrix_length; an appended s_i must be refused with ValueError
+      exactly when m s_i is shorter than m by matrix_length, and must
+      otherwise give the element of the mat_mul product.
+
+    Returns the three word entries, then the three decode entries."""
+
+    def word(hctx, _regular, _other):
+        bad, n = finite_word_mismatches(hctx.datum)
+        return bad, f"{n} finite words and matrices"
+
+    def decode(hctx, regular, other):
+        g, d = hctx.group, hctx.datum
+        zero = (0,) * d.dim
+        gens = _affine_gens(d)
+        fresh = AffineWeylGroup(d)  # so that decode makes what it returns
+        bad = texts = 0
+        for pair in _sweep(d, regular, other):
+            base = g.encode(g.element(*pair))[:-1]
+            sep = "" if base.endswith("[") else "."
+            bad += _matrix_mismatches(fresh, [(fresh.decode(base + "]"), *pair)])
+            length = matrix_length(d, zero, pair[1])
+            for i in range(1, len(gens)):
+                texts += 1
+                up = matrix_length(d, zero, mat_mul(pair[1], gens[i][1])) > length
+                try:
+                    y = fresh.decode(f"{base}{sep}s{i}]")
+                except ValueError:
+                    bad += up
+                    continue
+                bad += not up or _matrix_mismatches(fresh, [(y, *_product(pair, gens[i]))])
+        return bad, f"{texts} texts with a finite letter appended"
+
+    yield from _run("finite-word-vs-strip", FINITE_INDEX_CASES, word)
+    yield from _run("decode-vs-matrix", FINITE_INDEX_CASES, decode)
 
 
 def _finite_climb(g, x):
@@ -678,7 +760,7 @@ def oracle_checks(seed=42, depth=5, samples=50):
     of every oracle suite in turn."""
     return chain(
         bruhat_oracle_checks.entries(depth), finite_weyl_checks.entries(),
-        r_recursion_checks.entries(depth), kl_solver_checks.entries(),
+        finite_word_checks.entries(), r_recursion_checks.entries(depth), kl_solver_checks.entries(),
         ic_round_trip_checks.entries(), q_oracle_checks.entries(),
         inverse_product_checks.entries(), wakimoto_checks.entries(seed, samples),
         theta_q1_checks.entries(), q_analogue_checks.entries(), bernstein_checks.entries(),

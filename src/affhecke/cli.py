@@ -51,7 +51,6 @@ from .affweyl import group
 from .central import bernstein_central, kottwitz_function, theta
 from .hecke import InvariantViolation, KLCache, context
 from .rootdata import DimensionMismatch, parse_group
-from .wakimoto import wakimoto_function
 
 CACHE_ENV_VAR = "AFFHECKE_CACHE_DIR"
 CACHE_HELP = f"KL cache directory, else ${CACHE_ENV_VAR}; with neither, no cache file"
@@ -152,6 +151,14 @@ def _emit_hecke(args, cfg, h):
         _emit(args, "".join(f"{x} {c}\n" for x, c in terms.items()))
 
 
+def _wakimoto(datum, v, w):
+    """The Wakimoto function of (v, w); wakimoto is imported on this query
+    alone, as checks is on `check`."""
+    from .wakimoto import wakimoto_function
+
+    return wakimoto_function(v, w)[0]
+
+
 # Per kind: its input ("mu" and "lam" name an option, "elements" the two
 # element arguments), the function of (datum, *inputs) whose value it
 # prints and the emitter that prints it.
@@ -163,7 +170,7 @@ QUERIES = {
     "theta": ("lam", theta, _emit_hecke),
     "z": ("lam", bernstein_central, _emit_hecke),
     "kottwitz": ("mu", kottwitz_function, _emit_hecke),
-    "wakimoto": ("elements", lambda datum, v, w: wakimoto_function(v, w)[0], _emit_hecke),
+    "wakimoto": ("elements", _wakimoto, _emit_hecke),
 }
 
 

@@ -255,7 +255,7 @@ class HeckeContext:
         out = {}
         for x, c in h.terms.items():
             y = nbr[x]
-            if y.length() > x.length():
+            if y._len > x._len:
                 _add_into(out, y, c)
             else:
                 d = c.shift(2)
@@ -382,7 +382,7 @@ class HeckeContext:
                 get = nxt.get
                 for x, c in cur.items():
                     y = nbr[x]
-                    if y.length() < x.length():
+                    if y._len < x._len:
                         nxt[y] = get(y, 0) + c
                     else:
                         d = c << k_bits
@@ -583,12 +583,12 @@ class HeckeContext:
         cols = self._p_cols
         values = self._p_values
         pv = cols[v]
-        ly = y.length()
+        ly = y._len
         terms = [(z, cols[z], sh, c) for z, sh, c in mu]
         col = {v: 1}
         for u in pv:
             us = nbr[u]
-            x, xs = (u, us) if us.length() < u.length() else (us, u)
+            x, xs = (u, us) if us._len < u._len else (us, u)
             if x in col:
                 continue  # the pair was met at its other element
             p = pv.get(xs, 0) + (pv.get(x, 0) << k)
@@ -600,7 +600,7 @@ class HeckeContext:
                     if p_xz is not None:
                         p -= p_xz * c << sh
             if p != 1:
-                if not self._kl_shape(p, ly - x.length()):
+                if not self._kl_shape(p, ly - x._len):
                     raise InvariantViolation(
                         f"KL recursion gave P = {self._unpack(p).encode()} "
                         f"at x={x.encode()} y={y.encode()}"

@@ -83,6 +83,20 @@ CATALOGUE = (
         "c = (p + (1 << t)) >> t if t else p",
         "kl-recursion-vs-bar-fixedness-GL4-2,1,0,0",
     ),
+    (
+        "_word strips the largest finite descent",
+        "affweyl.py",
+        "for i in range(1, len(row))",
+        "for i in range(len(row) - 1, 0, -1)",
+        "finite-word-vs-strip-GL4",
+    ),
+    (
+        "decode skips the reducedness test",
+        "affweyl.py",
+        "if self._asc[k][i][1]:",
+        "if False:",
+        "decode-vs-matrix-GL4",
+    ),
 )
 
 

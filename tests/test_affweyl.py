@@ -323,6 +323,47 @@ def test_decode_accepts_any_reduced_word_and_only_those():
     assert G.decode("t[-0,01,0]*w[s2.s1.s2]") is G.decode("t[0,1,0]*w[s1.s2.s1]")
 
 
+def test_decode_makes_one_element_with_the_walks_length():
+    # decode composes finite ids and makes the one element it returns: a
+    # new text grows the interned elements by exactly one, and that
+    # element has the length of the mul_gen walk along the word
+    rng = random.Random(34)
+    for datum in (create("GL", 4), create("GSp", 2), create("G2", 2)):
+        fresh, walker = affweyl.AffineWeylGroup(datum), affweyl.AffineWeylGroup(datum)
+        texts = {}
+        for m, _sign in datum.finite_weyl():
+            lam = tuple(rng.randint(-3, 3) for _ in range(datum.dim))
+            omega, word = walker.reduced_word(walker.finite(m))
+            assert omega is walker.identity
+            texts[walker.encode(walker.element(lam, m))] = (lam, word)
+        for text, (lam, word) in texts.items():
+            before = len(fresh._intern)
+            y = fresh.decode(text)
+            assert len(fresh._intern) == before + 1
+            walk = walker.from_word(walker.translation(lam), word)
+            assert y.length() == walk.length() == fresh._length(y.trans, y._fi)
+            assert fresh.encode(y) == walker.encode(walk) == text
+            assert fresh.decode(text) is y and len(fresh._intern) == before + 1
+
+
+@pytest.mark.parametrize(
+    "fam, n", [("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5), ("GSp", 2), ("GSp", 3), ("G2", 2)]
+)
+def test_derived_finite_words_are_the_strip(fam, n):
+    # every finite id's word, derived from the word of wbar s_d, is the
+    # reversed strip of its smallest descents, and its matrix, built from
+    # that word, is the matrix of finite_weyl() with its permutation
+    datum = create(fam, n)
+    assert checks.finite_word_mismatches(datum) == (0, len(datum.finite_weyl()))
+
+
+@pytest.mark.parametrize("label, mu", sorted(checks.GOLDEN_CASES))
+def test_decode_inverts_encode_on_the_golden_adm_sets(label, mu):
+    G = group(rootdata.parse_group(label))
+    for x in G.adm(mu):
+        assert G.decode(G.encode(x)) is x
+
+
 def test_datum_mismatch():
     a = gl(3).identity
     b = gl(4).identity

@@ -268,7 +268,7 @@ def test_check_properties(tmp_path, capsys):
 
 #: sha256 of the stdout of `check oracles --seed 42 --depth 3 --samples 5`:
 #: every entry, count and PASS line, in order
-ORACLES_QUICK_DIGEST = "c53ba69de100e1d37a8bdb5522ed73ea9e39a1ff8e5867a93b93d4f4f91ec2b1"
+ORACLES_QUICK_DIGEST = "74f9747864b4997e274106278ca59f1977ee8e69a0ec1b867660a8c5bb2c2dc2"
 
 
 def test_check_oracles_quick(capsys):
@@ -373,6 +373,7 @@ def test_query_without_its_input_exit_2(capsys, query, message):
     (f"query kl GL3 t[0,0,0]*w[r1] {QUERY_X}", "bad generator 'r1' in 't[0,0,0]*w[r1]'"),
     (f"query kl GL3 t[0,0,0]*w[s] {QUERY_X}", "bad generator 's' in 't[0,0,0]*w[s]'"),
     (f"query kl GL3 t[0,0,0]*w[s1x] {QUERY_X}", "bad generator 's1x' in 't[0,0,0]*w[s1x]'"),
+    (f"query kl GL3 t[0,0,0]*w[x1] {QUERY_X}", "bad generator 'x1' in 't[0,0,0]*w[x1]'"),
     (f"query kl GL3 t[0,0,0]*w[s0] {QUERY_X}",
      "finite generator out of range in 't[0,0,0]*w[s0]'"),
     (f"query kl GL3 t[0,0,0]*w[s1.s3] {QUERY_X}",
@@ -386,6 +387,8 @@ def test_query_without_its_input_exit_2(capsys, query, message):
      "bad element encoding 't[0,0,0]*w[s\u0661]'"),
     (f"query rpoly GL3 t[0,0,0]*w[s1.s1] {QUERY_X}",
      "the word of 't[0,0,0]*w[s1.s1]' is not reduced"),
+    (f"query kl GL3 t[1,0,0]*w[s2.s1.s2.s1] {QUERY_X}",
+     "the word of 't[1,0,0]*w[s2.s1.s2.s1]' is not reduced"),
     ("table GSp4 --mu 1,0", "GSp_4 coweight needs 4 coordinates"),
     ("table G2 --mu 1", "G2 coweight needs 2 or 3 coordinates"),
     ("table GLx --mu 1,0", "bad group label 'GLx'"),

@@ -143,7 +143,7 @@ def test_only_the_group_memoises_on_missing(path):
 
 LAZY = {
     "json", "fractions", "decimal", "tempfile", "random", "typing",
-    "importlib.resources", "affhecke.checks",
+    "importlib.resources", "affhecke.checks", "affhecke.wakimoto",
 }
 
 #: argparse, the gettext and locale it loads for its messages, and the
@@ -333,7 +333,8 @@ MEMO_INVENTORY = {
             "_asc": "the ascent data per id, read by lengths and descents: all workloads",
             "_rmul": "the id of wbar s_i: every workload (kl-deep 508 of 544 hit)",
             "_fprod": "the id of a product of two ids: kl-deep (1,296 of 1,440 hit)",
-            "_fword": "the finite word of each id, read by encode: table-gl5",
+            "_fword": "the finite word of each id, filled by _word, read by encode and _matrix: "
+            "table-gl5",
             "_right": "the tables {x: x s_i}: all workloads",
         },
     },
