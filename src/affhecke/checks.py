@@ -30,6 +30,7 @@ from .rootdata import (
     mat_mul,
     mat_vec,
     parse_group,
+    reach,
     vec_add,
     vec_mat,
     vec_scale,
@@ -74,21 +75,14 @@ def _suite(entries):
 
 
 def ball(g, radius):
-    """All elements of length <= radius in the W_aff coset of the identity."""
-    out = {g.identity}
-    frontier = [g.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            if x.length() >= radius:
-                continue
-            for i in range(g.n_gens):
-                y = g.mul_gen(x, i)
-                if y.length() > x.length() and y not in out:
-                    out.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(out, key=g.sort_key)
+    """All elements of length <= radius in the W_aff coset of the identity:
+    reach meets each one, by steps x s_i, at the depth of its length, and
+    takes no step from an element at the radius."""
+
+    def step(x):
+        return [g.mul_gen(x, i) for i in range(g.n_gens)] if x.length() < radius else []
+
+    return sorted(reach([g.identity], step), key=g.sort_key)
 
 
 def lifting_leq(g, x, y):
@@ -133,6 +127,26 @@ def bruhat_oracle_checks(depth=5):
         return bad, f"{len(pool) ** 2} pairs ({cross} across Omega-cosets)"
 
     return _run("bruhat-lifting-vs-interval", BRUHAT_CASES, check)
+
+
+@_suite
+def configuration_checks():
+    """The Bruhat configurations of multiplicity.compute against `leq`: for
+    each w in Adm(mu), configs[w][k - 1] must count the x in Adm(mu) with
+    w <= x and l(x) - l(w) = k >= 1."""
+
+    def check(hctx, mu):
+        g, table = hctx.group, multiplicity.compute(hctx.datum, mu)
+        bad = 0
+        for w in table.adm:
+            want = [0] * (table.ell_mu - w.length())
+            for x in table.adm:
+                if x.length() > w.length() and g.leq(w, x):
+                    want[x.length() - w.length() - 1] += 1
+            bad += table.configs[w] != tuple(want)
+        return bad, f"{len(table.adm)} admissible elements"
+
+    return _run("configurations-vs-intervals", BRUHAT_CASES, check)
 
 
 #: groups for the finite-index sweep, each with a dominant regular and a
@@ -319,14 +333,7 @@ def finite_word_mismatches(d):
     m; bad counts the ids that fail, plus one if the walk does not reach
     |W| ids."""
     g = AffineWeylGroup(d)
-    seen, todo = {0}, [0]
-    while todo:
-        k = todo.pop()
-        for i in range(1, g.n_gens):
-            j = g._fin_right(k, i)
-            if j not in seen:
-                seen.add(j)
-                todo.append(j)
+    seen = reach([0], lambda k: (g._fin_right(k, i) for i in range(1, g.n_gens)))
     weyl = d.finite_weyl()
     bad = len(seen) != len(weyl)
     for m, _sign in weyl:
@@ -759,7 +766,8 @@ def oracle_checks(seed=42, depth=5, samples=50):
     """Exact cross-oracle identities, mostly on GL_3 and GSp_4: the entries
     of every oracle suite in turn."""
     return chain(
-        bruhat_oracle_checks.entries(depth), finite_weyl_checks.entries(),
+        bruhat_oracle_checks.entries(depth), configuration_checks.entries(),
+        finite_weyl_checks.entries(),
         finite_word_checks.entries(), r_recursion_checks.entries(depth), kl_solver_checks.entries(),
         ic_round_trip_checks.entries(), q_oracle_checks.entries(),
         inverse_product_checks.entries(), wakimoto_checks.entries(seed, samples),

@@ -22,6 +22,12 @@ Roots are stored as integer functional vectors f, pairing with a
 coweight v as the dot product f . v.  Weyl group elements are integer
 matrices acting on coweight coordinates.
 
+The module holds the one search and the one reflection of the layer:
+`reach` is the breadth-first search behind Phi = W.Delta, every Weyl
+orbit, the dominant weights below mu and the listing of W; `reflect` is
+w -> w - <f, w> v, behind the derived pairs, `reflect_simple` and the
+matrix of `reflection`.
+
 Each family gives only the four facts that define its based root datum,
 so that no module outside this one branches on the family (here only the
 builders, `label`, `parse_coweight` and `parse_group` do):
@@ -103,6 +109,27 @@ def identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def reflect(f, v, w):
+    """w - <f, w> v, and w itself when <f, w> = 0: the reflection of w by
+    the root f with coroot v."""
+    a = dot(f, w)
+    return w if a == 0 else vec_sub(w, vec_scale(v, a))
+
+
+def reach(starts, step):
+    """{node: depth} over every node that step reaches from starts, step(u)
+    giving the nodes one step from u: one breadth-first search, so depth
+    is the least number of steps."""
+    depth = dict.fromkeys(starts, 0)
+    frontier = list(depth)
+    for u in frontier:
+        for w in step(u):
+            if w not in depth:
+                depth[w] = depth[u] + 1
+                frontier.append(w)
+    return depth
+
+
 def parse_ints(text, where=None):
     """The integers of a comma-separated list.  Each entry is -?[0-9]+ in
     ASCII: no blank, no other sign and no empty entry; a bad one raises
@@ -167,15 +194,9 @@ class RootDatum:
         with the fundamental coweights to its coefficients on the simple
         roots, so it is positive when they are all >= 0.  The positive
         pairs are sorted by (height, root), and theta is the last one."""
-        pairs = set(simple)
-        todo = list(simple)
-        while todo:
-            f, g = todo.pop()
-            for a, b in simple:
-                p = (vec_sub(f, vec_scale(a, dot(f, b))), vec_sub(g, vec_scale(b, dot(a, g))))
-                if p not in pairs:
-                    pairs.add(p)
-                    todo.append(p)
+        pairs = reach(
+            simple, lambda p: ((reflect(b, a, p[0]), reflect(a, b, p[1])) for a, b in simple)
+        )
         coeffs = {p: [dot(p[0], w) for w in fund_coweights] for p in pairs}
         pos = sorted((sum(c), p) for p, c in coeffs.items() if min(c) >= 0)
         self.pos_roots, self.pos_coroots = map(tuple, zip(*(p for _h, p in pos)))
@@ -208,12 +229,9 @@ class RootDatum:
         self._derive((((1, 0), (2, -1)), ((0, 1), (-3, 2))), ((1, 0), (0, 1)), None)
 
     def reflection(self, root, coroot):
-        """Matrix of v -> v - <root, v> coroot on coweight coordinates."""
-        n = self.dim
-        return tuple(
-            tuple((1 if r == k else 0) - coroot[r] * root[k] for k in range(n))
-            for r in range(n)
-        )
+        """Matrix of v -> v - <root, v> coroot on coweight coordinates: the
+        images of the unit vectors, as columns."""
+        return tuple(zip(*(reflect(root, coroot, e) for e in identity_matrix(self.dim))))
 
     # basic structure -------------------------------------------------
 
@@ -256,10 +274,8 @@ class RootDatum:
         return v
 
     def reflect_simple(self, i, v):
-        a = dot(self.pos_roots[self.simple_idx[i]], v)
-        if a == 0:
-            return v
-        return vec_sub(v, vec_scale(self.pos_coroots[self.simple_idx[i]], a))
+        k = self.simple_idx[i]
+        return reflect(self.pos_roots[k], self.pos_coroots[k], v)
 
     def dominant_rep(self, v):
         """The dominant element of the Weyl orbit of v."""
@@ -275,18 +291,8 @@ class RootDatum:
     def weyl_orbit(self, v):
         """The full W-orbit, as a sorted tuple of coweights."""
         v = self.check_coweight(v)
-        seen = {v}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for i in range(self.n_gens):
-                    w = self.reflect_simple(i, u)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return tuple(sorted(seen))
+        orbit = reach([v], lambda u: (self.reflect_simple(i, u) for i in range(self.n_gens)))
+        return tuple(sorted(orbit))
 
     def dominant_below(self, mu):
         """All dominant lam <= mu in dominance order, mu included, sorted.
@@ -295,16 +301,11 @@ class RootDatum:
         only: every dominant lam < mu is reached so (Stembridge, "The
         partial order of dominant weights", Adv. Math. 136, 1998)."""
         mu = self.require_dominant(mu)
-        found = {mu}
-        todo = [mu]
-        while todo:
-            v = todo.pop()
-            for g in self.pos_coroots:
-                u = vec_sub(v, g)
-                if u not in found and self.is_dominant(u):
-                    found.add(u)
-                    todo.append(u)
-        return tuple(sorted(found))
+
+        def down(v):
+            return filter(self.is_dominant, (vec_sub(v, g) for g in self.pos_coroots))
+
+        return tuple(sorted(reach([mu], down)))
 
     # invariant form and Freudenthal weight multiplicities ---------------
 
@@ -367,20 +368,12 @@ class RootDatum:
     # brute-force character oracle ---------------------------------------
 
     def finite_weyl(self):
-        """All (matrix, sign) pairs of the finite Weyl group, cached."""
+        """All (matrix, sign) pairs of the finite Weyl group, cached; the
+        sign is (-1)^l(w), l(w) the depth at which reach meets w."""
         if self._finite_weyl is None:
-            seen = {self.identity: 1}
-            frontier = [self.identity]
-            while frontier:
-                nxt = []
-                for m in frontier:
-                    for s in self.simple_reflections:
-                        p = mat_mul(m, s)
-                        if p not in seen:
-                            seen[p] = -seen[m]
-                            nxt.append(p)
-                frontier = nxt
-            self._finite_weyl = tuple(sorted(seen.items()))
+            gens = self.simple_reflections
+            depth = reach([self.identity], lambda m: (mat_mul(m, s) for s in gens))
+            self._finite_weyl = tuple(sorted((m, (-1) ** k) for m, k in depth.items()))
         return self._finite_weyl
 
     def weight_multiplicities_by_character(self, mu):

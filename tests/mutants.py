@@ -97,6 +97,13 @@ CATALOGUE = (
         "if False:",
         "decode-vs-matrix-GL4",
     ),
+    (
+        "compute counts a configuration one length short",
+        "multiplicity.py",
+        "counts[w][lx - w.length()] += 1",
+        "counts[w][lx - w.length() - (lx - w.length() >= 2)] += 1",
+        "configurations-vs-intervals-GL3",
+    ),
 )
 
 

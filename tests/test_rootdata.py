@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -35,6 +36,27 @@ def test_mat_mul_vs_triple_loop(fam, n):
                     for k in range(size):
                         want[i][j] += a[i][k] * b[k][j]
             assert mat_mul(a, b) == tuple(map(tuple, want))
+
+
+def determinant(m):
+    """Leibniz's sum over the permutations p: sign(p) prod m[i][p(i)]."""
+    total = 0
+    for p in itertools.permutations(range(len(m))):
+        inversions = sum(p[i] > p[j] for i, j in itertools.combinations(range(len(p)), 2))
+        total += (-1) ** inversions * math.prod(m[i][k] for i, k in enumerate(p))
+    return total
+
+
+@pytest.mark.parametrize(
+    "fam,n,order",
+    [("GL", n, math.factorial(n)) for n in range(2, 6)]
+    + [("GSp", 2, 8), ("GSp", 3, 48), ("G2", 2, 12)],
+)
+def test_finite_weyl_order_and_signs(fam, n, order):
+    # the sign is (-1)^depth of the search that lists W: it must be det(m)
+    weyl = create(fam, n).finite_weyl()
+    assert len(weyl) == len({m for m, _sign in weyl}) == order
+    assert all(sign == determinant(m) for m, sign in weyl)
 
 
 def cartan_matrix(datum):
