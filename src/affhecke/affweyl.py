@@ -15,12 +15,13 @@ word of wbar, which strips the smallest finite right descent first
 for d the smallest descent, and one walk down that chain fills the
 words of the ids it passes.  The matrix of wbar is the product
 of the simple reflections of its word, built per id only when something
-reads it: the translation part of a product or an inverse, `fin`, a
-pickle or `element`.  Per-id tables hold the root permutation,
-wbar(theta^vee) (the coroot of the root wbar(theta)), the ascent data
-below and the text of the word, and elements are interned on
-(lambda, id), so an element is the one object with its (lambda, wbar):
-elements hash and compare by identity, at C speed in dicts and sets.
+reads it: the translation part of an inverse or of a product whose
+right factor has a translation, `fin`, a pickle or `element`.  Per-id
+tables hold the root permutation, wbar(theta^vee) (the coroot of the
+root wbar(theta)), the ascent data below and the text of the word, and
+elements are interned on (lambda, id), so an element is the one object
+with its (lambda, wbar): elements hash and compare by identity, at C
+speed in dicts and sets.
 Decoding a text composes the ids of its letters and interns only the
 element it names.  Ids and hashes follow the order of first appearance
 and the memory layout, so they differ between processes: pickles still
@@ -70,7 +71,6 @@ from .rootdata import (
     dot,
     mat_vec,
     parse_ints,
-    vec_add,
     vec_scale,
 )
 
@@ -115,8 +115,36 @@ class AffineWeylElement:
     def fin(self):
         return self.group._matrix(self._fi)
 
-    def __mul__(self, other):
-        return self.group.mul(self, other)
+    def __mul__(a, b):
+        """t_lambda wbar * t_mu vbar = t_{lambda + wbar mu} * wbar vbar, the
+        one implementation of the group law (AffineWeylGroup.mul runs it).
+
+        The id of wbar vbar comes from the group's memo of finite products.
+        A right factor with mu = 0 keeps lambda and reads no matrix; a left
+        factor with lambda = 0 gives wbar mu with no add; otherwise the
+        pairings of the rows of wbar with mu are taken here.  The product
+        is interned: when one factor has length 0 a new element gets the
+        length of the other, else its Iwahori-Matsumoto length."""
+        g = a.group
+        if g is not b.group:
+            raise DatumMismatch("elements from different groups")
+        i, j = a._fi, b._fi
+        k = g._fprod.get((i, j))
+        if k is None:
+            k = g._fprod[i, j] = g._compose(g._perm[i], g._perm[j])
+        lam, mu = a.trans, b.trans
+        if any(mu):
+            m = g._fmat[i] or g._matrix(i)
+            if any(lam):
+                lam = tuple([c + sum(map(mul, row, mu)) for c, row in zip(lam, m)])
+            else:
+                lam = tuple([sum(map(mul, row, mu)) for row in m])
+        key = (lam, k)
+        x = g._intern.get(key)
+        if x is None:
+            length = a._len if b._len == 0 else b._len if a._len == 0 else g._length(lam, k)
+            x = g._intern[key] = AffineWeylElement(g, lam, k, length)
+        return x
 
     def inv(self):
         return self.group.inv(self)
@@ -357,16 +385,8 @@ class AffineWeylGroup:
     # -- group law -------------------------------------------------------
 
     def mul(self, a, b):
-        if a.group is not b.group:
-            raise DatumMismatch("elements from different groups")
-        key = (a._fi, b._fi)
-        k = self._fprod.get(key)
-        if k is None:
-            k = self._fprod[key] = self._compose(self._perm[a._fi], self._perm[b._fi])
-        m = self._fmat[a._fi] or self._matrix(a._fi)
-        # multiplying by a length-zero element keeps the length
-        length = a._len if b._len == 0 else b._len if a._len == 0 else None
-        return self._make(vec_add(a.trans, mat_vec(m, b.trans)), k, length)
+        """a * b (see AffineWeylElement.__mul__)."""
+        return a * b
 
     def mul_gen(self, a, i):
         """a * s_i, read from the table of s_i (see _RightTable)."""

@@ -176,6 +176,10 @@ QUERIES = {
 
 def cmd_query(args):
     source, fn, emit = QUERIES[args.kind]
+    for name, value in (("mu", args.mu), ("lam", args.lam), ("elements", args.elements or None)):
+        if name != source and value is not None:
+            unread = "element arguments" if name == "elements" else f"--{name}"
+            raise DimensionMismatch(f"query {args.kind} does not read {unread}")
     datum = parse_group(args.group)
     cfg = RunConfig(
         command=f"query {args.kind}",

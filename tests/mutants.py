@@ -98,6 +98,20 @@ CATALOGUE = (
         "decode-vs-matrix-GL4",
     ),
     (
+        "the group law tests a zero translation by its first coordinate",
+        "affweyl.py",
+        "if any(mu):",
+        "if mu[0]:",
+        "finite-product-vs-matrix-GL4",
+    ),
+    (
+        "the group law gives a product by a finite factor the left length",
+        "affweyl.py",
+        "a._len if b._len == 0 else",
+        "a._len if b._len == 0 or not any(mu) else",
+        "finite-product-vs-matrix-GL4",
+    ),
+    (
         "compute counts a configuration one length short",
         "multiplicity.py",
         "counts[w][lx - w.length()] += 1",

@@ -514,6 +514,23 @@ def test_group_law_registers_each_finite_element_once(monkeypatch):
     assert cells <= G.n_gens * 24
 
 
+@pytest.mark.parametrize("fam, n", [("GL", 4), ("GSp", 3), ("G2", 2)])
+def test_a_finite_right_factor_reads_no_matrix_of_the_left(fam, n):
+    # t_lam wbar * vbar = t_lam (wbar vbar): the product keeps lam, so the
+    # matrix of wbar, which no mul_gen walk builds, stays unbuilt
+    datum = create(fam, n)
+    G = affweyl.AffineWeylGroup(datum)
+    x = G.from_word(G.identity, [0, 1, 2, 0, 1])
+    assert any(x.trans) and x._fi and G._fmat[x._fi] is None
+    fins = [m for m, _sign in datum.finite_weyl() if G._perm_of(m) != G._perm[x._fi]]
+    products = [(x * G.finite(m), m) for m in fins]
+    assert G._fmat[x._fi] is None
+    for xy, m in products:
+        fin = rootdata.mat_mul(x.fin, m)
+        assert xy is G.element(x.trans, fin)
+        assert xy.length() == checks.matrix_length(datum, x.trans, fin)
+
+
 def test_table_and_trace_multiply_no_matrices(monkeypatch, capsys):
     # the finite Weyl index composes root permutations and builds a matrix
     # from simple reflections: no matrix product on the table or trace path

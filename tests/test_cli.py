@@ -389,6 +389,9 @@ def test_query_without_its_input_exit_2(capsys, query, message):
      "the word of 't[0,0,0]*w[s1.s1]' is not reduced"),
     (f"query kl GL3 t[1,0,0]*w[s2.s1.s2.s1] {QUERY_X}",
      "the word of 't[1,0,0]*w[s2.s1.s2.s1]' is not reduced"),
+    ("query theta GL3 --mu 1,0,0 --lam 0,0,1 --format json", "query theta does not read --mu"),
+    ("query adm GL3 --mu 1,0,0 't[0,0,0]*w[]' junk", "query adm does not read element arguments"),
+    ("query kl GL3 X Y --mu 5,5 --format json", "query kl does not read --mu"),
     ("table GSp4 --mu 1,0", "GSp_4 coweight needs 4 coordinates"),
     ("table G2 --mu 1", "G2 coweight needs 2 or 3 coordinates"),
     ("table GLx --mu 1,0", "bad group label 'GLx'"),
