@@ -1,7 +1,11 @@
 """Cross-checking suites: oracle equivalences, table properties, golden diffs.
 
-Each suite returns a list of (name, ok, detail) triples so that both the
-command-line front end and the test suite can consume the same checks.
+Every check is a (name, ok, detail) triple, so that both the command-line
+front end and the test suite can consume the same checks.  An oracle
+suite is a generator function that yields its entries, each made when it
+is read, and oracle_checks chains them, so that the front end prints each
+entry as soon as it is made; a caller that reads a suite twice or by
+index takes list() of it.  property_checks and golden_check return lists.
 
 An oracle suite makes its entries through one runner, _run, one entry
 per case: it builds the case, names the entry and reports it through
@@ -10,14 +14,15 @@ the mismatches, bad, and ok is bad == 0; the detail ends in
 ", <bad> mismatches", or is just "<bad> mismatches" with no detail.  An
 InvariantViolation raised while an entry is made, in a case or in a
 suite with no case loop, fails that entry alone, with the exception
-text as its detail, and the next entry is made as usual.  Every oracle
-suite also keeps its generator of entries as .entries, so that
-oracle_checks hands each entry on as soon as it is made.
+text as its detail, and the next entry is made as usual.
+
+golden_check compares the rendered table with the stored file byte for
+byte, as the benchmark compares the stdout of `table`.
 """
 
 import importlib.resources
 import random
-from functools import reduce, wraps
+from functools import reduce
 from itertools import chain
 
 from . import central, multiplicity, wakimoto
@@ -66,14 +71,6 @@ def _run(kind, cases, check):
         yield _entry(name, check, context(d), *args)
 
 
-def _suite(entries):
-    """The suite that returns, in a list, the entries that `entries` yields;
-    `entries` stays on it as .entries."""
-    suite = wraps(entries)(lambda *args, **kwargs: list(entries(*args, **kwargs)))
-    suite.entries = entries
-    return suite
-
-
 def ball(g, radius):
     """All elements of length <= radius in the W_aff coset of the identity:
     reach meets each one, by steps x s_i, at the depth of its length, and
@@ -112,7 +109,6 @@ def bruhat_pool(g, depth, mu):
     return sorted(set(ball(g, depth)) | set(g.adm(mu)), key=g.sort_key)
 
 
-@_suite
 def bruhat_oracle_checks(depth=5):
     """`leq` against `lifting_leq` on all pairs of ball(g, depth) u Adm(mu)."""
 
@@ -126,10 +122,9 @@ def bruhat_oracle_checks(depth=5):
                 bad += g.leq(x, y) != lifting_leq(g, x, y)
         return bad, f"{len(pool) ** 2} pairs ({cross} across Omega-cosets)"
 
-    return _run("bruhat-lifting-vs-interval", BRUHAT_CASES, check)
+    yield from _run("bruhat-lifting-vs-interval", BRUHAT_CASES, check)
 
 
-@_suite
 def configuration_checks():
     """The Bruhat configurations of multiplicity.compute against `leq`: for
     each w in Adm(mu), configs[w][k - 1] must count the x in Adm(mu) with
@@ -146,7 +141,7 @@ def configuration_checks():
             bad += table.configs[w] != tuple(want)
         return bad, f"{len(table.adm)} admissible elements"
 
-    return _run("configurations-vs-intervals", BRUHAT_CASES, check)
+    yield from _run("configurations-vs-intervals", BRUHAT_CASES, check)
 
 
 #: groups for the finite-index sweep, each with a dominant regular and a
@@ -222,7 +217,6 @@ def _inverter(d):
     return lambda trans, m: (vec_scale(mat_vec(inverse[m], trans), -1), inverse[m])
 
 
-@_suite
 def finite_weyl_checks():
     """The indexed group law and the ascent test against plain matrix
     arithmetic, over x = t_lam m for every finite Weyl matrix m and
@@ -348,7 +342,6 @@ def finite_word_mismatches(d):
     return bad, len(weyl)
 
 
-@_suite
 def finite_word_checks():
     """The derived finite words and the decoder against plain matrix
     arithmetic, on each case of FINITE_INDEX_CASES.
@@ -425,7 +418,6 @@ Q_ANALOGUE_CASES = (
 )
 
 
-@_suite
 def q_analogue_checks():
     """P_{n_lambda, n_mu} against the dual weight multiplicities.
 
@@ -450,7 +442,7 @@ def q_analogue_checks():
             )
         return bad, f"{len(lams)} dominant lambda <= mu, l(n_mu) = {n_mu.length()}"
 
-    return _run("q-analogue", Q_ANALOGUE_CASES, check)
+    yield from _run("q-analogue", Q_ANALOGUE_CASES, check)
 
 
 def _bar_solve(s, gap):
@@ -502,7 +494,6 @@ KL_SOLVER_CASES = (
 )
 
 
-@_suite
 def kl_solver_checks():
     """kl_poly (the recursion) against bar_fixed_column on every pair (x, w)
     with x in Adm(mu) and w in Adm(mu) or its translations, pairs x not <=
@@ -524,7 +515,7 @@ def kl_solver_checks():
         where = f"{len(ws)} translations x " if tops else ""
         return bad, f"{len(ws) * len(adm)} pairs of {where}Adm({text}) ({below} with x <= w)"
 
-    return _run("kl-recursion-vs-bar-fixedness", KL_SOLVER_CASES, check)
+    yield from _run("kl-recursion-vs-bar-fixedness", KL_SOLVER_CASES, check)
 
 
 def _r_extraction(hctx, x, y, inv=None):
@@ -535,7 +526,6 @@ def _r_extraction(hctx, x, y, inv=None):
     return inv.coeff(x).scale(sign).shift(2 * y.length())
 
 
-@_suite
 def r_recursion_checks(depth):
     """R recursion against the bar-expansion extraction, every x <= y with
     l(y) <= depth, on GL_3 and GSp_4."""
@@ -550,7 +540,7 @@ def r_recursion_checks(depth):
                 bad += hctx.r_poly(x, y) != _r_extraction(hctx, x, y, inv)
         return bad, f"{pairs} pairs with l(y) <= {depth}"
 
-    return _run("r-recursion-vs-extraction", (("GL", 3), ("GSp", 2)), check)
+    yield from _run("r-recursion-vs-extraction", (("GL", 3), ("GSp", 2)), check)
 
 
 #: (group, mu) whose sum of v^l(x) T_x over Adm(mu) goes to the C''-basis
@@ -558,7 +548,6 @@ def r_recursion_checks(depth):
 IC_ROUND_TRIP_CASES = (("GL3", "2,1,0"), ("GSp4", "2,1,1,0"), ("G2", "1,0"))
 
 
-@_suite
 def ic_round_trip_checks(cases=IC_ROUND_TRIP_CASES):
     """from_ic_basis(to_ic_basis(h)) == h, counted over the T_x of both
     sides, for h = sum v^{l(x)} T_x over Adm(mu): h has both odd and even
@@ -572,7 +561,7 @@ def ic_round_trip_checks(cases=IC_ROUND_TRIP_CASES):
         bad = sum(back.coeff(x) != h.coeff(x) for x in set(back.terms) | set(h.terms))
         return bad, f"sum of v^l(x) T_x over Adm({text}), {len(coeffs)} C''-coefficients"
 
-    return _run("ic-basis-round-trip", cases, check)
+    yield from _run("ic-basis-round-trip", cases, check)
 
 
 #: (group, mu) whose Adm sets the Q oracle and the inverse product are
@@ -611,7 +600,6 @@ def q_oracle_row(hctx, x, ws):
     return row
 
 
-@_suite
 def q_oracle_checks(cases=PQ_INVERSION_CASES, intervals=(("GL", 3), ("GSp", 2))):
     """inv_kl_poly against q_oracle_row on every pair x <= w of each pool:
     Adm(mu) for each (group, mu) of cases, and [e, y0] for each (family,
@@ -635,10 +623,9 @@ def q_oracle_checks(cases=PQ_INVERSION_CASES, intervals=(("GL", 3), ("GSp", 2)))
             bad += sum(q != hctx.inv_kl_poly(x, w) for w, q in row.items())
         return bad, f"{pairs} pairs x <= w of {where}"
 
-    return _run("q-oracle-vs-ic-basis", (*cases, *intervals), check)
+    yield from _run("q-oracle-vs-ic-basis", (*cases, *intervals), check)
 
 
-@_suite
 def inverse_product_checks():
     """The kernel product mul_T_inv(h, y) by its defining identity
     mul_T(mul_T_inv(h, y), y) = h, on every y of the Adm sets of
@@ -664,10 +651,9 @@ def inverse_product_checks():
                 bad += conj is not g.simple_reflection(g.conj_gen(omega, i))
         return bad, f"{len(adm)} y in Adm({text}) times {len(hs)} T_x, {len(omegas)} Omega elements"
 
-    return _run("inverse-product", PQ_INVERSION_CASES, check)
+    yield from _run("inverse-product", PQ_INVERSION_CASES, check)
 
 
-@_suite
 def wakimoto_checks(seed, samples):
     """The Wakimoto closed form against the Hecke product, on `samples`
     random pairs (v, w) from ball(g, 4) with l(v) + l(w) <= 8 per family."""
@@ -692,7 +678,6 @@ def wakimoto_checks(seed, samples):
     yield _entry("wakimoto-closed-form", check)
 
 
-@_suite
 def theta_q1_checks():
     """The q = 1 specialisation a_w(1) = Q_{w, t_lambda}(1): for every lambda
     in the Weyl orbits of the cases, the C''-expansion of
@@ -722,7 +707,6 @@ def theta_q1_checks():
 BERNSTEIN_CASES = (("GL4", "2,1,0,0"), ("GSp4", "2,1,1,0"), ("G2", "3,0"))
 
 
-@_suite
 def bernstein_checks(cases=BERNSTEIN_CASES):
     """The packed kernel HeckeContext.bernstein_sum by its defining
     identity, multiplied back with the forward walk mul_T.  For every nu
@@ -758,20 +742,18 @@ def bernstein_checks(cases=BERNSTEIN_CASES):
         bad += central.kottwitz_function(d, mu) != want
         return bad, f"{n} Theta, {len(zs)} z and the Kottwitz function"
 
-    return _run("bernstein-packed-vs-laurent", cases, check)
+    yield from _run("bernstein-packed-vs-laurent", cases, check)
 
 
-@_suite
 def oracle_checks(seed=42, depth=5, samples=50):
     """Exact cross-oracle identities, mostly on GL_3 and GSp_4: the entries
     of every oracle suite in turn."""
     return chain(
-        bruhat_oracle_checks.entries(depth), configuration_checks.entries(),
-        finite_weyl_checks.entries(),
-        finite_word_checks.entries(), r_recursion_checks.entries(depth), kl_solver_checks.entries(),
-        ic_round_trip_checks.entries(), q_oracle_checks.entries(),
-        inverse_product_checks.entries(), wakimoto_checks.entries(seed, samples),
-        theta_q1_checks.entries(), q_analogue_checks.entries(), bernstein_checks.entries(),
+        bruhat_oracle_checks(depth), configuration_checks(), finite_weyl_checks(),
+        finite_word_checks(), r_recursion_checks(depth), kl_solver_checks(),
+        ic_round_trip_checks(), q_oracle_checks(), inverse_product_checks(),
+        wakimoto_checks(seed, samples), theta_q1_checks(), q_analogue_checks(),
+        bernstein_checks(),
     )
 
 
@@ -837,36 +819,24 @@ GOLDEN_CASES = {
 
 
 def golden_text(datum, mu):
-    """The stored golden table for (datum, mu), or None."""
+    """The stored golden table for (datum, mu), byte for byte as ASCII
+    text with no newline translation, or None."""
     name = GOLDEN_CASES.get((datum.label, tuple(mu)))
     if name is None:
         return None
-    return (
-        importlib.resources.files("affhecke")
-        .joinpath("golden", name)
-        .read_text(encoding="ascii")
-    )
-
-
-def normalize_table(text):
-    """Whitespace-insensitive canonical form of a rendered table."""
-    lines = []
-    for line in text.strip().splitlines():
-        collapsed = " ".join(line.split())
-        if collapsed:
-            lines.append(collapsed)
-    return tuple(lines)
+    path = importlib.resources.files("affhecke").joinpath("golden", name)
+    return path.read_bytes().decode("ascii")
 
 
 def golden_check(datum, mu):
+    """The entry of the rendered table of (datum, mu) against its stored
+    golden table, byte for byte."""
     golden = golden_text(datum, mu)
     if golden is None:
         raise ValueError(
             f"no golden table for {datum.label} mu={datum.format_coweight(mu)}"
         )
-    table = multiplicity.compute(datum, mu)
-    text = multiplicity.render_text(table)
-    ok = normalize_table(text) == normalize_table(golden)
+    ok = multiplicity.render_text(multiplicity.compute(datum, mu)) == golden
     return [
         (
             f"golden-table-{datum.label}-{datum.format_coweight(mu)}",

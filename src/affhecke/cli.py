@@ -161,15 +161,17 @@ def _wakimoto(datum, v, w):
 
 # Per kind: its input ("mu" and "lam" name an option, "elements" the two
 # element arguments), the function of (datum, *inputs) whose value it
-# prints and the emitter that prints it.
+# prints and the emitter that prints it.  Each function looks its library
+# name up when it runs, so that a profiler that rebinds the name sees the
+# call.
 QUERIES = {
     "adm": ("mu", lambda datum, mu: group(datum).adm(mu), _emit_elements),
     "kl": ("elements", lambda datum, x, w: context(datum).kl_poly(x, w), _emit_poly),
     "invkl": ("elements", lambda datum, x, w: context(datum).inv_kl_poly(x, w), _emit_poly),
     "rpoly": ("elements", lambda datum, x, w: context(datum).r_poly(x, w), _emit_poly),
-    "theta": ("lam", theta, _emit_hecke),
-    "z": ("lam", bernstein_central, _emit_hecke),
-    "kottwitz": ("mu", kottwitz_function, _emit_hecke),
+    "theta": ("lam", lambda datum, lam: theta(datum, lam), _emit_hecke),
+    "z": ("lam", lambda datum, lam: bernstein_central(datum, lam), _emit_hecke),
+    "kottwitz": ("mu", lambda datum, mu: kottwitz_function(datum, mu), _emit_hecke),
     "wakimoto": ("elements", _wakimoto, _emit_hecke),
 }
 
@@ -208,7 +210,7 @@ def cmd_check(args):
 
     _require_positive(args, "jobs", "depth", "samples")
     if args.suite == "oracles":
-        results = checks.oracle_checks.entries(args.seed, args.depth, args.samples)
+        results = checks.oracle_checks(args.seed, args.depth, args.samples)
     else:
         if not args.group or not args.mu:
             raise DimensionMismatch(f"check {args.suite} requires GROUP and --mu")

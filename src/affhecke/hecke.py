@@ -199,8 +199,9 @@ class HeckeElement:
 
     def encode(self):
         """The one text form: element encoding -> coefficient encoding, in
-        sort_key order.  Equal coefficients are often one shared object,
-        so each distinct object is encoded once."""
+        sort_key order.  sort_key encodes each element (x._enc), and equal
+        coefficients are often one shared object, so each element and each
+        distinct coefficient object is encoded once."""
         texts = {}
         out = {}
         for x in sorted(self.terms, key=self.hctx.group.sort_key):
@@ -208,7 +209,7 @@ class HeckeElement:
             text = texts.get(id(c))
             if text is None:
                 text = texts[id(c)] = c.encode()
-            out[x.encode()] = text
+            out[x._enc] = text
         return out
 
     def __repr__(self):

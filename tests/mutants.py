@@ -1,23 +1,34 @@
-"""Mutation runner for `affhecke check oracles`.
+"""Mutation runner for the `affhecke` checks and tables.
 
 Each mutant of CATALOGUE replaces one piece of library text by another.
 The runner copies the src/ directory of a tree into a temporary
-directory, applies one mutant there, runs
-`check oracles --depth 3 --samples 5` on the copy and reads which entries
-print FAIL.  An InvariantViolation that the library raises fails only
-the entry it is raised in, so every entry prints.  A mutant is killed
-when an entry fails, or when the run ends in any other way than exit 0
-or exit 3 with a FAIL entry; it survives when every entry passes.  Run
-from anywhere, on this tree or on another checkout:
+directory, applies one mutant there and makes five runs on the copy:
+
+* `check oracles --depth 3 --samples 5`;
+* `check golden` on the two smallest golden tables, GSp4 `1,1,0,0` and
+  GL3 `2,2,0`;
+* `table` on GSp4 `2,1,1,0` and G2 `3,0`, two cases with no golden
+  table, whose stdout is compared with that of the unmutated tree.
+
+An InvariantViolation that the library raises fails only the entry it
+is raised in, so every entry prints.  A `check` run catches the mutant
+with each entry that prints FAIL, or by ending in any other way than
+exit 0 or exit 3 with a FAIL entry; a `table` run catches it when its
+stdout differs from the unmutated tree's or it exits other than 0.  A
+mutant is killed when a run catches it, and survives otherwise.  A
+`table` run whose stdout differs while it exits 0 prints a wrong table
+as if it were right: that is a finding, even when a check kills the
+mutant.  Run from anywhere, on this tree or on another checkout:
 
     python3 tests/mutants.py [TREE]
 
-It first runs the unmutated tree, which must pass, then prints one line
-per mutant with the entries that killed it, and the last stderr line of
-a run that ended otherwise, and notes each mutant whose catalogue entry
-did not print FAIL.  It exits 1 when a mutant survives or is not killed
-as expected.  The name does not start with "test_", so pytest does not
-collect it.
+It first runs the unmutated tree, whose checks must pass, then prints
+one line per mutant and one more per run that caught it, with the
+entries that failed, the last stderr line of a run that ended otherwise
+or how a table differed, and notes each mutant whose catalogue entry
+did not print FAIL and each finding.  It exits 1 when a mutant survives
+or is not killed as expected; findings do not change the exit code.
+The name does not start with "test_", so pytest does not collect it.
 """
 
 import os
@@ -28,7 +39,15 @@ import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-ARGV = ["check", "oracles", "--depth", "3", "--samples", "5"]
+#: the runs made on each tree, the `table` runs last
+CHECKS = (
+    ["check", "oracles", "--depth", "3", "--samples", "5"],
+    ["check", "golden", "GSp4", "--mu", "1,1,0,0"],
+    ["check", "golden", "GL3", "--mu", "2,2,0"],
+)
+TABLES = (["table", "GSp4", "--mu", "2,1,1,0"], ["table", "G2", "--mu", "3,0"])
+#: what a `table` run that printed another table with exit 0 caught
+WRONG = "wrong table, exit 0"
 MAIN = "import sys; from affhecke.cli import main; sys.exit(main())"
 
 #: (mutant, file of src/affhecke, old text, new text, the entry expected to
@@ -118,13 +137,28 @@ CATALOGUE = (
         "counts[w][lx - w.length() - (lx - w.length() >= 2)] += 1",
         "configurations-vs-intervals-GL3",
     ),
+    (
+        "render_text doubles the space after the count",
+        "multiplicity.py",
+        "| {r.count} | {mults}",
+        "| {r.count}  | {mults}",
+        "golden-table-GL3-2,2,0",
+    ),
 )
 
 
-def failures(tree, mutant=None):
-    """The entries that print FAIL on tree's src/ with mutant = (file, old,
-    new) applied, then the last stderr line of a run that ends in any other
-    way than exit 0 or exit 3 with a FAIL entry."""
+def _last_error(proc):
+    return (proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
+
+
+def runs(tree, mutant=None, tables=None):
+    """{run: what caught the mutant} for each run of CHECKS and TABLES on
+    tree's src/ with mutant = (file, old, new) applied, and the stdout of
+    each `table` run.  A `check` run is caught by the entries that print
+    FAIL, then by the last stderr line of a run that ends in any other way
+    than exit 0 or exit 3 with a FAIL entry; a `table` run by a stdout
+    that differs from tables[run] (given) or an exit other than 0."""
+    caught, outputs = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         src = pathlib.Path(tmp) / "src"
         shutil.copytree(tree / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -135,32 +169,51 @@ def failures(tree, mutant=None):
             if text.count(old) != 1:
                 raise SystemExit(f"{name}: {old!r} occurs {text.count(old)} times, want 1")
             target.write_text(text.replace(old, new), encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-c", MAIN, *ARGV],
-            capture_output=True, text=True, cwd=tmp,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-        )
-    fails = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
-    if proc.returncode == 0 or (proc.returncode == 3 and fails):
-        return fails
-    return fails + [(proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"])[-1]]
+        for argv in (*CHECKS, *TABLES):
+            run = " ".join(argv)
+            proc = subprocess.run(
+                [sys.executable, "-c", MAIN, *argv],
+                capture_output=True, text=True, cwd=tmp,
+                env=dict(os.environ, PYTHONPATH=str(src)),
+            )
+            if argv in TABLES:
+                outputs[run] = proc.stdout
+                if proc.returncode:
+                    caught[run] = [_last_error(proc)]
+                else:
+                    caught[run] = [WRONG] if tables and proc.stdout != tables[run] else []
+                continue
+            lines = proc.stdout.splitlines()
+            fails = [line.split()[1] for line in lines if line.startswith("FAIL ")]
+            if proc.returncode != 0 and not (proc.returncode == 3 and fails):
+                fails.append(_last_error(proc))
+            caught[run] = fails
+    return caught, outputs
 
 
 def main(argv):
     tree = pathlib.Path(argv[0]).resolve() if argv else ROOT
-    killers = failures(tree)
-    if killers:
-        print(f"the unmutated tree fails: {', '.join(killers)}")
+    caught, tables = runs(tree)
+    failed = [f"{run}: {', '.join(names)}" for run, names in caught.items() if names]
+    if failed:
+        print("the unmutated tree fails:", *failed, sep="\n  ")
         return 1
     survivors = misses = 0
+    findings = []
     for mutant, name, old, new, expected in CATALOGUE:
-        killers = failures(tree, (name, old, new))
+        caught, _ = runs(tree, (name, old, new), tables)
+        killers = {run: names for run, names in caught.items() if names}
         survivors += not killers
-        print(f"{'killed  ' if killers else 'SURVIVED'} {mutant}: {', '.join(killers)}")
-        if expected not in killers:
+        print(f"{'killed  ' if killers else 'SURVIVED'} {mutant}")
+        for run, names in killers.items():
+            print(f"         {run}: {', '.join(names)}")
+            if WRONG in names:
+                findings.append(f"{mutant}: {run}")
+        if not any(expected in names for names in killers.values()):
             misses += 1
             print(f"         expected {expected}")
     print(f"{len(CATALOGUE)} mutants, {survivors} survivors, {misses} expected entries missed")
+    print(f"{len(findings)} wrong tables with exit 0:", *findings, sep="\n  ")
     return 1 if survivors or misses else 0
 
 

@@ -154,7 +154,7 @@ def test_bruhat_vs_subword_oracle():
 
 def test_bruhat_vs_lifting_oracle():
     # leq (interval membership) against the unmemoised lifting recursion
-    results = checks.bruhat_oracle_checks(depth=5)
+    results = list(checks.bruhat_oracle_checks(depth=5))
     assert [name for name, _, _ in results] == [
         f"bruhat-lifting-vs-interval-{label}" for label in ("GL3", "GSp4", "G2")
     ]
@@ -384,7 +384,7 @@ def test_deterministic_ordering():
 @pytest.fixture(scope="module")
 def finite_weyl_results():
     # the one sweep behind the index, product and ascent entries
-    return checks.finite_weyl_checks()
+    return list(checks.finite_weyl_checks())
 
 
 def test_finite_index_vs_matrix_oracle(finite_weyl_results):

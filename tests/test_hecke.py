@@ -501,7 +501,7 @@ def test_exact_sums_do_not_depend_on_the_term_order(fam, n, mu):
 
 
 def test_kl_recursion_vs_bar_fixedness_oracle():
-    results = checks.kl_solver_checks()
+    results = list(checks.kl_solver_checks())
     assert [name for name, _, _ in results] == [
         "kl-recursion-vs-bar-fixedness-GL4-2,1,0,0",
         "kl-recursion-vs-bar-fixedness-GSp4-2,1,1,0",
@@ -517,7 +517,7 @@ def test_kl_recursion_vs_bar_fixedness_oracle():
 
 
 def test_q_oracle_vs_ic_basis():
-    results = checks.q_oracle_checks()
+    results = list(checks.q_oracle_checks())
     assert [name for name, _, _ in results] == [
         f"q-oracle-vs-ic-basis-{label}-{text}" for label, text in checks.PQ_INVERSION_CASES
     ] + ["q-oracle-vs-ic-basis-GL3", "q-oracle-vs-ic-basis-GSp4"]
@@ -534,7 +534,7 @@ def test_q_oracle_vs_ic_basis():
 
 
 def test_inverse_product_oracle():
-    results = checks.inverse_product_checks()
+    results = list(checks.inverse_product_checks())
     assert [name for name, _, _ in results] == [
         f"inverse-product-{label}-{text}" for label, text in checks.PQ_INVERSION_CASES
     ]
@@ -981,7 +981,7 @@ def test_hecke_element_encoding():
 
 
 def test_lusztig_q_analogue_oracle():
-    results = checks.q_analogue_checks()
+    results = list(checks.q_analogue_checks())
     assert [name for name, _, _ in results] == [
         "q-analogue-GL3-2,1,0",
         "q-analogue-GL3-3,0,0",

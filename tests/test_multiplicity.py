@@ -273,6 +273,22 @@ def test_render_formats(tables):
         assert LaurentPoly.decode(row["m_poly"]) == table.m_polys[w]
 
 
+def test_golden_check_fails_a_table_with_one_doubled_space(monkeypatch):
+    # the benchmark and `table` users read bytes, so one more space is a
+    # different table even though every field is the same
+    datum, mu = parse_group("GL3"), (2, 2, 0)
+    golden = checks.golden_text(datum, mu)
+    assert checks.golden_check(datum, mu) == [
+        ("golden-table-GL3-2,2,0", True, "matches stored table")
+    ]
+    doubled = golden.replace("| 1 | ", "| 1  | ", 1)
+    assert doubled != golden
+    monkeypatch.setattr(multiplicity, "render_text", lambda table: doubled)
+    assert checks.golden_check(datum, mu) == [
+        ("golden-table-GL3-2,2,0", False, "DIFFERS from stored table")
+    ]
+
+
 @pytest.mark.parametrize("fam,n,mu,stem", REFERENCE_CASES[:6])
 def test_reference_row_sums(tables, fam, n, mu, stem):
     # multiplicity of the base element equals the count column of length 1..
